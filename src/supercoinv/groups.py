@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial
 
-from .superpoly import Operator, SuperPoly, partial_operator
+from .superpoly import Operator, SuperPoly, partial_operator, x_monomials
 
 
 class UnsupportedGroupError(ValueError):
@@ -270,15 +270,6 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def _monomials_of_degree(n: int, d: int):
-    if n == 1:
-        yield (d,)
-        return
-    for first in range(d, -1, -1):
-        for rest in _monomials_of_degree(n - 1, d - first):
-            yield (first,) + rest
-
-
 def validate_covandermondian(gd: GroupData, probe_cap: int = 600) -> bool:
     """Check d_1 ... d_n = c * (d_{Delta*} theta_1...theta_n) on probes.
 
@@ -294,7 +285,7 @@ def validate_covandermondian(gd: GroupData, probe_cap: int = 600) -> bool:
     co_op = partial_operator(gd.covandermondian)
     volume = tuple(range(1, n + 1))
 
-    probes = list(_monomials_of_degree(n, deg))
+    probes = list(x_monomials(n, deg))
     if len(probes) > probe_cap:
         step = len(probes) // probe_cap + 1
         sampled = probes[::step]

@@ -6,8 +6,12 @@ generated by the basic invariants f_i together with their exterior
 derivatives d f_i, the bidegree-(i, k) harmonic space is the common kernel of
 the 2n operators  d_{f_i}, d_{d f_i}  restricted to the (i, k) monomial cell.
 
-Everything is exact rational linear algebra on sparse integer matrices.  Each
-computed dimension is cross-checked against the quotient-side count
+Everything is exact rational linear algebra on sparse integer matrices.  Cell
+matrices are assembled directly as content-reduced integer rows: the
+generators have integer coefficients (rational ones are first scaled by the
+lcm of their denominators, which leaves every reduced row unchanged), and
+each entry is a falling factorial times a Koszul sign.  Each computed
+dimension is cross-checked against the quotient-side count
 (ambient cell dimension minus the rank of the ideal's span in the cell); a
 mismatch raises IntegrityError.  Cells whose matrices would exceed the cell
 budget (rows x columns entries) are refused with a size estimate.
@@ -19,8 +23,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from itertools import combinations
+from operator import add, sub
 
 from . import linalg
 from .groups import GroupData, build_group, GroupSpec
@@ -30,7 +35,10 @@ from .superpoly import (
     Operator,
     SuperPoly,
     falling_factorial,
+    merge_thetas,
     partial_operator,
+    theta_interior,
+    x_monomials,
 )
 
 DEFAULT_CELL_BUDGET = 2 * 10**7
@@ -55,20 +63,10 @@ class FeasibilityError(RuntimeError):
             f"entries, over the cell budget {budget}"
         )
 
-
-@dataclass(frozen=True)
-class Bidegree:
-    """(x-degree, theta-degree) address of one cell; unpacks like a tuple."""
-
-    xdeg: int
-    tdeg: int
-
-    def __iter__(self):
-        yield self.xdeg
-        yield self.tdeg
-
-    def as_tuple(self):
-        return (self.xdeg, self.tdeg)
+    def __reduce__(self):
+        # Worker processes send the error back pickled; rebuild it from the
+        # constructor arguments rather than from the formatted message.
+        return (type(self), (self.group, self.bidegree, self.estimate, self.budget))
 
 
 @dataclass(frozen=True)
@@ -209,25 +207,12 @@ def latex_table(rows: list[tuple[str, str, str]]) -> str:
 
 
 @lru_cache(maxsize=None)
-def _x_monomials(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    if d < 0:
-        return ()
-    if n == 1:
-        return ((d,),)
-    out = []
-    for first in range(d, -1, -1):
-        for rest in _x_monomials(n - 1, d - first):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def cell_monomials(n: int, i: int, k: int) -> tuple[Monomial, ...]:
     """Ordered monomial basis of the bidegree-(i, k) cell."""
     if i < 0 or k < 0 or k > n:
         return ()
     thetas = list(combinations(range(1, n + 1), k))
-    return tuple((x, t) for x in _x_monomials(n, i) for t in thetas)
+    return tuple((x, t) for x in x_monomials(n, i) for t in thetas)
 
 
 def cell_dimension(n: int, i: int, k: int) -> int:
@@ -244,25 +229,124 @@ def poly_to_vector(f: SuperPoly, index: dict[Monomial, int]) -> dict[int, Fracti
 
 
 # ---------------------------------------------------------------------------
-# Kernel / quotient computations per cell
+# Integer row assembly
 # ---------------------------------------------------------------------------
 
 
-def _operator_equation_rows(ops, n: int, i: int, k: int):
-    """Equation rows (one per target coordinate) for the stacked operators.
+def _integer_terms(terms: dict) -> list:
+    """(key, int) pairs proportional to a term map with rational values.
 
-    Yields sparse integer rows over the source cell coordinates; the kernel of
-    the stack is the common kernel of the operators on the cell.
+    The factor is the lcm of the denominators, a positive scalar, so every
+    content-reduced row assembled from the result is the same as from the
+    rational terms.
     """
-    source = cell_monomials(n, i, k)
-    rows: dict[tuple[int, Monomial], dict[int, Fraction]] = {}
+    den = lcm(*(c.denominator for c in terms.values()))
+    return [(key, int(c * den)) for key, c in terms.items()]
+
+
+def _reduced_row(entries) -> linalg.IntRow:
+    """Content-reduced IntRow from (column, int) pairs with distinct columns."""
+    return linalg._content_reduce(sorted((col, v) for col, v in entries if v))
+
+
+def _theta_action(multheta, dertheta, word):
+    """(sign, word) of the theta part of an operator term on a theta word,
+    or None when the term kills it (derivatives first, smallest index first)."""
+    sign = 1
+    for t in dertheta:
+        hit = theta_interior(t, word)
+        if hit is None:
+            return None
+        s, word = hit
+        sign *= s
+    merged = merge_thetas(multheta, word)
+    if merged is None:
+        return None
+    return sign * merged[0], merged[1]
+
+
+def _x_derivative(terms, beta) -> list[tuple[Monomial, int]]:
+    """d_x^beta of integer terms ((xexp, thetas), c); zero terms dropped."""
+    out = []
+    for (xexp, thetas), c in terms:
+        for a, b in zip(xexp, beta):
+            if b:
+                c *= falling_factorial(a, b)
+        if c:
+            out.append(((tuple(map(sub, xexp, beta)), thetas), c))
+    return out
+
+
+def _cell_index(n: int, i: int, k: int) -> dict[Monomial, int]:
+    return {mon: col for col, mon in enumerate(cell_monomials(n, i, k))}
+
+
+def _operator_equation_rows(ops, n: int, i: int, k: int):
+    """Equation rows (one per operator and target monomial) for the stacked
+    operators on the (i, k) cell.
+
+    Yields content-reduced integer rows over the source cell coordinates in
+    (operator index, target monomial) order, skipping zero rows; the kernel
+    of the stack is the common kernel of the operators on the cell.
+    """
+    words = [t for _, t in cell_monomials(n, 0, k)]
+    width = len(words)
+    rows: dict[tuple[int, Monomial], dict[int, int]] = {}
     for oi, op in enumerate(ops):
-        for col, mon in enumerate(source):
-            image = op.apply(SuperPoly(n, {mon: Fraction(1)}))
-            for tmon, c in image.terms.items():
-                rows.setdefault((oi, tmon), {})[col] = c
-    for key in sorted(rows, key=lambda t: (t[0], t[1])):
-        yield rows[key]
+        terms = [
+            (
+                mulx,
+                derx,
+                [(j, b) for j, b in enumerate(derx) if b],
+                [_theta_action(multheta, dertheta, w) for w in words],
+                c,
+            )
+            for (mulx, multheta, derx, dertheta), c in _integer_terms(op.terms)
+        ]
+        for xi, xexp in enumerate(x_monomials(n, i)):
+            base = xi * width
+            for mulx, derx, xders, actions, c in terms:
+                for j, b in xders:
+                    c *= falling_factorial(xexp[j], b)
+                if not c:
+                    continue
+                tx = tuple(map(add, map(sub, xexp, derx), mulx))
+                for ti, act in enumerate(actions):
+                    if act is None:
+                        continue
+                    sign, tw = act
+                    row = rows.setdefault((oi, (tx, tw)), {})
+                    row[base + ti] = row.get(base + ti, 0) + sign * c
+    for key in sorted(rows):
+        row = _reduced_row(rows[key].items())
+        if row:
+            yield row
+
+
+def _ideal_rows(gens, n: int, i: int, k: int):
+    """Rows of the products mu * g that span the ideal's part of the (i, k) cell.
+
+    Generator-major, then mu over the cell of the complementary bidegree in
+    cell order; zero products are skipped and each row is content-reduced.
+    """
+    index = _cell_index(n, i, k)
+    for g in gens:
+        gi, gk = g.bidegree()
+        terms = _integer_terms(g.terms)
+        for mx, mt in cell_monomials(n, i - gi, k - gk):
+            row = []
+            for (gx, gt), c in terms:
+                merged = merge_thetas(mt, gt)
+                if merged is not None:
+                    sign, word = merged
+                    row.append((index[tuple(map(add, mx, gx)), word], sign * c))
+            if row:
+                yield _reduced_row(row)
+
+
+# ---------------------------------------------------------------------------
+# Kernel / quotient computations per cell
+# ---------------------------------------------------------------------------
 
 
 def _estimate_kernel_entries(gd: GroupData, i: int, k: int) -> int:
@@ -302,10 +386,7 @@ def harmonic_cell_dimension(
     if cols == 0:
         return 0
     check_cell_budget(gd, i, k, budget, oracle=False)
-    rows = (
-        linalg.to_int_row(r)
-        for r in _operator_equation_rows(gd.harmonic_generator_operators(), n, i, k)
-    )
+    rows = _operator_equation_rows(gd.harmonic_generator_operators(), n, i, k)
     return cols - linalg.rank(rows, cols, method=method)
 
 
@@ -318,17 +399,8 @@ def coinvariant_cell_dimension(
     if cols == 0:
         return 0
     check_cell_budget(gd, i, k, budget, oracle=True)
-    index = {mon: c for c, mon in enumerate(cell_monomials(n, i, k))}
-
-    def rows():
-        for g in gd.ideal_generators():
-            gi, gk = g.bidegree()
-            for mu in cell_monomials(n, i - gi, k - gk):
-                prod = SuperPoly(n, {mu: Fraction(1)}) * g
-                if prod:
-                    yield linalg.to_int_row(poly_to_vector(prod, index))
-
-    return cols - linalg.rank(rows(), cols, method=method)
+    rows = _ideal_rows(gd.ideal_generators(), n, i, k)
+    return cols - linalg.rank(rows, cols, method=method)
 
 
 def kernel_intersection(
@@ -337,8 +409,7 @@ def kernel_intersection(
     """Reduced-echelon basis of the common kernel of ops on a bidegree cell."""
     i, k = bidegree
     ambient = cell_monomials(n, i, k)
-    rows = [linalg.to_int_row(r) for r in _operator_equation_rows(ops, n, i, k)]
-    kernel = linalg.nullspace(rows, len(ambient))
+    kernel = linalg.nullspace(_operator_equation_rows(ops, n, i, k), len(ambient))
     return Subspace.from_vectors(ambient, kernel)
 
 
@@ -413,13 +484,6 @@ def harmonic_cells(
         (i, k): harmonic_cell(gd, i, k, budget)
         for (i, k) in _cell_range(gd)
     }
-
-
-def cells_dim_table(gd: GroupData, cells: dict[tuple[int, int], Subspace]) -> DimTable:
-    table = DimTable(gd.spec)
-    for (i, k), sub in cells.items():
-        table.set(i, k, sub.dimension)
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -507,21 +571,24 @@ def derivative_closure(gd: GroupData, budget: int = DEFAULT_CELL_BUDGET) -> DimT
     det-isotypic elements."""
     n = gd.n
     elements = det_isotypic_elements(gd)
-    by_cell: dict[tuple[int, int], list[SuperPoly]] = {}
+    by_cell: dict[tuple[int, int], list[list[tuple[Monomial, int]]]] = {}
     for subset, elem in sorted(elements.items()):
         i0, k = elem.bidegree()
+        terms = _integer_terms(elem.terms)
         for drop in range(i0 + 1):
-            for beta in _x_monomials(n, drop):
-                de = elem.x_derivative(beta)
+            for beta in x_monomials(n, drop):
+                de = _x_derivative(terms, beta)
                 if de:
                     by_cell.setdefault((i0 - drop, k), []).append(de)
     table = DimTable(gd.spec)
-    for (i, k), polys in sorted(by_cell.items()):
+    for (i, k), derivatives in sorted(by_cell.items()):
         cols = cell_dimension(n, i, k)
-        if cols * len(polys) > budget:
-            raise FeasibilityError(gd.spec, (i, k), cols * len(polys), budget)
-        index = {mon: c for c, mon in enumerate(cell_monomials(n, i, k))}
-        rows = (linalg.to_int_row(poly_to_vector(f, index)) for f in polys)
+        if cols * len(derivatives) > budget:
+            raise FeasibilityError(gd.spec, (i, k), cols * len(derivatives), budget)
+        index = _cell_index(n, i, k)
+        rows = (
+            _reduced_row((index[mon], c) for mon, c in de) for de in derivatives
+        )
         table.set(i, k, linalg.rank(rows, cols))
     return table
 
@@ -745,21 +812,11 @@ def fitting_structures(gd: GroupData, budget: int = DEFAULT_CELL_BUDGET) -> Fitt
     hprime_dims: dict[int, int] = {}
     ann_matches = True
     for d in range(dmax + 1):
-        mons = _x_monomials(n, d)
+        mons = x_monomials(n, d)
         amb = len(mons)
-        index = {(x, ()): c for c, x in enumerate(mons)}
-
-        def ideal_rows():
-            for g in gens:
-                gdeg = g.bidegree()[0]
-                for mu in _x_monomials(n, d - gdeg):
-                    prod = SuperPoly.monomial(n, mu) * g
-                    if prod:
-                        yield linalg.to_int_row(poly_to_vector(prod, index))
-
         if amb * amb > budget:
             raise FeasibilityError(spec, (d, "x"), amb * amb, budget)
-        iprime_rank = linalg.rank(ideal_rows(), amb)
+        iprime_rank = linalg.rank(_ideal_rows(gens, n, d, 0), amb)
         hprime = amb - iprime_rank
         if hprime:
             hprime_dims[d] = hprime
@@ -795,13 +852,13 @@ def _gamma_map_rank(gamma: SuperPoly, mons, n: int, d: int) -> int:
     gdeg = gamma.bidegree()[0]
     if d > gdeg:
         return 0
-    target = {(x, ()): c for c, x in enumerate(_x_monomials(n, gdeg - d))}
-    columns = []
-    for mu in mons:
-        img = gamma.x_derivative(mu)
-        columns.append(poly_to_vector(img, target) if img else {})
+    target = _cell_index(n, gdeg - d, 0)
+    terms = _integer_terms(gamma.terms)
     # Rank of the column family equals rank of the matrix.
-    rows = (linalg.to_int_row(col) for col in columns)
+    rows = (
+        _reduced_row((target[mon], c) for mon, c in _x_derivative(terms, mu))
+        for mu in mons
+    )
     return linalg.rank(rows, len(target))
 
 

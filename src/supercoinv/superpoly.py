@@ -48,6 +48,21 @@ def falling_factorial(a: int, k: int) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
+def x_monomials(n: int, d: int) -> tuple[XExp, ...]:
+    """Exponent vectors of the degree-d monomials in n variables, in
+    decreasing lexicographic order."""
+    if d < 0:
+        return ()
+    if n == 1:
+        return ((d,),)
+    out = []
+    for first in range(d, -1, -1):
+        for rest in x_monomials(n - 1, d - first):
+            out.append((first,) + rest)
+    return tuple(out)
+
+
 def merge_thetas(a: Thetas, b: Thetas) -> tuple[int, Thetas] | None:
     """Sign and sorted union for theta_a * theta_b; None if an index repeats."""
     if not a:

@@ -164,6 +164,11 @@ class TestThreads:
         assert code1 == code2 == EXIT_OK
         assert out1 == out2
 
+    def test_refusal_in_a_worker_exits_infeasible(self, capsys, cache_dir):
+        code = main(["--no-cache", "--threads", "2", "--cell-budget", "100000",
+                     "hilbert", "--m", "1", "--n", "4"])
+        assert code == EXIT_INFEASIBLE
+
 
 class TestVerifyCommand:
     def test_pass_exit(self, capsys, cache_dir):

@@ -1,11 +1,12 @@
 """Harmonic spaces: dimensions, det-isotypic parts, exactness, supports."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
 
-from supercoinv import harmonics
-from supercoinv.groups import build_group
+from supercoinv import harmonics, linalg
+from supercoinv.groups import GroupSpec, build_group
 from supercoinv.harmonics import (
     DimTable,
     FeasibilityError,
@@ -60,6 +61,74 @@ class TestKernelIntersection:
         assert sub.dimension == 1
         (vec,) = sub.vectors(2)
         assert vec.scalar_ratio(SuperPoly.x(2, 1) - SuperPoly.x(2, 2)) is not None
+        # Rational operators: same kernel as the integer ones they scale.
+        ops = gd.harmonic_generator_operators()
+        scaled = [Fraction(1, 3) * op for op in ops]
+        for key in [(1, 0), (1, 1), (0, 2)]:
+            assert kernel_intersection(scaled, key, 2) == kernel_intersection(ops, key, 2)
+
+
+def _reference_operator_rows(ops, n, i, k):
+    """Kernel-side rows through Operator.apply on unit monomials."""
+    rows = {}
+    for oi, op in enumerate(ops):
+        for col, mon in enumerate(cell_monomials(n, i, k)):
+            image = op.apply(SuperPoly(n, {mon: Fraction(1)}))
+            for tmon, c in image.terms.items():
+                rows.setdefault((oi, tmon), {})[col] = c
+    return [linalg.to_int_row(rows[key]) for key in sorted(rows)]
+
+
+def _reference_ideal_rows(gens, n, i, k):
+    """Ideal-side rows through SuperPoly products mu * g."""
+    index = {mon: c for c, mon in enumerate(cell_monomials(n, i, k))}
+    out = []
+    for g in gens:
+        gi, gk = g.bidegree()
+        for mu in cell_monomials(n, i - gi, k - gk):
+            prod = SuperPoly(n, {mu: Fraction(1)}) * g
+            if prod:
+                out.append(linalg.to_int_row(poly_to_vector(prod, index)))
+    return out
+
+
+class TestIntegerAssembly:
+    """The integer row assembler against the rational-arithmetic semantics."""
+
+    @pytest.mark.parametrize(
+        "key", [(1, 1, 3), (2, 1, 3), (2, 2, 3), (3, 3, 2), (4, 2, 2)]
+    )
+    def test_rows_equal_rational_reference_on_every_cell(self, key):
+        gd = build_group(*key)
+        n = gd.n
+        ops, gens = gd.harmonic_generator_operators(), gd.ideal_generators()
+        for i, k in harmonics._cell_range(gd):
+            kernel_rows = list(harmonics._operator_equation_rows(ops, n, i, k))
+            assert kernel_rows == _reference_operator_rows(ops, n, i, k), (i, k)
+            ideal_rows = list(harmonics._ideal_rows(gens, n, i, k))
+            assert ideal_rows == _reference_ideal_rows(gens, n, i, k), (i, k)
+
+    def test_rational_generators_give_the_reference_rows(self):
+        gd = build_group(2, 1, 2)
+        n = gd.n
+        plain_ops, plain_gens = gd.harmonic_generator_operators(), gd.ideal_generators()
+        scaled_ops = [op * Fraction(2, 3) for op in plain_ops]
+        ops = scaled_ops + [
+            gd.exterior_d * Fraction(1, 5),
+            gd.exterior_d_adjoint * Fraction(-7, 2),
+        ]
+        gens = [g * Fraction(3, 7) for g in plain_gens]
+        kernel_rows = harmonics._operator_equation_rows
+        for i, k in harmonics._cell_range(gd):
+            rows = list(kernel_rows(ops, n, i, k))
+            assert rows == _reference_operator_rows(ops, n, i, k), (i, k)
+            # A positive scalar leaves every content-reduced row unchanged.
+            assert list(kernel_rows(scaled_ops, n, i, k)) == list(
+                kernel_rows(plain_ops, n, i, k)
+            )
+            ideal_rows = list(harmonics._ideal_rows(gens, n, i, k))
+            assert ideal_rows == _reference_ideal_rows(gens, n, i, k), (i, k)
+            assert ideal_rows == list(harmonics._ideal_rows(plain_gens, n, i, k))
 
 
 class TestDimTables:
@@ -119,6 +188,15 @@ class TestBudget:
             sh_dim_table(gd, budget=10)
         assert err.value.estimate > 10
         assert err.value.budget == 10
+
+    def test_refusal_survives_pickling(self):
+        err = FeasibilityError(GroupSpec(1, 1, 4), (3, 1), 123, 100)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is FeasibilityError
+        assert (back.group, back.bidegree, back.estimate, back.budget) == (
+            GroupSpec(1, 1, 4), (3, 1), 123, 100
+        )
+        assert str(back) == str(err)
 
     def test_default_budget_refuses_d4(self):
         gd = build_group(2, 2, 4)

@@ -139,7 +139,7 @@ class TestAdjoint:
 
 def monomials_up_to(n, xdeg, include_theta=True):
     """All canonical monomials with x-degree <= xdeg."""
-    from supercoinv.harmonics import _x_monomials
+    from supercoinv.superpoly import x_monomials
 
     out = []
     theta_sets = (
@@ -148,7 +148,7 @@ def monomials_up_to(n, xdeg, include_theta=True):
         else [()]
     )
     for d in range(xdeg + 1):
-        for alpha in _x_monomials(n, d):
+        for alpha in x_monomials(n, d):
             for thetas in theta_sets:
                 out.append(SuperPoly.monomial(n, alpha, thetas))
     return out

@@ -10,11 +10,16 @@ Everything is exact rational linear algebra on sparse integer matrices.  Cell
 matrices are assembled directly as content-reduced integer rows: the
 generators have integer coefficients (rational ones are first scaled by the
 lcm of their denominators, which leaves every reduced row unchanged), and
-each entry is a falling factorial times a Koszul sign.  Each computed
+each entry is a falling factorial times a Koszul sign.  The rows are streamed
+into the incremental Gauss-Jordan eliminator of ``linalg``, which stops
+pulling rows once the rank reaches the cell dimension; ranks, reduced
+echelon bases and nullspaces all come from that one path.  Each computed
 dimension is cross-checked against the quotient-side count
 (ambient cell dimension minus the rank of the ideal's span in the cell); a
 mismatch raises IntegrityError.  Cells whose matrices would exceed the cell
-budget (rows x columns entries) are refused with a size estimate.
+budget (rows x columns entries) are refused with a size estimate; the
+whole-table entry points (``sh_dim_table``, ``harmonic_cells``) check every
+cell before they compute the first one.
 """
 
 from __future__ import annotations
@@ -378,7 +383,7 @@ def check_cell_budget(gd: GroupData, i: int, k: int, budget: int, oracle: bool =
 
 
 def harmonic_cell_dimension(
-    gd: GroupData, i: int, k: int, budget: int = DEFAULT_CELL_BUDGET, method: str = "fraction_free"
+    gd: GroupData, i: int, k: int, budget: int = DEFAULT_CELL_BUDGET
 ) -> int:
     """dim of the bidegree-(i, k) harmonic space (kernel route only)."""
     n = gd.n
@@ -387,11 +392,11 @@ def harmonic_cell_dimension(
         return 0
     check_cell_budget(gd, i, k, budget, oracle=False)
     rows = _operator_equation_rows(gd.harmonic_generator_operators(), n, i, k)
-    return cols - linalg.rank(rows, cols, method=method)
+    return cols - linalg.rank(rows, cols)
 
 
 def coinvariant_cell_dimension(
-    gd: GroupData, i: int, k: int, budget: int = DEFAULT_CELL_BUDGET, method: str = "fraction_free"
+    gd: GroupData, i: int, k: int, budget: int = DEFAULT_CELL_BUDGET
 ) -> int:
     """Quotient-side oracle: ambient dim minus rank of the ideal's cell span."""
     n = gd.n
@@ -400,7 +405,7 @@ def coinvariant_cell_dimension(
         return 0
     check_cell_budget(gd, i, k, budget, oracle=True)
     rows = _ideal_rows(gd.ideal_generators(), n, i, k)
-    return cols - linalg.rank(rows, cols, method=method)
+    return cols - linalg.rank(rows, cols)
 
 
 def kernel_intersection(
@@ -429,31 +434,35 @@ def sh_dim_table(
     gd: GroupData,
     budget: int = DEFAULT_CELL_BUDGET,
     threads: int = 1,
-    method: str = "fraction_free",
 ) -> DimTable:
     """Harmonic dimensions for all i <= deg Delta, k <= n, oracle-checked.
 
     Dimensions above deg Delta vanish (the classical coinvariant algebra is
     zero there and the cells are quotients of its tensor layers), so they are
-    recorded as zero without computation.
+    recorded as zero without computation.  Every cell's budget is checked,
+    in the order the cells are computed, before the first one is.
     """
     cells = list(_cell_range(gd))
+    # The checks of _cell_dims_checked in its order (kernel estimate, then
+    # oracle estimate), so the refusal is the one the per-cell path raises.
+    for i, k in cells:
+        if cell_dimension(gd.n, i, k):
+            check_cell_budget(gd, i, k, budget, oracle=False)
+            check_cell_budget(gd, i, k, budget)
     spec = gd.spec
     if threads > 1:
-        dims = _parallel_cell_dims(spec, cells, budget, method, threads)
+        dims = _parallel_cell_dims(spec, cells, budget, threads)
     else:
-        dims = [
-            _cell_dims_checked(gd, i, k, budget, method) for (i, k) in cells
-        ]
+        dims = [_cell_dims_checked(gd, i, k, budget) for (i, k) in cells]
     table = DimTable(spec)
     for (i, k), d in zip(cells, dims):
         table.set(i, k, d)
     return table
 
 
-def _cell_dims_checked(gd: GroupData, i: int, k: int, budget: int, method: str) -> int:
-    dim = harmonic_cell_dimension(gd, i, k, budget, method)
-    oracle = coinvariant_cell_dimension(gd, i, k, budget, method)
+def _cell_dims_checked(gd: GroupData, i: int, k: int, budget: int) -> int:
+    dim = harmonic_cell_dimension(gd, i, k, budget)
+    oracle = coinvariant_cell_dimension(gd, i, k, budget)
     if dim != oracle:
         raise IntegrityError(
             f"{gd.spec.label()} bidegree ({i},{k}): harmonic dimension {dim} "
@@ -463,15 +472,15 @@ def _cell_dims_checked(gd: GroupData, i: int, k: int, budget: int, method: str) 
 
 
 def _cell_worker(args):
-    m, p, n, i, k, budget, method = args
+    m, p, n, i, k, budget = args
     gd = build_group(m, p, n)
-    return _cell_dims_checked(gd, i, k, budget, method)
+    return _cell_dims_checked(gd, i, k, budget)
 
 
-def _parallel_cell_dims(spec, cells, budget, method, threads):
+def _parallel_cell_dims(spec, cells, budget, threads):
     from concurrent.futures import ProcessPoolExecutor
 
-    args = [(spec.m, spec.p, spec.n, i, k, budget, method) for (i, k) in cells]
+    args = [(spec.m, spec.p, spec.n, i, k, budget) for (i, k) in cells]
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(_cell_worker, args, chunksize=4))
 
@@ -479,11 +488,14 @@ def _parallel_cell_dims(spec, cells, budget, method, threads):
 def harmonic_cells(
     gd: GroupData, budget: int = DEFAULT_CELL_BUDGET
 ) -> dict[tuple[int, int], Subspace]:
-    """Subspace bases for every cell with i <= deg Delta, k <= n."""
-    return {
-        (i, k): harmonic_cell(gd, i, k, budget)
-        for (i, k) in _cell_range(gd)
-    }
+    """Subspace bases for every cell with i <= deg Delta, k <= n.
+
+    Every cell's budget is checked before the first basis is computed.
+    """
+    cells = list(_cell_range(gd))
+    for i, k in cells:
+        check_cell_budget(gd, i, k, budget, oracle=False)
+    return {(i, k): harmonic_cell(gd, i, k, budget) for (i, k) in cells}
 
 
 # ---------------------------------------------------------------------------

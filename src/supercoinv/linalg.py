@@ -1,22 +1,25 @@
-"""Exact sparse Gaussian elimination over the rationals.
+"""Exact sparse Gauss-Jordan elimination over the rationals.
 
-Rows are sparse vectors in Q^ncols.  Two interchangeable elimination paths:
+Rows are sparse vectors in Q^ncols, fed one at a time to a single
+incremental, fraction-free Gauss-Jordan eliminator (``IntEliminator``).  It
+keeps this invariant after every row: each pivot row is a content-reduced
+integer row with a positive pivot entry, and it is zero in every other pivot
+column.  The pivot rows are therefore the primitive integer multiples of the
+canonical reduced row echelon form of the rows seen so far.
 
-* ``fraction_free`` (default): rows kept as content-reduced integer vectors,
-  elimination by cross-multiplication.  Fast, no Fraction objects in the hot
-  loop.
-* ``rational``: rows of Fractions, pivot = first nonzero column.
-
-Both are exact and must agree on ranks (enforced by a property test).
-Rank computations short-circuit once the pivot count reaches ncols; at that
-point the rank is exactly ncols and the remaining rows are dependent.
+An incoming row is reduced in one pass over its own pivot-column entries;
+what is left lies on free columns only.  If it is zero the row is dependent,
+otherwise its smallest column becomes a new pivot, and that column is cleared
+from exactly the pivot rows that hold it, found through a column -> pivot-rows
+index.  ``rref`` and ``nullspace`` read the canonical form directly.
+Row consumption stops once the rank reaches ncols; every later row is then
+dependent.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable
 
 # A sparse integer row: list of (column, value), sorted by column, no zeros.
@@ -59,152 +62,153 @@ def _content_reduce(items: IntRow) -> IntRow:
     return items
 
 
-def _axpy(b: int, row: IntRow, a: int, piv: IntRow, skip_col: int) -> IntRow:
-    """b*row + a*piv, merged by column; skip_col is known to cancel."""
-    out: IntRow = []
-    i = j = 0
-    li, lj = len(row), len(piv)
-    while i < li and j < lj:
-        ci, cj = row[i][0], piv[j][0]
-        if ci < cj:
-            out.append((ci, b * row[i][1]))
-            i += 1
-        elif cj < ci:
-            out.append((cj, a * piv[j][1]))
-            j += 1
-        else:
-            if ci != skip_col:
-                v = b * row[i][1] + a * piv[j][1]
-                if v:
-                    out.append((ci, v))
-            i += 1
-            j += 1
-    while i < li:
-        out.append((row[i][0], b * row[i][1]))
-        i += 1
-    while j < lj:
-        out.append((piv[j][0], a * piv[j][1]))
-        j += 1
-    return out
-
-
 class IntEliminator:
-    """Incremental fraction-free row echelon; pivots indexed by leading column."""
+    """Incremental fraction-free Gauss-Jordan elimination.
+
+    ``pivots`` maps each pivot column c to the row's free part {col: value}
+    (no pivot column appears in it) and ``lead`` to the pivot entry, so the
+    full row is lead[c] at c plus pivots[c]; ``holders`` maps each free column
+    to the pivot columns whose rows hold it.
+    """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.pivots: dict[int, IntRow] = {}
+        self.pivots: dict[int, dict[int, int]] = {}
+        self.lead: dict[int, int] = {}
+        self.holders: dict[int, set[int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, row: IntRow) -> IntRow:
-        pivots = self.pivots
-        while row:
-            c, a = row[0]
-            piv = pivots.get(c)
-            if piv is None:
-                return row
-            b = piv[0][1]
-            g = gcd(a, b)
-            row = _content_reduce(_axpy(b // g, row, -(a // g), piv, c))
-        return row
+    def _reduce(self, row: IntRow) -> dict[int, int]:
+        """row with every pivot column cleared, scaled by a positive integer.
+
+        Pivot rows are zero in every other pivot column, so one subtraction
+        per pivot-column entry of the input suffices; the row is scaled once,
+        by the lcm of the factors the pivots need."""
+        pivots, lead = self.pivots, self.lead
+        work: dict[int, int] = {}
+        hits = []
+        scale = 1
+        for c, a in row:
+            if c in pivots:
+                b = lead[c]
+                g = gcd(a, b)
+                b //= g
+                hits.append((c, a // g, b))
+                if b != 1:
+                    scale = lcm(scale, b)
+            else:
+                work[c] = a
+        if scale != 1:
+            work = {k: scale * v for k, v in work.items()}
+        for c, a, b in hits:
+            f = scale // b * a
+            for k, v in pivots[c].items():
+                if k in work:
+                    v = work[k] - f * v
+                    if v:
+                        work[k] = v
+                    else:
+                        del work[k]
+                else:
+                    work[k] = -f * v
+        return work
 
     def add(self, row: IntRow) -> bool:
-        """Reduce row against current pivots; register as new pivot if nonzero."""
-        row = self.reduce(row)
-        if row:
-            self.pivots[row[0][0]] = _content_reduce(row)
-            return True
-        return False
-
-    def add_all_for_rank(self, rows: Iterable[IntRow]) -> int:
-        for row in rows:
-            if self.rank == self.ncols:
-                break
-            self.add(row)
-        return self.rank
+        """Reduce row against the pivots; register it as a pivot if nonzero."""
+        work = self._reduce(row)
+        if not work:
+            return False
+        c = min(work)
+        b = work.pop(c)
+        g = gcd(b, *work.values())
+        if b < 0:
+            g = -g
+        if g != 1:
+            b //= g
+            work = {k: v // g for k, v in work.items()}
+        pivots, lead, holders = self.pivots, self.lead, self.holders
+        cleared = holders.pop(c, ())
+        for k in work:
+            if k in holders:
+                holders[k].add(c)
+            else:
+                holders[k] = {c}
+        for q in cleared:
+            # q <- s*q - t*row clears column c from pivot row q.
+            qrow = pivots[q]
+            a = qrow.pop(c)
+            g = gcd(a, b)
+            s, t = b // g, a // g
+            qb = s * lead[q]
+            if s != 1:
+                qrow = {k: s * v for k, v in qrow.items()}
+            for k, v in work.items():
+                if k in qrow:
+                    v = qrow[k] - t * v
+                    if v:
+                        qrow[k] = v
+                    else:
+                        del qrow[k]
+                        holders[k].discard(q)
+                else:
+                    qrow[k] = -t * v
+                    holders[k].add(q)
+            g = gcd(qb, *qrow.values())
+            if g != 1:
+                qb //= g
+                qrow = {k: v // g for k, v in qrow.items()}
+            pivots[q] = qrow
+            lead[q] = qb
+        pivots[c] = work
+        lead[c] = b
+        return True
 
     def rref(self) -> list[FracVec]:
-        """Back-eliminate and normalize pivots to 1; rows sorted by pivot column."""
-        cols = sorted(self.pivots)
-        reduced: dict[int, IntRow] = {c: self.pivots[c] for c in cols}
-        for idx in range(len(cols) - 1, -1, -1):
-            c = cols[idx]
-            piv = reduced[c]
-            b = piv[0][1]
-            for c2 in cols[:idx]:
-                row = reduced[c2]
-                pos = bisect_left(row, (c, -(1 << 300)))
-                if pos < len(row) and row[pos][0] == c:
-                    a = row[pos][1]
-                    g = gcd(a, b)
-                    reduced[c2] = _content_reduce(
-                        _axpy(b // g, row, -(a // g), piv, c)
-                    )
+        """Canonical RREF rows (pivot entries 1), sorted by pivot column."""
         out = []
-        for c in cols:
-            row = reduced[c]
-            lead = row[0][1]
-            out.append({col: Fraction(v, lead) for col, v in row})
+        for c in sorted(self.pivots):
+            b = self.lead[c]
+            row = {c: Fraction(1)}
+            for k, v in sorted(self.pivots[c].items()):
+                row[k] = Fraction(v, b)
+            out.append(row)
         return out
 
-
-class FracEliminator:
-    """Rational-arithmetic elimination, first-nonzero (smallest column) pivot."""
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.pivots: dict[int, FracVec] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def add(self, vec: FracVec) -> bool:
-        row = {c: Fraction(v) for c, v in vec.items() if v}
-        while row:
-            c = min(row)
-            piv = self.pivots.get(c)
-            if piv is None:
-                inv = 1 / row[c]
-                self.pivots[c] = {k: v * inv for k, v in row.items()}
-                return True
-            factor = row[c]
-            for k, v in piv.items():
-                s = row.get(k, Fraction(0)) - factor * v
-                if s:
-                    row[k] = s
-                else:
-                    row.pop(k, None)
-        return False
+    def nullspace(self) -> list[FracVec]:
+        """One basis vector per free column f, in increasing f: 1 at f and
+        minus the RREF entry at f of each pivot row holding f."""
+        basis = []
+        for f in range(self.ncols):
+            if f in self.pivots:
+                continue
+            vec: FracVec = {f: Fraction(1)}
+            for c in sorted(self.holders.get(f, ())):
+                vec[c] = Fraction(-self.pivots[c][f], self.lead[c])
+            basis.append(vec)
+        return basis
 
 
-def rank(rows: Iterable, ncols: int, method: str = "fraction_free") -> int:
-    """Rank of the span of the given sparse rows inside Q^ncols."""
-    if method == "fraction_free":
-        el = IntEliminator(ncols)
-        return el.add_all_for_rank(to_int_row(r) if not isinstance(r, list) else r
-                                   for r in rows)
-    if method == "rational":
-        fel = FracEliminator(ncols)
-        for r in rows:
-            if fel.rank == ncols:
-                break
-            fel.add(dict(r) if not isinstance(r, dict) else r)
-        return fel.rank
-    raise ValueError(f"unknown elimination method {method!r}")
-
-
-def rref(rows: Iterable, ncols: int) -> list[FracVec]:
-    """Canonical reduced row echelon form of the row span (pivot entries 1)."""
+def _eliminate(rows: Iterable, ncols: int) -> IntEliminator:
+    """Feed rows until the rank reaches ncols; the rest are dependent."""
     el = IntEliminator(ncols)
     for r in rows:
         if el.rank == ncols:
             break
-        el.add(to_int_row(r) if not isinstance(r, list) else r)
-    return el.rref()
+        el.add(r if isinstance(r, list) else to_int_row(r))
+    return el
+
+
+def rank(rows: Iterable, ncols: int) -> int:
+    """Rank of the span of the given sparse rows inside Q^ncols."""
+    return _eliminate(rows, ncols).rank
+
+
+def rref(rows: Iterable, ncols: int) -> list[FracVec]:
+    """Canonical reduced row echelon form of the row span (pivot entries 1)."""
+    return _eliminate(rows, ncols).rref()
 
 
 def nullspace(rows: Iterable, ncols: int) -> list[FracVec]:
@@ -212,21 +216,7 @@ def nullspace(rows: Iterable, ncols: int) -> list[FracVec]:
 
     One basis vector per free column, in increasing column order.
     """
-    rr = rref(rows, ncols)
-    pivot_cols = [min(r) for r in rr]
-    by_pivot = dict(zip(pivot_cols, rr))
-    pivot_set = set(pivot_cols)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        vec: FracVec = {f: Fraction(1)}
-        for c, row in by_pivot.items():
-            a = row.get(f)
-            if a:
-                vec[c] = -a
-        basis.append(vec)
-    return basis
+    return _eliminate(rows, ncols).nullspace()
 
 
 def residual(rref_rows: list[FracVec], vec: FracVec) -> FracVec:

@@ -28,6 +28,7 @@ from supercoinv.harmonics import (
 )
 from supercoinv.qseries import QPoly, q_integer
 from supercoinv.superpoly import Operator, SuperPoly
+from test_linalg import reference_rank
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +203,32 @@ class TestBudget:
         gd = build_group(2, 2, 4)
         with pytest.raises(FeasibilityError):
             sh_dim_table(gd)
+
+    @pytest.mark.parametrize("budget, bidegree, estimate", [
+        (harmonics.DEFAULT_CELL_BUDGET, (12, 2), 21556080),
+        (300000, (12, 0), 318500),
+    ])
+    def test_refusal_comes_before_any_elimination(
+        self, monkeypatch, budget, bidegree, estimate
+    ):
+        # the first over-budget cell in computation order is named, as when
+        # the budget was checked one cell at a time, but no cell is computed
+        calls = []
+        for name in ("rank", "rref", "nullspace"):
+            monkeypatch.setattr(
+                linalg, name, lambda *a, _name=name, **kw: calls.append(_name)
+            )
+        gd = build_group(2, 2, 4)
+        for build in (
+            lambda: sh_dim_table(gd, budget=budget),
+            lambda: sh_dim_table(gd, budget=budget, threads=2),
+            lambda: harmonic_cells(gd, budget=budget),
+        ):
+            with pytest.raises(FeasibilityError) as err:
+                build()
+            assert (err.value.group, err.value.bidegree) == (gd.spec, bidegree)
+            assert (err.value.estimate, err.value.budget) == (estimate, budget)
+        assert calls == []
 
 
 class TestDetIsotypic:
@@ -423,10 +450,21 @@ class TestDualRoutes:
                 assert lhs == rhs, (key, i, k)
 
     def test_elimination_paths_agree_through_pipeline(self):
+        # every D_3 cell: the kernel-side and the ideal-side matrices have the
+        # rank the rational reference eliminator finds, and the table holds
+        # the kernel-side count
         gd = build_group(2, 2, 3)
-        fast = sh_dim_table(gd, method="fraction_free")
-        slow = sh_dim_table(gd, method="rational")
-        assert fast.entries == slow.entries
+        n = gd.n
+        ops, gens = gd.harmonic_generator_operators(), gd.ideal_generators()
+        table = sh_dim_table(gd)
+        for i, k in harmonics._cell_range(gd):
+            cols = harmonics.cell_dimension(n, i, k)
+            kernel_rows = list(harmonics._operator_equation_rows(ops, n, i, k))
+            ideal_rows = list(harmonics._ideal_rows(gens, n, i, k))
+            kernel_rank = reference_rank(kernel_rows, cols)
+            assert linalg.rank(kernel_rows, cols) == kernel_rank, (i, k)
+            assert linalg.rank(ideal_rows, cols) == reference_rank(ideal_rows, cols), (i, k)
+            assert table.dim(i, k) == cols - kernel_rank, (i, k)
 
     @pytest.mark.parametrize("key", [(1, 1, 4), (2, 1, 3), (3, 3, 3), (4, 2, 2)])
     def test_classical_column_total_is_group_order(self, key):

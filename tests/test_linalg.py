@@ -17,8 +17,12 @@ def dense(rows, ncols):
     return out
 
 
-def oracle_rank(rows, ncols):
-    """Textbook dense Gaussian elimination over Fractions."""
+def dense_rref(rows, ncols):
+    """Textbook dense Gauss-Jordan elimination over Fractions.
+
+    Returns the nonzero rows of the reduced row echelon form as sparse
+    {column: Fraction} maps with pivot entries 1, in pivot-column order.
+    """
     mat = dense(rows, ncols)
     rank = 0
     for col in range(ncols):
@@ -31,13 +35,75 @@ def oracle_rank(rows, ncols):
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
         pv = mat[rank][col]
+        mat[rank] = [v / pv for v in mat[rank]]
         for r in range(len(mat)):
             if r != rank and mat[r][col]:
-                f = mat[r][col] / pv
+                f = mat[r][col]
                 for c in range(ncols):
                     mat[r][c] -= f * mat[rank][c]
         rank += 1
-    return rank
+    return [{c: v for c, v in enumerate(row) if v} for row in mat[:rank]]
+
+
+def oracle_rank(rows, ncols):
+    return len(dense_rref(rows, ncols))
+
+
+def dense_nullspace(rows, ncols):
+    """Canonical nullspace from dense_rref: one vector per free column f, in
+    increasing f, with 1 at f and minus each pivot row's entry at f."""
+    rr = dense_rref(rows, ncols)
+    pivots = {min(r): r for r in rr}
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = {f: Fraction(1)}
+        for c, row in pivots.items():
+            if row.get(f):
+                vec[c] = -row[f]
+        basis.append(vec)
+    return basis
+
+
+class FracEliminator:
+    """Sparse rational-arithmetic elimination, first-nonzero (smallest
+    column) pivot: an independent reference for the integer eliminator."""
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.pivots: dict[int, dict[int, Fraction]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def add(self, vec) -> bool:
+        items = vec.items() if isinstance(vec, dict) else vec
+        row = {c: Fraction(v) for c, v in items if v}
+        while row:
+            c = min(row)
+            piv = self.pivots.get(c)
+            if piv is None:
+                inv = 1 / row[c]
+                self.pivots[c] = {k: v * inv for k, v in row.items()}
+                return True
+            factor = row[c]
+            for k, v in piv.items():
+                s = row.get(k, Fraction(0)) - factor * v
+                if s:
+                    row[k] = s
+                else:
+                    row.pop(k, None)
+        return False
+
+
+def reference_rank(rows, ncols):
+    """Rank by FracEliminator over every row."""
+    el = FracEliminator(ncols)
+    for r in rows:
+        el.add(r)
+    return el.rank
 
 
 def test_known_small_matrix():
@@ -91,13 +157,14 @@ matrices = st.lists(
 @given(matrices)
 def test_paths_agree_with_each_other_and_oracle(rows):
     ncols = 6
-    r_int = linalg.rank([dict(r) for r in rows], ncols, method="fraction_free")
-    r_frac = linalg.rank(
-        [{k: Fraction(v) for k, v in r.items()} for r in rows], ncols,
-        method="rational",
+    r_int = linalg.rank([dict(r) for r in rows], ncols)
+    r_list = linalg.rank([sorted(r.items()) for r in rows], ncols)
+    r_frac_in = linalg.rank(
+        [{k: Fraction(v, 3) for k, v in r.items()} for r in rows], ncols
     )
+    r_frac = reference_rank(rows, ncols)
     r_oracle = oracle_rank(rows, ncols)
-    assert r_int == r_frac == r_oracle
+    assert r_int == r_list == r_frac_in == r_frac == r_oracle
 
 
 @settings(max_examples=200, deadline=None)
@@ -113,3 +180,72 @@ def test_nullspace_vectors_annihilate_and_count(rows):
             )
     # kernel vectors are independent: stack them and re-rank
     assert linalg.rank(ns, ncols) == len(ns)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Up to 14 rows over up to 10 columns, mostly zeros; some rows are
+    integer combinations of earlier ones, so dependencies also come late."""
+    ncols = draw(st.integers(min_value=1, max_value=10))
+    entry = st.sampled_from([0] * 8 + [-3, -2, -1, 1, 2, 3, 5, -7])
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=14))):
+        if len(rows) >= 2 and draw(st.booleans()):
+            a, b = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=2))
+            x, y = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+            rows.append([x * u + y * v for u, v in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    return ncols, [{c: v for c, v in enumerate(r) if v} for r in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_rank_matches_oracle(case):
+    ncols, rows = case
+    assert linalg.rank(rows, ncols) == oracle_rank(rows, ncols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_rref_matches_dense_reference(case):
+    ncols, rows = case
+    got = linalg.rref(rows, ncols)
+    want = dense_rref(rows, ncols)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert sorted(g.items()) == sorted(w.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_nullspace_matches_canonical_reference(case):
+    ncols, rows = case
+    got = linalg.nullspace(rows, ncols)
+    want = dense_nullspace(rows, ncols)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert sorted(g.items()) == sorted(w.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_rows_pulled_stop_at_full_rank(case):
+    ncols, rows = case
+    pulled = 0
+
+    def counting():
+        nonlocal pulled
+        for r in rows:
+            pulled += 1
+            yield r
+
+    full = next(
+        (j for j in range(len(rows) + 1) if oracle_rank(rows[:j], ncols) == ncols),
+        None,
+    )
+    expected = len(rows) if full is None else min(len(rows), full + 1)
+    for fn in (linalg.rank, linalg.rref, linalg.nullspace):
+        pulled = 0
+        fn(counting(), ncols)
+        assert pulled == expected, fn.__name__

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from math import comb, factorial
 
 from .superpoly import Operator, SuperPoly, partial_operator, x_monomials
@@ -174,11 +174,15 @@ class GroupData:
 
 
 def _vandermonde_in_powers(n: int, m: int) -> SuperPoly:
-    """prod_{1 <= i < j <= n} (x_j^m - x_i^m)."""
-    out = SuperPoly.one(n)
-    for i, j in combinations(range(1, n + 1), 2):
-        out = out * (SuperPoly.x(n, j, m) - SuperPoly.x(n, i, m))
-    return out
+    """prod_{1 <= i < j <= n} (x_j^m - x_i^m), expanded as the determinant
+    det(x_j^{m(i-1)}): one signed term per permutation, no cancellation."""
+    terms = {}
+    for perm in permutations(range(n)):
+        xexp = [0] * n
+        for i, j in enumerate(perm):
+            xexp[j] = m * i
+        terms[(tuple(xexp), ())] = _perm_sign(perm)
+    return SuperPoly(n, terms)
 
 
 def _product_of_all_x(n: int, power: int) -> SuperPoly:

@@ -13,13 +13,15 @@ lcm of their denominators, which leaves every reduced row unchanged), and
 each entry is a falling factorial times a Koszul sign.  The rows are streamed
 into the incremental Gauss-Jordan eliminator of ``linalg``, which stops
 pulling rows once the rank reaches the cell dimension; ranks, reduced
-echelon bases and nullspaces all come from that one path.  Each computed
-dimension is cross-checked against the quotient-side count
-(ambient cell dimension minus the rank of the ideal's span in the cell); a
-mismatch raises IntegrityError.  Cells whose matrices would exceed the cell
-budget (rows x columns entries) are refused with a size estimate; the
-whole-table entry points (``sh_dim_table``, ``harmonic_cells``) check every
-cell before they compute the first one.
+echelon bases and nullspaces all come from that one path.  Before a table
+cell is eliminated, every entry of its operator matrix is checked against the
+ideal products mu * g: under the pairing <x^a theta_I, x^a theta_I> = a! the
+two matrices agree up to diagonal scaling, so the one rank gives both the
+harmonic and the quotient-side count; a mismatch raises IntegrityError.
+``coinvariant_cell_dimension`` keeps the full quotient-side route.  Cells
+whose matrices would exceed the cell budget (rows x columns entries) are
+refused with a size estimate; the whole-table entry points (``sh_dim_table``,
+``harmonic_cells``) check every cell before they compute the first one.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, factorial, lcm, prod
 from itertools import combinations
 from operator import add, sub
 
@@ -52,7 +54,7 @@ SCHEMA_VERSION = 1
 
 
 class IntegrityError(RuntimeError):
-    """Two independent routes to the same dimension disagreed."""
+    """Two independent computations of the same data disagreed."""
 
 
 class FeasibilityError(RuntimeError):
@@ -286,13 +288,12 @@ def _cell_index(n: int, i: int, k: int) -> dict[Monomial, int]:
     return {mon: col for col, mon in enumerate(cell_monomials(n, i, k))}
 
 
-def _operator_equation_rows(ops, n: int, i: int, k: int):
-    """Equation rows (one per operator and target monomial) for the stacked
-    operators on the (i, k) cell.
+def _operator_entries(ops, n: int, i: int, k: int):
+    """Entries of the stacked operators on the (i, k) cell, unreduced.
 
-    Yields content-reduced integer rows over the source cell coordinates in
-    (operator index, target monomial) order, skipping zero rows; the kernel
-    of the stack is the common kernel of the operators on the cell.
+    Maps (operator index, target monomial) to {source column: int}; the
+    integers are those of the operators scaled by the lcm of their
+    denominators.
     """
     words = [t for _, t in cell_monomials(n, 0, k)]
     width = len(words)
@@ -322,10 +323,99 @@ def _operator_equation_rows(ops, n: int, i: int, k: int):
                     sign, tw = act
                     row = rows.setdefault((oi, (tx, tw)), {})
                     row[base + ti] = row.get(base + ti, 0) + sign * c
-    for key in sorted(rows):
-        row = _reduced_row(rows[key].items())
+    return rows
+
+
+def _reduced_rows(entries):
+    """Content-reduced rows of an entry map in key order, zero rows skipped."""
+    for key in sorted(entries):
+        row = _reduced_row(entries[key].items())
         if row:
             yield row
+
+
+def _operator_equation_rows(ops, n: int, i: int, k: int):
+    """Equation rows (one per operator and target monomial) for the stacked
+    operators on the (i, k) cell.
+
+    Yields content-reduced integer rows over the source cell coordinates in
+    (operator index, target monomial) order, skipping zero rows; the kernel
+    of the stack is the common kernel of the operators on the cell.
+    """
+    yield from _reduced_rows(_operator_entries(ops, n, i, k))
+
+
+def _x_factorial(xexp) -> int:
+    return prod(map(factorial, xexp))
+
+
+def _check_against_products(gd: GroupData, entries, i: int, k: int):
+    """Prove entrywise that the operator-side matrix of the (i, k) cell is
+    the ideal-side one up to diagonal scaling, or raise IntegrityError.
+
+    ``entries`` is ``_operator_entries`` of the harmonic generator operators.
+    Under the pairing <x^a theta_I, x^a theta_I> = a!, for a generator g and
+    monomials mu, nu
+        coeff_nu(mu g) nu_x! = eps coeff_mu(d_g nu) mu_x!,
+    where eps = (-1)^(theta-degree of g * theta-degree of mu): -1 exactly when
+    g is a d f_i and mu has odd theta-degree.  Each side has one term per
+    entry, so the generator terms are walked once, every product entry is
+    compared and the counts of nonzero entries must agree.  The two matrices
+    then have the same rank, so the kernel count is also the quotient count.
+    """
+    n = gd.n
+    words = [t for _, t in cell_monomials(n, 0, k)]
+    word_index = {w: ti for ti, w in enumerate(words)}
+    x_base = {x: xi * len(words) for xi, x in enumerate(x_monomials(n, i))}
+    walked = set()
+    for oi, g in enumerate(gd.ideal_generators()):
+        gi, gk = g.bidegree()
+        terms = _integer_terms(g.terms)
+        # For each theta word of mu: (term, sign, theta offset) of every term
+        # whose product with it is nonzero.
+        merges = []
+        for mt in (t for _, t in cell_monomials(n, 0, k - gk)):
+            hits = []
+            for tj, ((_, gt), _) in enumerate(terms):
+                merged = merge_thetas(mt, gt)
+                if merged is not None:
+                    hits.append((tj, merged[0], word_index[merged[1]]))
+            merges.append((mt, hits))
+        for mx in x_monomials(n, i - gi) if merges else ():
+            products = []
+            for (gx, _), c in terms:
+                nx = tuple(map(add, mx, gx))
+                products.append((x_base[nx], c * _x_factorial(nx)))
+            mu_fact = _x_factorial(mx)
+            for mt, hits in merges:
+                mu = (mx, mt)
+                row = entries.get((oi, mu), {})
+                scale = -mu_fact if gk * len(mt) & 1 else mu_fact
+                for tj, sign, ti in hits:
+                    base, value = products[tj]
+                    if sign * value != scale * row.get(base + ti, 0):
+                        _integrity_failure(gd, i, k, (oi, mu), base + ti)
+                if row:
+                    walked.add((oi, mu))
+                    if len(row) != len(hits):
+                        cols = [products[tj][0] + ti for tj, _, ti in hits]
+                        _check_no_other_entry(gd, i, k, (oi, mu), row, cols)
+    for key in sorted(entries.keys() - walked):
+        _check_no_other_entry(gd, i, k, key, entries[key], ())
+
+
+def _check_no_other_entry(gd: GroupData, i: int, k: int, key, row, cols):
+    extra = [col for col, v in row.items() if v and col not in cols]
+    if extra:
+        _integrity_failure(gd, i, k, key, min(extra))
+
+
+def _integrity_failure(gd: GroupData, i: int, k: int, key, col):
+    oi, mu = key
+    raise IntegrityError(
+        f"{gd.spec.label()} bidegree ({i},{k}): operator {oi} at target {mu}, "
+        f"column {col}: entry disagrees with the ideal product"
+    )
 
 
 def _ideal_rows(gens, n: int, i: int, k: int):
@@ -435,7 +525,7 @@ def sh_dim_table(
     budget: int = DEFAULT_CELL_BUDGET,
     threads: int = 1,
 ) -> DimTable:
-    """Harmonic dimensions for all i <= deg Delta, k <= n, oracle-checked.
+    """Harmonic dimensions for all i <= deg Delta, k <= n, integrity-checked.
 
     Dimensions above deg Delta vanish (the classical coinvariant algebra is
     zero there and the cells are quotients of its tensor layers), so they are
@@ -461,14 +551,17 @@ def sh_dim_table(
 
 
 def _cell_dims_checked(gd: GroupData, i: int, k: int, budget: int) -> int:
-    dim = harmonic_cell_dimension(gd, i, k, budget)
-    oracle = coinvariant_cell_dimension(gd, i, k, budget)
-    if dim != oracle:
-        raise IntegrityError(
-            f"{gd.spec.label()} bidegree ({i},{k}): harmonic dimension {dim} "
-            f"!= quotient dimension {oracle}"
-        )
-    return dim
+    """dim SH^{i,k} from one elimination of the operator-side matrix, after
+    the entrywise check that it is the ideal-side one up to scaling."""
+    n = gd.n
+    cols = cell_dimension(n, i, k)
+    if cols == 0:
+        return 0
+    check_cell_budget(gd, i, k, budget, oracle=False)
+    check_cell_budget(gd, i, k, budget)
+    entries = _operator_entries(gd.harmonic_generator_operators(), n, i, k)
+    _check_against_products(gd, entries, i, k)
+    return cols - linalg.rank(_reduced_rows(entries), cols)
 
 
 def _cell_worker(args):

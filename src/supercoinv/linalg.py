@@ -12,8 +12,8 @@ what is left lies on free columns only.  If it is zero the row is dependent,
 otherwise its smallest column becomes a new pivot, and that column is cleared
 from exactly the pivot rows that hold it, found through a column -> pivot-rows
 index.  ``rref`` and ``nullspace`` read the canonical form directly.
-Row consumption stops once the rank reaches ncols; every later row is then
-dependent.
+Row consumption stops with the row that brings the rank to ncols; every later
+row is dependent and is never pulled (with ncols = 0, no row is).
 """
 
 from __future__ import annotations
@@ -192,12 +192,13 @@ class IntEliminator:
 
 
 def _eliminate(rows: Iterable, ncols: int) -> IntEliminator:
-    """Feed rows until the rank reaches ncols; the rest are dependent."""
+    """Feed rows until the rank reaches ncols; the rest are not pulled."""
     el = IntEliminator(ncols)
-    for r in rows:
-        if el.rank == ncols:
-            break
-        el.add(r if isinstance(r, list) else to_int_row(r))
+    if ncols:
+        for r in rows:
+            el.add(r if isinstance(r, list) else to_int_row(r))
+            if el.rank == ncols:
+                break
     return el
 
 

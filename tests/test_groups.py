@@ -1,9 +1,11 @@
 """Explicit G(m, p, n) data: invariants, Vandermondians, operators, matrices."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
 
+from supercoinv import groups
 from supercoinv.groups import (
     GroupSpec,
     UnsupportedGroupError,
@@ -77,6 +79,16 @@ class TestBuildGroup:
         gd = build_group(2, 2, 2)
         assert gd.vandermondian == SuperPoly.x(2, 2, 2) - SuperPoly.x(2, 1, 2)
         assert gd.spec.coexponents == (1, 1)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_permutation_expansion_is_the_product(self, n, m):
+        product = SuperPoly.one(n)
+        for i, j in combinations(range(1, n + 1), 2):
+            product = product * (SuperPoly.x(n, j, m) - SuperPoly.x(n, i, m))
+        delta = groups._vandermonde_in_powers(n, m)
+        assert delta.terms == product.terms
+        assert delta.to_string() == product.to_string()
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Harmonic spaces: dimensions, det-isotypic parts, exactness, supports."""
 
+import multiprocessing
 import pickle
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from supercoinv.groups import GroupSpec, build_group
 from supercoinv.harmonics import (
     DimTable,
     FeasibilityError,
+    IntegrityError,
     Subspace,
     bidegree_support_region,
     cell_monomials,
@@ -28,6 +30,7 @@ from supercoinv.harmonics import (
 )
 from supercoinv.qseries import QPoly, q_integer
 from supercoinv.superpoly import Operator, SuperPoly
+from supercoinv.verify import GOLDEN_TABLE
 from test_linalg import reference_rank
 
 
@@ -471,3 +474,65 @@ class TestDualRoutes:
         table = sh_dim_table(build_group(*key))
         classical = sum(v for (i, k), v in table.entries.items() if k == 0)
         assert classical == table.group.order
+
+
+# z-coefficient rows (theta-degree 0, 1, ...) of the groups that have no
+# GOLDEN_TABLE row; each is also checked cell by cell against the
+# quotient-side count below.
+EXTRA_ROWS = {
+    (2, 1, 3): [48, 72, 26, 1],
+    (3, 3, 3): [54, 81, 32, 4],
+    (4, 2, 2): [16, 21, 6],
+    (4, 4, 2): [8, 8, 1],
+}
+
+
+class TestIntegrity:
+    """The per-cell entrywise check of the operators against the products."""
+
+    @staticmethod
+    def _corrupt(monkeypatch, gd, j, op):
+        ops = list(gd.harmonic_generator_operators())
+        ops[j] = op
+        monkeypatch.setattr(gd, "_generator_ops", ops)
+
+    @pytest.mark.parametrize("j", range(6))
+    def test_negated_operator_is_caught(self, monkeypatch, j):
+        # the kernel, so the rank comparison, cannot see a sign flip
+        gd = build_group(2, 1, 3)
+        self._corrupt(monkeypatch, gd, j, -gd.harmonic_generator_operators()[j])
+        with pytest.raises(IntegrityError, match=r"B_3 bidegree \(\d+,\d+\).*column"):
+            sh_dim_table(gd)
+
+    @pytest.mark.parametrize("j", range(6))
+    def test_one_doubled_term_is_caught(self, monkeypatch, j):
+        gd = build_group(2, 1, 3)
+        op = gd.harmonic_generator_operators()[j]
+        key = min(op.terms)
+        bad = Operator(op.n, {**op.terms, key: 2 * op.terms[key]})
+        self._corrupt(monkeypatch, gd, j, bad)
+        with pytest.raises(IntegrityError, match=r"B_3 bidegree \(\d+,\d+\).*column"):
+            sh_dim_table(gd)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers rebuild the group; only forked ones see the corruption",
+    )
+    def test_corruption_is_caught_in_workers(self, monkeypatch):
+        gd = build_group(2, 1, 3)
+        self._corrupt(monkeypatch, gd, 3, -gd.harmonic_generator_operators()[3])
+        with pytest.raises(IntegrityError):
+            sh_dim_table(gd, threads=2)
+
+    @pytest.mark.parametrize(
+        "key", [(1, 1, 3), (2, 1, 3), (2, 2, 3), (3, 3, 3), (4, 2, 2), (4, 4, 2)]
+    )
+    def test_tables_match_golden_rows_and_quotient_counts(self, key):
+        gd = build_group(*key)
+        table = sh_dim_table(gd)
+        row = GOLDEN_TABLE[key][0] if key in GOLDEN_TABLE else EXTRA_ROWS[key]
+        z = table.z_coefficients_at_q1()
+        assert [z.get(k, 0) for k in range(len(row))] == row
+        assert max(z) == len(row) - 1
+        for i, k in harmonics._cell_range(gd):
+            assert table.dim(i, k) == harmonics.coinvariant_cell_dimension(gd, i, k)

@@ -13,11 +13,15 @@ lcm of their denominators, which leaves every reduced row unchanged), and
 each entry is a falling factorial times a Koszul sign.  The rows are streamed
 into the incremental Gauss-Jordan eliminator of ``linalg``, which stops
 pulling rows once the rank reaches the cell dimension; ranks, reduced
-echelon bases and nullspaces all come from that one path.  Before a table
-cell is eliminated, every entry of its operator matrix is checked against the
-ideal products mu * g: under the pairing <x^a theta_I, x^a theta_I> = a! the
-two matrices agree up to diagonal scaling, so the one rank gives both the
-harmonic and the quotient-side count; a mismatch raises IntegrityError.
+echelon bases and nullspaces all come from that one path.  Before
+``harmonic_cell_dimension`` (the cell route of dimension tables) eliminates a
+cell, every entry of its operator matrix is checked against the ideal
+products mu * g: under the pairing <x^a theta_I, x^a theta_I> = a! the two
+matrices agree up to diagonal scaling, so they have the same rank and the
+harmonic count equals the quotient-side count; a mismatch raises
+IntegrityError.  The check proves equal ranks, not that the one elimination
+is right; the elimination itself is not cross-checked at run time (the
+reference-rank tests and the golden table rows cover it).
 ``coinvariant_cell_dimension`` keeps the full quotient-side route.  Cells
 whose matrices would exceed the cell budget (rows x columns entries) are
 refused with a size estimate; the whole-table entry points (``sh_dim_table``,
@@ -367,9 +371,10 @@ def _check_against_products(gd: GroupData, entries, i: int, k: int):
     words = [t for _, t in cell_monomials(n, 0, k)]
     word_index = {w: ti for ti, w in enumerate(words)}
     x_base = {x: xi * len(words) for xi, x in enumerate(x_monomials(n, i))}
-    walked = set()
+    degrees = {}
+    walked = 0  # rows of ``entries`` met; each (oi, mu) is met at most once
     for oi, g in enumerate(gd.ideal_generators()):
-        gi, gk = g.bidegree()
+        gi, gk = degrees[oi] = g.bidegree()
         terms = _integer_terms(g.terms)
         # For each theta word of mu: (term, sign, theta offset) of every term
         # whose product with it is nonzero.
@@ -396,12 +401,16 @@ def _check_against_products(gd: GroupData, entries, i: int, k: int):
                     if sign * value != scale * row.get(base + ti, 0):
                         _integrity_failure(gd, i, k, (oi, mu), base + ti)
                 if row:
-                    walked.add((oi, mu))
+                    walked += 1
                     if len(row) != len(hits):
                         cols = [products[tj][0] + ti for tj, _, ti in hits]
                         _check_no_other_entry(gd, i, k, (oi, mu), row, cols)
-    for key in sorted(entries.keys() - walked):
-        _check_no_other_entry(gd, i, k, key, entries[key], ())
+    if walked != len(entries):
+        # Some row lies outside the bidegree (i - gi, k - gk) walked above.
+        for key in sorted(entries):
+            oi, (mx, mt) = key
+            if degrees.get(oi) != (i - sum(mx), k - len(mt)):
+                _check_no_other_entry(gd, i, k, key, entries[key], ())
 
 
 def _check_no_other_entry(gd: GroupData, i: int, k: int, key, row, cols):
@@ -475,14 +484,24 @@ def check_cell_budget(gd: GroupData, i: int, k: int, budget: int, oracle: bool =
 def harmonic_cell_dimension(
     gd: GroupData, i: int, k: int, budget: int = DEFAULT_CELL_BUDGET
 ) -> int:
-    """dim of the bidegree-(i, k) harmonic space (kernel route only)."""
-    n = gd.n
-    cols = cell_dimension(n, i, k)
+    """dim of the bidegree-(i, k) harmonic space.
+
+    One elimination of the operator-side matrix, whose entries are first
+    checked against the ideal products (``_check_against_products``).
+    """
+    cols = cell_dimension(gd.n, i, k)
     if cols == 0:
         return 0
     check_cell_budget(gd, i, k, budget, oracle=False)
-    rows = _operator_equation_rows(gd.harmonic_generator_operators(), n, i, k)
-    return cols - linalg.rank(rows, cols)
+    return cols - linalg.rank(_checked_operator_rows(gd, i, k), cols)
+
+
+def _checked_operator_rows(gd: GroupData, i: int, k: int):
+    """``_operator_equation_rows`` of the harmonic generator operators, after
+    every entry has been checked against the ideal products."""
+    entries = _operator_entries(gd.harmonic_generator_operators(), gd.n, i, k)
+    _check_against_products(gd, entries, i, k)
+    yield from _reduced_rows(entries)
 
 
 def coinvariant_cell_dimension(
@@ -533,8 +552,8 @@ def sh_dim_table(
     in the order the cells are computed, before the first one is.
     """
     cells = list(_cell_range(gd))
-    # The checks of _cell_dims_checked in its order (kernel estimate, then
-    # oracle estimate), so the refusal is the one the per-cell path raises.
+    # Both estimates, kernel side first: a table refuses a cell whose
+    # ideal-side matrix is over budget although it never builds that matrix.
     for i, k in cells:
         if cell_dimension(gd.n, i, k):
             check_cell_budget(gd, i, k, budget, oracle=False)
@@ -543,31 +562,16 @@ def sh_dim_table(
     if threads > 1:
         dims = _parallel_cell_dims(spec, cells, budget, threads)
     else:
-        dims = [_cell_dims_checked(gd, i, k, budget) for (i, k) in cells]
+        dims = [harmonic_cell_dimension(gd, i, k, budget) for (i, k) in cells]
     table = DimTable(spec)
     for (i, k), d in zip(cells, dims):
         table.set(i, k, d)
     return table
 
 
-def _cell_dims_checked(gd: GroupData, i: int, k: int, budget: int) -> int:
-    """dim SH^{i,k} from one elimination of the operator-side matrix, after
-    the entrywise check that it is the ideal-side one up to scaling."""
-    n = gd.n
-    cols = cell_dimension(n, i, k)
-    if cols == 0:
-        return 0
-    check_cell_budget(gd, i, k, budget, oracle=False)
-    check_cell_budget(gd, i, k, budget)
-    entries = _operator_entries(gd.harmonic_generator_operators(), n, i, k)
-    _check_against_products(gd, entries, i, k)
-    return cols - linalg.rank(_reduced_rows(entries), cols)
-
-
 def _cell_worker(args):
     m, p, n, i, k, budget = args
-    gd = build_group(m, p, n)
-    return _cell_dims_checked(gd, i, k, budget)
+    return harmonic_cell_dimension(build_group(m, p, n), i, k, budget)
 
 
 def _parallel_cell_dims(spec, cells, budget, threads):

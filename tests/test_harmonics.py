@@ -514,6 +514,30 @@ class TestIntegrity:
         with pytest.raises(IntegrityError, match=r"B_3 bidegree \(\d+,\d+\).*column"):
             sh_dim_table(gd)
 
+    @staticmethod
+    def _entries(gd, i, k):
+        return harmonics._operator_entries(gd.harmonic_generator_operators(), gd.n, i, k)
+
+    def test_extra_entry_in_a_row_is_caught(self):
+        gd = build_group(2, 1, 3)
+        entries = self._entries(gd, 4, 1)
+        key, row = min(entries.items())
+        free = min(set(range(harmonics.cell_dimension(3, 4, 1))) - set(row))
+        row[free] = 1
+        with pytest.raises(IntegrityError, match=rf"column {free}:"):
+            harmonics._check_against_products(gd, entries, 4, 1)
+
+    def test_row_outside_the_generator_bidegree_is_caught(self):
+        gd = build_group(2, 1, 3)
+        entries = self._entries(gd, 4, 1)
+        harmonics._check_against_products(gd, entries, 4, 1)
+        # operator 0 (d_{f_1}, bidegree (2, 0)) cannot reach an x-degree-1 target
+        entries[(0, ((1, 0, 0), (1,)))] = {0: 0}
+        harmonics._check_against_products(gd, entries, 4, 1)
+        entries[(0, ((1, 0, 0), (1,)))] = {0: 0, 5: 3}
+        with pytest.raises(IntegrityError, match=r"operator 0 .*column 5:"):
+            harmonics._check_against_products(gd, entries, 4, 1)
+
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="workers rebuild the group; only forked ones see the corruption",

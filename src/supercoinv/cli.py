@@ -245,8 +245,9 @@ def _dispatch(args, cache: ResultCache) -> int:
     if args.command == "groebner":
         spec = _spec(args)
         m, p, n = spec.m, spec.p, spec.n
-        gens = groebner.groebner_generators(m, p, n)
-        gb = cache.get_groebner_basis(spec, lambda: groebner.buchberger(gens))
+        gb = cache.get_groebner_basis(
+            spec, lambda: groebner.buchberger(groebner.groebner_generators(m, p, n))
+        )
         if args.show_basis:
             for g in gb.generators:
                 print(g.to_string())
@@ -255,13 +256,7 @@ def _dispatch(args, cache: ResultCache) -> int:
             for exp in groebner.standard_monomials(gb):
                 print(" ".join(str(e) for e in exp))
             return EXIT_OK
-        stable = {tuple(sorted(g.terms.items())) for g in gb.generators} == {
-            tuple(sorted(g.monic().terms.items())) for g in gens
-        }
-        lm_ok = set(gb.leading_monomials()) == groebner.predicted_leading_monomials(
-            m, p, n
-        )
-        if stable and lm_ok:
+        if all(verify.closed_form_basis_check((m, p, n), gb)):
             print("match: closed-form family is the reduced Groebner basis")
             return EXIT_OK
         print("mismatch: engine basis differs from the closed-form family")

@@ -144,9 +144,6 @@ class CommPoly:
         res.terms = {e: c * inv for e, c in self.terms.items()}
         return res
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
     def to_string(self) -> str:
         from .superpoly import SuperPoly
 
@@ -392,15 +389,19 @@ def standard_monomials(gb: GroebnerBasis, degree_bound: int | None = None) -> li
     leading-term ideal must contain a pure power of every variable), else
     QuotientNotFiniteError is raised.
     """
-    lms = gb.leading_monomials()
     n = gb.n
     caps = [None] * n
-    for lm in lms:
+    # The pure powers only bound the box; divisibility is tested against
+    # the other leading monomials (none for p = 1).
+    others = []
+    for lm in gb.leading_monomials():
         support = [i for i, e in enumerate(lm) if e]
         if len(support) == 1:
             i = support[0]
             if caps[i] is None or lm[i] < caps[i]:
                 caps[i] = lm[i]
+        else:
+            others.append(lm)
     if degree_bound is None:
         missing = [i + 1 for i, c in enumerate(caps) if c is None]
         if missing:
@@ -417,7 +418,7 @@ def standard_monomials(gb: GroebnerBasis, degree_bound: int | None = None) -> li
     for exp in product(*ranges):
         if degree_bound is not None and sum(exp) > degree_bound:
             continue
-        if not any(_divides(lm, exp) for lm in lms):
+        if not any(_divides(lm, exp) for lm in others):
             out.append(exp)
     out.sort()
     return out

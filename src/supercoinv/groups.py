@@ -21,7 +21,6 @@ no constants); downstream checks only ever compare spans or proportionality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import comb, factorial
@@ -185,8 +184,14 @@ def _vandermonde_in_powers(n: int, m: int) -> SuperPoly:
     return SuperPoly(n, terms)
 
 
-def _product_of_all_x(n: int, power: int) -> SuperPoly:
-    return SuperPoly.monomial(n, (power,) * n)
+def _times_product_of_all_x(f: SuperPoly, power: int) -> SuperPoly:
+    """f (x_1...x_n)^power, as a shift of every x-exponent."""
+    if not power:
+        return f
+    res = SuperPoly.__new__(SuperPoly)
+    res.n = f.n
+    res.terms = {(tuple(e + power for e in x), t): c for (x, t), c in f.terms.items()}
+    return res
 
 
 def _power_sum(n: int, k: int) -> SuperPoly:
@@ -209,13 +214,15 @@ def build_group(m: int, p: int, n: int) -> GroupData:
         if p == 1:
             invariants.append(_power_sum(n, m * n))
         else:
-            invariants.append(_product_of_all_x(n, m // p))
+            invariants.append(SuperPoly.monomial(n, (m // p,) * n))
 
-    vmd = _vandermonde_in_powers(n, m) * _product_of_all_x(n, m // p - 1)
-    if m == 1 or p == m:
-        covmd = _vandermonde_in_powers(n, m)
+    vdm = _vandermonde_in_powers(n, m)
+    vmd = _times_product_of_all_x(vdm, m // p - 1)
+    co_power = 0 if m == 1 or p == m else 1
+    if co_power == m // p - 1:  # S_n, D_n, B_n
+        covmd = vmd
     else:
-        covmd = _vandermonde_in_powers(n, m) * _product_of_all_x(n, 1)
+        covmd = _times_product_of_all_x(vdm, co_power)
 
     if m == 1:
         ops = [Operator.power_exterior_derivative(n, i) for i in range(1, n)]

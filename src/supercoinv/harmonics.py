@@ -22,7 +22,8 @@ harmonic count equals the quotient-side count; a mismatch raises
 IntegrityError.  The check proves equal ranks, not that the one elimination
 is right; the elimination itself is not cross-checked at run time (the
 reference-rank tests and the golden table rows cover it).
-``coinvariant_cell_dimension`` keeps the full quotient-side route.  Cells
+``coinvariant_cell_dimension`` keeps the full quotient-side route.  The
+exactness and Laplacian checks read the same integer cell matrices.  Cells
 whose matrices would exceed the cell budget (rows x columns entries) are
 refused with a size estimate; the whole-table entry points (``sh_dim_table``,
 ``harmonic_cells``) check every cell before they compute the first one.
@@ -48,7 +49,7 @@ from .superpoly import (
     falling_factorial,
     merge_thetas,
     partial_operator,
-    theta_interior,
+    theta_action,
     x_monomials,
 )
 
@@ -96,26 +97,15 @@ class Subspace:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def basis_rows(self) -> list[dict[int, Fraction]]:
-        return [dict(row) for row in self.basis]
-
     def vectors(self, n: int) -> list[SuperPoly]:
-        out = []
-        for row in self.basis:
-            out.append(SuperPoly(n, {self.ambient[c]: v for c, v in row}))
-        return out
-
-    def contains_vector(self, vec: dict[int, Fraction]) -> bool:
-        return not linalg.residual(self.basis_rows(), vec)
+        return [SuperPoly(n, {self.ambient[c]: v for c, v in row}) for row in self.basis]
 
     def contains(self, f: SuperPoly) -> bool:
         index = {mon: i for i, mon in enumerate(self.ambient)}
-        vec = {}
-        for mon, c in f.terms.items():
-            if mon not in index:
-                return False
-            vec[index[mon]] = c
-        return self.contains_vector(vec)
+        if any(mon not in index for mon in f.terms):
+            return False
+        vec = {index[mon]: c for mon, c in f.terms.items()}
+        return not linalg.residual([dict(row) for row in self.basis], vec)
 
     @staticmethod
     def from_vectors(ambient, vectors) -> "Subspace":
@@ -153,14 +143,8 @@ class DimTable:
     def hilbert_z_string(self) -> str:
         return format_poly(self.z_coefficients_at_q1(), var="z")
 
-    def total_dimension(self) -> int:
-        return sum(self.entries.values())
-
     def column(self, k: int) -> QPoly:
         return QPoly({i: v for (i, kk), v in self.entries.items() if kk == k})
-
-    def nonzero_bidegrees(self) -> set[tuple[int, int]]:
-        return set(self.entries)
 
     def to_json_dict(self) -> dict:
         dims = [[i, k, v] for (i, k), v in sorted(self.entries.items())]
@@ -260,22 +244,6 @@ def _reduced_row(entries) -> linalg.IntRow:
     return linalg._content_reduce(sorted((col, v) for col, v in entries if v))
 
 
-def _theta_action(multheta, dertheta, word):
-    """(sign, word) of the theta part of an operator term on a theta word,
-    or None when the term kills it (derivatives first, smallest index first)."""
-    sign = 1
-    for t in dertheta:
-        hit = theta_interior(t, word)
-        if hit is None:
-            return None
-        s, word = hit
-        sign *= s
-    merged = merge_thetas(multheta, word)
-    if merged is None:
-        return None
-    return sign * merged[0], merged[1]
-
-
 def _x_derivative(terms, beta) -> list[tuple[Monomial, int]]:
     """d_x^beta of integer terms ((xexp, thetas), c); zero terms dropped."""
     out = []
@@ -308,7 +276,7 @@ def _operator_entries(ops, n: int, i: int, k: int):
                 mulx,
                 derx,
                 [(j, b) for j, b in enumerate(derx) if b],
-                [_theta_action(multheta, dertheta, w) for w in words],
+                [theta_action(multheta, dertheta, w) for w in words],
                 c,
             )
             for (mulx, multheta, derx, dertheta), c in _integer_terms(op.terms)
@@ -733,25 +701,48 @@ def _image_rank(
     source: tuple[int, int],
 ) -> tuple[int, bool]:
     """Rank of op on the harmonic cell at `source`; also whether the image
-    stays inside the harmonics (checked by direct annihilation)."""
+    stays inside the harmonics (the generators' target-cell matrix must
+    annihilate it).  Both are read off integer cell matrices."""
     n = gd.n
     sub = cells.get(source)
     if sub is None or sub.dimension == 0:
         return 0, True
     dx, dk = op.bidegree_shift()
     target = (source[0] + dx, source[1] + dk)
-    index = {mon: c for c, mon in enumerate(cell_monomials(n, *target))}
-    gens = gd.harmonic_generator_operators()
+    index = _cell_index(n, *target)
+    op_columns = _columns(_operator_entries([op], n, *source), index)
+    gen_columns = _columns(
+        _operator_entries(gd.harmonic_generator_operators(), n, *target)
+    )
     vectors = []
     inside = True
-    for f in sub.vectors(n):
-        img = op.apply(f)
-        if img.is_zero():
+    for row in sub.basis:
+        img = _times_columns(op_columns, linalg.to_int_row(row))
+        if not img:
             continue
-        if any(g.apply(img) for g in gens):
+        if _times_columns(gen_columns, img.items()):
             inside = False
-        vectors.append(linalg.to_int_row(poly_to_vector(img, index)))
+        vectors.append(linalg.to_int_row(img))
     return linalg.rank(vectors, len(index)), inside
+
+
+def _columns(entries, index=None) -> dict[int, list]:
+    """An entry map by source column: [(row key, or target column, value)]."""
+    out: dict[int, list] = {}
+    for key, row in entries.items():
+        r = key if index is None else index[key[1]]
+        for col, v in row.items():
+            out.setdefault(col, []).append((r, v))
+    return out
+
+
+def _times_columns(columns, vec) -> dict:
+    """``_columns`` matrix times a (column, value) vector, zeros dropped."""
+    out: dict = {}
+    for col, a in vec:
+        for r, v in columns.get(col, ()):
+            out[r] = out.get(r, 0) + a * v
+    return {r: v for r, v in out.items() if v}
 
 
 def exactness_check(
@@ -826,27 +817,35 @@ def laplacian_spectrum_check(N: int, n: int, degree_bound: int) -> bool:
         sum_{j not in I} ff(alpha_j, N) + sum_{j in I} ff(alpha_j + N, N)
     with ff the falling factorial; the kernel is exactly the x^alpha with all
     alpha_j < N and I empty.  Verified on every monomial with x-degree up to
-    degree_bound.
+    degree_bound: the integer cell matrices of the Laplacian must be
+    diagonal with these eigenvalues.
     """
     d = Operator.power_exterior_derivative(n, N)
     lap = d.adjoint() @ d + d @ d.adjoint()
+    # The cell matrix holds lap scaled by the lcm of its denominators.
+    den = lcm(*(c.denominator for c in lap.terms.values()))
     for k in range(n + 1):
         for i in range(degree_bound + 1):
-            for mon in cell_monomials(n, i, k):
+            diagonal = {}
+            for col, mon in enumerate(cell_monomials(n, i, k)):
                 alpha, thetas = mon
-                f = SuperPoly(n, {mon: Fraction(1)})
-                expected_eig = sum(
+                eig = sum(
                     falling_factorial(alpha[j] + N, N)
                     if (j + 1) in thetas
                     else falling_factorial(alpha[j], N)
                     for j in range(n)
                 )
-                if lap.apply(f) != expected_eig * f:
+                if (eig == 0) != (not thetas and all(a < N for a in alpha)):
                     return False
-                in_kernel = expected_eig == 0
-                expected_kernel = not thetas and all(a < N for a in alpha)
-                if in_kernel != expected_kernel:
-                    return False
+                if eig:
+                    diagonal[(0, mon)] = {col: eig * den}
+            matrix = {}
+            for key, row in _operator_entries([lap], n, i, k).items():
+                row = {col: v for col, v in row.items() if v}
+                if row:
+                    matrix[key] = row
+            if matrix != diagonal:
+                return False
     return True
 
 
@@ -1047,14 +1046,9 @@ def support_check(
             expected = [delta]
         elif key == (dmax - 1, 1) and ddelta:
             expected = [ddelta]
+        index = _cell_index(n, *key)
         span = Subspace.from_vectors(
-            cell_monomials(n, *key),
-            [
-                poly_to_vector(
-                    f, {m_: c for c, m_ in enumerate(cell_monomials(n, *key))}
-                )
-                for f in expected
-            ],
+            cell_monomials(n, *key), [poly_to_vector(f, index) for f in expected]
         )
         if (sub.dimension != span.dimension) or (sub.basis != span.basis):
             pair_ok = False
@@ -1064,11 +1058,9 @@ def support_check(
     for key, sub in sorted(top_cells.items()):
         if sub.dimension == 0:
             continue
-        index = {m_: c for c, m_ in enumerate(cell_monomials(n, *key))}
+        index = _cell_index(n, *key)
         det_here = [
-            poly_to_vector(e, index)
-            for e in det_elems.values()
-            if e.bidegree() == key
+            poly_to_vector(e, index) for e in det_elems.values() if e.bidegree() == key
         ]
         det_span = Subspace.from_vectors(cell_monomials(n, *key), det_here)
         if sub.basis != det_span.basis:

@@ -33,7 +33,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
+from operator import add, sub
 
 XExp = tuple[int, ...]
 Thetas = tuple[int, ...]
@@ -90,6 +91,25 @@ def theta_interior(i: int, thetas: Thetas) -> tuple[int, Thetas] | None:
         return None
     sign = -1 if pos & 1 else 1
     return sign, thetas[:pos] + thetas[pos + 1 :]
+
+
+def theta_action(
+    multheta: Thetas, dertheta: Thetas, word: Thetas
+) -> tuple[int, Thetas] | None:
+    """(sign, word) of the theta part of an operator term on a theta word, or
+    None when the term kills it (derivatives first, smallest index first,
+    then multiplication on the left)."""
+    sign = 1
+    for t in dertheta:
+        hit = theta_interior(t, word)
+        if hit is None:
+            return None
+        s, word = hit
+        sign *= s
+    merged = merge_thetas(multheta, word)
+    if merged is None:
+        return None
+    return sign * merged[0], merged[1]
 
 
 class SuperPoly:
@@ -164,9 +184,6 @@ class SuperPoly:
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
 
-    def is_bihomogeneous(self) -> bool:
-        return len({(sum(x), len(t)) for x, t in self.terms}) <= 1
-
     def bidegree(self) -> tuple[int, int] | None:
         """(x-degree, theta-degree) of a bi-homogeneous element; None if zero."""
         degs = {(sum(x), len(t)) for x, t in self.terms}
@@ -175,14 +192,6 @@ class SuperPoly:
         if len(degs) > 1:
             raise ValueError("not bi-homogeneous")
         return degs.pop()
-
-    def bihomogeneous_component(self, xdeg: int, tdeg: int) -> "SuperPoly":
-        out = {
-            k: v for k, v in self.terms.items() if sum(k[0]) == xdeg and len(k[1]) == tdeg
-        }
-        res = SuperPoly.__new__(SuperPoly)
-        res.n, res.terms = self.n, out
-        return res
 
     def constant_term(self) -> Fraction:
         return self.terms.get(((0,) * self.n, ()), Fraction(0))
@@ -634,55 +643,39 @@ class Operator:
         return self * -1
 
     def apply(self, f: SuperPoly) -> SuperPoly:
-        """Evaluate on a polynomial: derivatives first, then multiplications."""
+        """Evaluate on a polynomial: derivatives first, then multiplications.
+
+        Computed in integers, with the operator and the polynomial each
+        scaled by the lcm of its denominators; every output coefficient is
+        divided back once."""
         if f.n != self.n:
             raise ValueError("mismatched variable counts")
-        out: dict[Monomial, Fraction] = {}
+        oden = lcm(*(c.denominator for c in self.terms.values()))
+        fden = lcm(*(c.denominator for c in f.terms.values()))
+        fterms = [
+            (xexp, thetas, c.numerator * (fden // c.denominator))
+            for (xexp, thetas), c in f.terms.items()
+        ]
+        out: dict[Monomial, int] = {}
         for (mulx, multheta, derx, dertheta), oc in self.terms.items():
-            for (xexp, thetas), c in f.terms.items():
-                coeff = oc * c
-                # x-derivatives
-                newx = list(xexp)
-                dead = False
-                for j, b in enumerate(derx):
-                    if b:
-                        a = newx[j]
-                        if a < b:
-                            dead = True
-                            break
-                        coeff *= falling_factorial(a, b)
-                        newx[j] = a - b
-                if dead or not coeff:
+            oc = oc.numerator * (oden // oc.denominator)
+            xders = [(j, b) for j, b in enumerate(derx) if b]
+            for xexp, thetas, c in fterms:
+                act = theta_action(multheta, dertheta, thetas)
+                if act is None or any(xexp[j] < b for j, b in xders):
                     continue
-                # theta-derivatives: ascending tuple applied smallest-first
-                word = thetas
-                sign = 1
-                for t in dertheta:
-                    hit = theta_interior(t, word)
-                    if hit is None:
-                        dead = True
-                        break
-                    s, word = hit
-                    sign *= s
-                if dead:
-                    continue
-                # theta multiplication on the left
-                merged = merge_thetas(multheta, word)
-                if merged is None:
-                    continue
-                s2, word = merged
-                # x multiplication
-                for j, b in enumerate(mulx):
-                    if b:
-                        newx[j] += b
-                key = (tuple(newx), word)
-                val = out.get(key, Fraction(0)) + coeff * sign * s2
+                c *= act[0] * oc
+                for j, b in xders:
+                    c *= falling_factorial(xexp[j], b)
+                key = (tuple(map(add, map(sub, xexp, derx), mulx)), act[1])
+                val = out.get(key, 0) + c
                 if val:
                     out[key] = val
                 else:
                     del out[key]
+        den = oden * fden
         res = SuperPoly.__new__(SuperPoly)
-        res.n, res.terms = self.n, out
+        res.n, res.terms = self.n, {k: Fraction(v, den) for k, v in out.items()}
         return res
 
     __call__ = apply

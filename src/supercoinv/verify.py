@@ -238,18 +238,23 @@ def _suite_artin(ctx, m=None, p=None, n=None, **_) -> list[CheckReport]:
     return reports
 
 
+def closed_form_basis_check(key, gb: groebner.GroebnerBasis) -> tuple[bool, bool, bool]:
+    """(stable, leading-monomials, reduced) for a lex basis gb of G(m, p, n):
+    gb is the closed-form generating family made monic, its leading
+    monomials are the predicted ones, and it is reduced."""
+    gens = groebner.groebner_generators(*key)
+    stable = {tuple(sorted(g.terms.items())) for g in gb.generators} == {
+        tuple(sorted(g.monic().terms.items())) for g in gens
+    }
+    lm_ok = set(gb.leading_monomials()) == groebner.predicted_leading_monomials(*key)
+    return stable, lm_ok, gb.is_reduced()
+
+
 def _suite_groebner(ctx, m=None, p=None, n=None, **_) -> list[CheckReport]:
     reports = []
     for key in _group_keys(m, p, n, GRID):
-        mm, pp, nn = key
-        gens = groebner.groebner_generators(mm, pp, nn)
-        gb = groebner.buchberger(gens)
-        stable = {tuple(sorted(g.terms.items())) for g in gb.generators} == {
-            tuple(sorted(g.monic().terms.items())) for g in gens
-        }
-        lms = set(gb.leading_monomials())
-        lm_ok = lms == groebner.predicted_leading_monomials(mm, pp, nn)
-        reduced_ok = gb.is_reduced()
+        gb = groebner.buchberger(groebner.groebner_generators(*key))
+        stable, lm_ok, reduced_ok = closed_form_basis_check(key, gb)
         ok = stable and lm_ok and reduced_ok
         reports.append(
             CheckReport(

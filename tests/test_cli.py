@@ -118,6 +118,17 @@ class TestGroebner:
         assert code == EXIT_OK
         assert "match" in out
 
+    def test_verify_paper_basis_reads_the_cached_basis(self, capsys, cache_dir):
+        # A checksummed entry that is not the closed-form family is reported.
+        ResultCache(cache_dir).store(
+            "groebner", GroupSpec.create(1, 1, 2),
+            {"n": 2, "generators": ["x2^2", "x1 + x2^2"]},
+        )
+        code, out, _ = run(capsys, "groebner", "--m", "1", "--p", "1", "--n", "2",
+                           "--verify-paper-basis")
+        assert code == EXIT_CHECK_FAILED
+        assert out.startswith("mismatch:")
+
     def test_show_basis(self, capsys, cache_dir):
         code, out, _ = run(capsys, "groebner", "--m", "1", "--p", "1", "--n", "2",
                            "--show-basis")

@@ -1,6 +1,7 @@
 """Buchberger engine and the closed-form coinvariant-ideal bases."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,6 +169,55 @@ class TestStandardMonomials:
         std = standard_monomials(gb)
         assert std == artin.enumerate_artin(m, p, n)
         assert len(std) == artin.artin_count(m, p, n)
+
+
+def _brute_force_standard(gb, degree_bound=None):
+    """Every exponent vector in a box no standard monomial leaves, kept when
+    no leading monomial divides it."""
+    lms = gb.leading_monomials()
+    if degree_bound is None:
+        side = max(max(lm) for lm in lms)
+    else:
+        side = degree_bound + 1
+    return sorted(
+        e
+        for e in product(range(side), repeat=gb.n)
+        if (degree_bound is None or sum(e) <= degree_bound)
+        and not any(all(a <= b for a, b in zip(lm, e)) for lm in lms)
+    )
+
+
+class TestStandardMonomialsBruteForce:
+    @pytest.mark.parametrize("key", GRID)
+    @pytest.mark.parametrize("degree_bound", [None, 0, 3, 7])
+    def test_grid(self, key, degree_bound):
+        gb = buchberger(groebner_generators(*key))
+        assert standard_monomials(gb, degree_bound) == _brute_force_standard(
+            gb, degree_bound
+        )
+
+    def test_mixed_leading_monomials(self):
+        x = CommPoly.x
+        gb = buchberger(
+            [x(3, 1, 3), x(3, 1) * x(3, 2), x(3, 2, 2) * x(3, 3), x(3, 2, 4), x(3, 3, 2)]
+        )
+        assert not all(sum(1 for e in lm if e) == 1 for lm in gb.leading_monomials())
+        for bound in (None, 2, 5):
+            assert standard_monomials(gb, bound) == _brute_force_standard(gb, bound)
+
+    def test_missing_pure_power_still_raises(self):
+        x = CommPoly.x
+        gb = buchberger([x(2, 1, 2), x(2, 1) * x(2, 2)])
+        with pytest.raises(QuotientNotFiniteError):
+            standard_monomials(gb)
+        for bound in (0, 1, 4):
+            assert standard_monomials(gb, bound) == _brute_force_standard(gb, bound)
+
+    def test_unit_ideal(self):
+        gb = buchberger([CommPoly.one(2)])
+        with pytest.raises(QuotientNotFiniteError):
+            standard_monomials(gb)
+        assert standard_monomials(gb, 3) == []
 
 
 class TestIdealContainments:

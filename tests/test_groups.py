@@ -90,6 +90,17 @@ class TestBuildGroup:
         assert delta.terms == product.terms
         assert delta.to_string() == product.to_string()
 
+    @pytest.mark.parametrize("key", GRID)
+    def test_delta_pair_is_the_determinant_times_a_monomial(self, key):
+        spec = GroupSpec.create(*key)
+        m, p, n = spec.m, spec.p, spec.n
+        gd = build_group(*key)
+        det = groups._vandermonde_in_powers(n, m)
+        co_power = 0 if m == 1 or p == m else 1
+        for f, power in ((gd.vandermondian, m // p - 1), (gd.covandermondian, co_power)):
+            product = det * SuperPoly.monomial(n, (power,) * n)
+            assert list(f.terms.items()) == list(product.terms.items())
+
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             build_group(4, 3, 2)

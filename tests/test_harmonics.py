@@ -335,6 +335,92 @@ class TestLaplacian:
     def test_spectrum_formula(self, N):
         assert laplacian_spectrum_check(N, 2, 5)
 
+    @staticmethod
+    def _patch_d(monkeypatch, change):
+        real = Operator.power_exterior_derivative
+        monkeypatch.setattr(
+            Operator,
+            "power_exterior_derivative",
+            classmethod(lambda cls, n, power: change(real(n, power), n, power)),
+        )
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_off_diagonal_term_is_caught(self, monkeypatch, N):
+        # theta_1 d_{x_2}^N in d puts x_1^N d_{x_2}^N terms into the Laplacian.
+        self._patch_d(
+            monkeypatch,
+            lambda d, n, power: d + Operator.term(n, multheta=(1,), derx=(0, power)),
+        )
+        assert not laplacian_spectrum_check(N, 2, 4)
+
+    def test_one_off_diagonal_entry_is_caught(self, monkeypatch):
+        real = harmonics._operator_entries
+
+        def skewed(ops, n, i, k):
+            entries = real(ops, n, i, k)
+            if (i, k) == (2, 1):
+                # Every other entry of the matrix stays as it is.
+                (_, mu), row = next(iter(entries.items()))
+                row[1 - cell_monomials(n, i, k).index(mu) % 2] = 1
+            return entries
+
+        assert laplacian_spectrum_check(2, 2, 3)
+        monkeypatch.setattr(harmonics, "_operator_entries", skewed)
+        assert not laplacian_spectrum_check(2, 2, 3)
+
+    @pytest.mark.parametrize("factor", [2, Fraction(1, 2), -1])
+    def test_wrong_eigenvalue_is_caught(self, monkeypatch, factor):
+        # factor * d scales every eigenvalue by factor^2; -1 leaves them.
+        self._patch_d(monkeypatch, lambda d, n, power: factor * d)
+        assert laplacian_spectrum_check(2, 2, 4) == (factor**2 == 1)
+
+
+def _reference_image_rank(gd, op, cells, source):
+    """The polynomial route: apply op to each basis vector, then every
+    generator operator to each nonzero image."""
+    n = gd.n
+    sub = cells.get(source)
+    if sub is None or sub.dimension == 0:
+        return 0, True
+    dx, dk = op.bidegree_shift()
+    index = {mon: c for c, mon in enumerate(cell_monomials(n, source[0] + dx, source[1] + dk))}
+    vectors = []
+    inside = True
+    for f in sub.vectors(n):
+        img = op.apply(f)
+        if img.is_zero():
+            continue
+        if any(g.apply(img) for g in gd.harmonic_generator_operators()):
+            inside = False
+        vectors.append(linalg.to_int_row(poly_to_vector(img, index)))
+    return reference_rank(vectors, len(index)), inside
+
+
+class TestImageRank:
+    @pytest.mark.parametrize("key", [(1, 1, 3), (2, 1, 3), (2, 2, 3), (3, 1, 2), (4, 2, 2)])
+    def test_equals_the_polynomial_route_on_every_cell(self, key):
+        gd = build_group(*key)
+        cells = harmonic_cells(gd)
+        for source in cells:
+            for op in (gd.exterior_d, gd.exterior_d_adjoint):
+                got = harmonics._image_rank(gd, op, cells, source)
+                assert got == _reference_image_rank(gd, op, cells, source), source
+
+    def test_non_harmonic_image_is_reported(self):
+        gd = build_group(1, 1, 3)
+        ambient = cell_monomials(3, 1, 0)
+        # d x_1 = theta_1, which d_{theta_1 + theta_2 + theta_3} does not kill.
+        x1 = ambient.index(((1, 0, 0), ()))
+        cells = {(1, 0): Subspace.from_vectors(ambient, [{x1: Fraction(1)}])}
+        for route in (harmonics._image_rank, _reference_image_rank):
+            assert route(gd, gd.exterior_d, cells, (1, 0)) == (1, False)
+        assert not exactness_check(gd, cells).images_harmonic_ok
+
+    def test_harmonic_cells_map_inside(self, d2_cells):
+        gd = build_group(2, 2, 2)
+        for source in d2_cells:
+            assert harmonics._image_rank(gd, gd.exterior_d, d2_cells, source)[1]
+
 
 class TestFitting:
     def test_g422_structure(self):

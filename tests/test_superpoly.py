@@ -9,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 from supercoinv.superpoly import (
     Operator,
     SuperPoly,
+    falling_factorial,
+    merge_thetas,
     pairing,
     partial_operator,
+    theta_interior,
 )
 
 
@@ -309,6 +312,106 @@ def test_leibniz_rule_for_exterior_derivative(f, g):
         lhs = d.apply(fk * g)
         rhs = d.apply(fk) * g + (-1) ** k * (fk * d.apply(g))
         assert lhs == rhs
+
+
+def _fraction_apply(op: Operator, f: SuperPoly) -> SuperPoly:
+    """Reference evaluation: one term pair at a time in Fraction arithmetic."""
+    out = {}
+    for (mulx, multheta, derx, dertheta), oc in op.terms.items():
+        for (xexp, thetas), c in f.terms.items():
+            coeff = oc * c
+            newx = list(xexp)
+            dead = False
+            for j, b in enumerate(derx):
+                if b:
+                    a = newx[j]
+                    if a < b:
+                        dead = True
+                        break
+                    coeff *= falling_factorial(a, b)
+                    newx[j] = a - b
+            if dead or not coeff:
+                continue
+            word = thetas
+            sign = 1
+            for t in dertheta:
+                hit = theta_interior(t, word)
+                if hit is None:
+                    dead = True
+                    break
+                s, word = hit
+                sign *= s
+            if dead:
+                continue
+            merged = merge_thetas(multheta, word)
+            if merged is None:
+                continue
+            s2, word = merged
+            for j, b in enumerate(mulx):
+                if b:
+                    newx[j] += b
+            key = (tuple(newx), word)
+            val = out.get(key, Fraction(0)) + coeff * sign * s2
+            if val:
+                out[key] = val
+            else:
+                del out[key]
+    res = SuperPoly.__new__(SuperPoly)
+    res.n, res.terms = op.n, out
+    return res
+
+
+rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-6, max_value=6).filter(bool),
+    st.integers(min_value=1, max_value=6),
+)
+
+
+@st.composite
+def rational_operators(draw):
+    terms = draw(
+        st.lists(
+            st.tuples(rationals, _exp_vecs(), _theta_tuples(), _exp_vecs(), _theta_tuples()),
+            max_size=4,
+        )
+    )
+    out = Operator.zero(N)
+    for c, mulx, multheta, derx, dertheta in terms:
+        out = out + Operator.term(
+            N, c, mulx=mulx, multheta=multheta, derx=derx, dertheta=dertheta
+        )
+    return out
+
+
+@st.composite
+def rational_polys(draw):
+    terms = draw(st.lists(st.tuples(rationals, _exp_vecs(), _theta_tuples()), max_size=5))
+    out = SuperPoly.zero(N)
+    for c, alpha, thetas in terms:
+        out = out + SuperPoly.monomial(N, alpha, thetas, c)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_operators(), rational_polys())
+def test_integer_apply_equals_the_fraction_reference(op, f):
+    got = op.apply(f)
+    want = _fraction_apply(op, f)
+    # Same keys in the same order, and the same Fraction values.
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_integer_apply_divides_each_term_once():
+    op = Operator.term(2, Fraction(1, 6), derx=(1, 0)) + Operator.term(
+        2, Fraction(3, 4), multheta=(2,)
+    )
+    f = SuperPoly(2, {((2, 0), ()): Fraction(2, 3), ((0, 1), (1,)): Fraction(-5, 2)})
+    got = op.apply(f)
+    assert got.terms == _fraction_apply(op, f).terms
+    assert got.terms[((1, 0), ())] == Fraction(2, 9)
+    assert got.terms[((0, 1), (1, 2))] == Fraction(15, 8)
 
 
 class TestSerialization:

@@ -2,10 +2,12 @@
 
 import pytest
 
+from supercoinv import groebner
 from supercoinv.verify import (
     GOLDEN_TABLE,
     SUITES,
     CheckReport,
+    closed_form_basis_check,
     run_suite,
     summary_lines,
 )
@@ -144,3 +146,15 @@ def test_all_suites_are_callable():
         "laplacian",
         "qseries",
     }
+
+
+def test_closed_form_basis_check():
+    gb = groebner.buchberger(groebner.groebner_generators(1, 1, 2))
+    assert closed_form_basis_check((1, 1, 2), gb) == (True, True, True)
+    x = groebner.CommPoly.x
+    # x1 x2^2 is divisible by the leading monomial x2^2 of another element.
+    padded = groebner.GroebnerBasis(2, gb.generators + (x(2, 1) * x(2, 2, 2),))
+    assert closed_form_basis_check((1, 1, 2), padded) == (False, False, False)
+    # Same leading monomials, but x1 + x2^2 is not reduced by x2^2.
+    tail = groebner.GroebnerBasis(2, (x(2, 2, 2), x(2, 1) + x(2, 2, 2)))
+    assert closed_form_basis_check((1, 1, 2), tail) == (False, True, False)

@@ -1,4 +1,4 @@
-"""Construction and validation of the reflection groups G(m, p, n).
+"""Construction of the reflection groups G(m, p, n).
 
 G(m, p, n), for p | m, is the group of n x n monomial matrices whose nonzero
 entries are m-th roots of unity with the product of the entries an (m/p)-th
@@ -8,9 +8,7 @@ such a group over Q:
 * basic invariants f_1..f_n (power sums in x^m, plus (x_1...x_n)^{m/p});
 * the Vandermondian Delta = prod_{i<j}(x_j^m - x_i^m) (x_1...x_n)^{m/p-1}
   and the co-Vandermondian Delta*;
-* the generalized exterior derivatives d_1..d_r and their co-exponents;
-* the group elements as signed permutation matrices when m <= 2 (for m > 2
-  the entries are not rational and the enumeration is unsupported).
+* the generalized exterior derivatives d_1..d_r and their co-exponents.
 
 Cyclic groups are normalized: (m, p, 1) is built as (m/p, 1, 1).
 
@@ -22,14 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 from math import comb, factorial
 
-from .superpoly import Operator, SuperPoly, partial_operator, x_monomials
-
-
-class UnsupportedGroupError(ValueError):
-    """Requested group data needs irrational matrix entries."""
+from .superpoly import Operator, SuperPoly, partial_operator
 
 
 @dataclass(frozen=True)
@@ -162,15 +156,6 @@ class GroupData:
             self._generator_ops = [partial_operator(g) for g in self.ideal_generators()]
         return self._generator_ops
 
-    def orlik_solomon_operators(self) -> list[Operator]:
-        """All n equivariant derivative operators, including the zero-co-exponent
-        one dropped for S_n (it is sum_j theta_j and acts as 0 on harmonics)."""
-        if self.spec.m == 1:
-            return [Operator.power_exterior_derivative(self.n, 0)] + list(
-                self.ext_derivatives
-            )
-        return list(self.ext_derivatives)
-
 
 def _vandermonde_in_powers(n: int, m: int) -> SuperPoly:
     """prod_{1 <= i < j <= n} (x_j^m - x_i^m), expanded as the determinant
@@ -244,26 +229,6 @@ def build_group(m: int, p: int, n: int) -> GroupData:
     return GroupData(spec, invariants, vmd, covmd, ops)
 
 
-def validate_jacobian(gd: GroupData) -> bool:
-    """Saito criterion: det(d f_i / d x_j) is a nonzero multiple of Delta."""
-    n = gd.n
-    grid = [
-        [f.x_derivative(tuple(1 if v == j else 0 for v in range(n))) for j in range(n)]
-        for f in gd.basic_invariants
-    ]
-    det = SuperPoly.zero(n)
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        prod = SuperPoly.one(n)
-        for i in range(n):
-            prod = prod * grid[i][perm[i]]
-            if prod.is_zero():
-                break
-        det = det + sign * prod
-    ratio = det.scalar_ratio(gd.vandermondian)
-    return ratio is not None and ratio != 0
-
-
 def _perm_sign(perm) -> int:
     sign = 1
     seen = [False] * len(perm)
@@ -279,100 +244,6 @@ def _perm_sign(perm) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-def validate_covandermondian(gd: GroupData, probe_cap: int = 600) -> bool:
-    """Check d_1 ... d_n = c * (d_{Delta*} theta_1...theta_n) on probes.
-
-    The composition of all n Orlik-Solomon operators applied to a degree
-    deg(Delta*) polynomial must agree with d_{Delta*} applied to it, times the
-    volume form, with one global nonzero scalar across all probes.  For S_n
-    the composition includes the dropped zero-co-exponent operator.
-    """
-    spec = gd.spec
-    n = spec.n
-    ops = gd.orlik_solomon_operators()
-    deg = spec.degree_of_covandermondian
-    co_op = partial_operator(gd.covandermondian)
-    volume = tuple(range(1, n + 1))
-
-    probes = list(x_monomials(n, deg))
-    if len(probes) > probe_cap:
-        step = len(probes) // probe_cap + 1
-        sampled = probes[::step]
-        sampled.extend(k[0] for k in gd.covandermondian.terms)
-        probes = sorted(set(sampled))
-
-    ratio = None
-    saw_nonzero = False
-    for alpha in probes:
-        f = SuperPoly.monomial(n, alpha)
-        lhs = f
-        for op in reversed(ops):
-            lhs = op.apply(lhs)
-            if lhs.is_zero():
-                break
-        rhs_scalar = co_op.apply(f).constant_term()
-        if lhs.is_zero() and rhs_scalar == 0:
-            continue
-        saw_nonzero = True
-        lhs_scalar = lhs.terms.get(((0,) * n, volume))
-        if lhs_scalar is None or len(lhs.terms) != 1:
-            return False
-        if rhs_scalar == 0:
-            return False
-        r = lhs_scalar / rhs_scalar
-        if ratio is None:
-            ratio = r
-        elif ratio != r:
-            return False
-    return saw_nonzero and ratio is not None and ratio != 0
-
-
-def group_matrices(spec: GroupSpec) -> list[tuple[tuple[int, ...], ...]]:
-    """All elements of G(m, p, n) as integer matrices; only m <= 2 is rational.
-
-    The matrix for (perm, signs) has entry signs[j] in row perm[j], column j.
-    """
-    if spec.m > 2:
-        raise UnsupportedGroupError(
-            f"group elements of G({spec.m},{spec.p},{spec.n}) are not rational"
-        )
-    out = []
-    for perm, signs in group_elements(spec):
-        mat = [[0] * spec.n for _ in range(spec.n)]
-        for j in range(spec.n):
-            mat[perm[j] - 1][j] = signs[j]
-        out.append(tuple(tuple(row) for row in mat))
-    return out
-
-
-def group_elements(spec: GroupSpec) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(perm, signs) pairs for m <= 2; perm[j-1] is the image of j, 1-indexed."""
-    if spec.m > 2:
-        raise UnsupportedGroupError(
-            f"group elements of G({spec.m},{spec.p},{spec.n}) are not rational"
-        )
-    n = spec.n
-    sign_choices = (
-        [(1,) * n]
-        if spec.m == 1
-        else [s for s in product((1, -1), repeat=n)]
-    )
-    if spec.m == 2 and spec.p == 2:
-        sign_choices = [s for s in sign_choices if s.count(-1) % 2 == 0]
-    out = []
-    for perm in sorted(permutations(range(1, n + 1))):
-        for signs in sign_choices:
-            out.append((perm, signs))
-    return out
-
-
-def element_determinant(perm, signs) -> int:
-    det = _perm_sign(tuple(p - 1 for p in perm))
-    for s in signs:
-        det *= s
-    return det
 
 
 def group_info(spec: GroupSpec) -> dict:

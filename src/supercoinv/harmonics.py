@@ -20,28 +20,36 @@ products mu * g: under the pairing <x^a theta_I, x^a theta_I> = a! the two
 matrices agree up to diagonal scaling, so they have the same rank and the
 harmonic count equals the quotient-side count; a mismatch raises
 IntegrityError.  The check proves equal ranks, not that the one elimination
-is right; the elimination itself is not cross-checked at run time (the
-reference-rank tests and the golden table rows cover it).
+is right; the elimination itself is not cross-checked cell by cell at run
+time (the reference-rank tests and the golden table rows cover it), but every
+table's theta-degree 0 row must equal Chevalley's prod_i [d_i]_q.
 ``coinvariant_cell_dimension`` keeps the full quotient-side route.  The
-exactness and Laplacian checks read the same integer cell matrices.  Cells
-whose matrices would exceed the cell budget (rows x columns entries) are
-refused with a size estimate; the whole-table entry points (``sh_dim_table``,
-``harmonic_cells``) check every cell before they compute the first one.
+exactness and Laplacian checks read the same integer cell matrices.
+
+The support of the harmonics is a down-set: SH is closed under every d/dx_j
+and d/dtheta_j, so a computed zero at (i-1, k) or (i, k-1) certifies
+SH^{i,k} = 0, and the whole-table entry points (``sh_dim_table``,
+``harmonic_cells``, the top row of ``fitting_structures``) record such cells
+as zero without building them.  Cells whose matrices would exceed the cell
+budget (rows x columns entries) are refused with a size estimate; the
+whole-table entry points check every cell, skipped or not, before they
+compute the first one.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import add, sub
 
 from . import linalg
-from .groups import GroupData, build_group, GroupSpec
-from .qseries import QPoly, QZPoly, format_poly
+from .groups import GroupData, GroupSpec
+from .qseries import QPoly, QZPoly, format_poly, q_integer
 from .superpoly import (
     Monomial,
     Operator,
@@ -236,7 +244,7 @@ def _integer_terms(terms: dict) -> list:
     rational terms.
     """
     den = lcm(*(c.denominator for c in terms.values()))
-    return [(key, int(c * den)) for key, c in terms.items()]
+    return [(key, c.numerator * (den // c.denominator)) for key, c in terms.items()]
 
 
 def _reduced_row(entries) -> linalg.IntRow:
@@ -507,6 +515,20 @@ def _cell_range(gd: GroupData):
             yield i, k
 
 
+def _implied_zero(dims, i: int, k: int) -> bool:
+    """Whether a computed zero neighbour certifies SH^{i,k} = 0.
+
+    ``dims`` maps the cells computed so far to their dimensions.  SH is
+    closed under every d/dx_j and d/dtheta_j (each commutes, up to sign,
+    with g(d) for every g in the ideal), and in characteristic 0 a nonzero
+    form of x-degree i > 0 (theta-degree k > 0) has a nonzero d/dx_j
+    (d/dtheta_j), so SH^{i-1,k} = 0 or SH^{i,k-1} = 0 forces SH^{i,k} = 0.
+    """
+    return (i > 0 and dims.get((i - 1, k)) == 0) or (
+        k > 0 and dims.get((i, k - 1)) == 0
+    )
+
+
 def sh_dim_table(
     gd: GroupData,
     budget: int = DEFAULT_CELL_BUDGET,
@@ -516,8 +538,14 @@ def sh_dim_table(
 
     Dimensions above deg Delta vanish (the classical coinvariant algebra is
     zero there and the cells are quotients of its tensor layers), so they are
-    recorded as zero without computation.  Every cell's budget is checked,
-    in the order the cells are computed, before the first one is.
+    recorded as zero without computation.  The cells are computed in waves
+    of equal i + k, each wave through ``pool.map`` over ``threads`` worker
+    processes or through the builtin ``map``; every computed cell is checked
+    entrywise by ``harmonic_cell_dimension``, and a cell with a zero
+    neighbour on the previous wave is zero by the down-set argument of
+    ``_implied_zero``.  Every cell's budget, skipped or not, is checked before
+    the first one is computed, and the theta-degree 0 row must equal
+    Chevalley's prod_i [d_i]_q.
     """
     cells = list(_cell_range(gd))
     # Both estimates, kernel side first: a table refuses a cell whose
@@ -526,28 +554,39 @@ def sh_dim_table(
         if cell_dimension(gd.n, i, k):
             check_cell_budget(gd, i, k, budget, oracle=False)
             check_cell_budget(gd, i, k, budget)
-    spec = gd.spec
+    waves: dict[int, list[tuple[int, int]]] = {}
+    for i, k in cells:
+        waves.setdefault(i + k, []).append((i, k))
+    dims: dict[tuple[int, int], int] = {}
+    pool = None
     if threads > 1:
-        dims = _parallel_cell_dims(spec, cells, budget, threads)
-    else:
-        dims = [harmonic_cell_dimension(gd, i, k, budget) for (i, k) in cells]
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=threads)
+    with pool or nullcontext():
+        mapper = pool.map if pool else map
+        for _, wave in sorted(waves.items()):
+            todo = [cell for cell in wave if not _implied_zero(dims, *cell)]
+            found = dict(zip(todo, mapper(
+                harmonic_cell_dimension,
+                repeat(gd),
+                [i for i, _ in todo],
+                [k for _, k in todo],
+                repeat(budget),
+            )))
+            for cell in wave:
+                dims[cell] = found.get(cell, 0)
+    spec = gd.spec
     table = DimTable(spec)
-    for (i, k), d in zip(cells, dims):
-        table.set(i, k, d)
+    for i, k in cells:
+        table.set(i, k, dims[(i, k)])
+    chevalley = prod(map(q_integer, spec.degrees), start=QPoly.one())
+    if table.column(0) != chevalley:
+        raise IntegrityError(
+            f"{spec.label()}: theta-degree 0 row {table.column(0)} is not "
+            f"prod [d]_q = {chevalley} over the degrees {spec.degrees}"
+        )
     return table
-
-
-def _cell_worker(args):
-    m, p, n, i, k, budget = args
-    return harmonic_cell_dimension(build_group(m, p, n), i, k, budget)
-
-
-def _parallel_cell_dims(spec, cells, budget, threads):
-    from concurrent.futures import ProcessPoolExecutor
-
-    args = [(spec.m, spec.p, spec.n, i, k, budget) for (i, k) in cells]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_cell_worker, args, chunksize=4))
 
 
 def harmonic_cells(
@@ -555,12 +594,22 @@ def harmonic_cells(
 ) -> dict[tuple[int, int], Subspace]:
     """Subspace bases for every cell with i <= deg Delta, k <= n.
 
-    Every cell's budget is checked before the first basis is computed.
+    Every cell's budget is checked before the first basis is computed.  A
+    cell with a zero neighbour is an empty subspace by the down-set argument
+    of ``_implied_zero``; every other basis is a computed kernel.
     """
     cells = list(_cell_range(gd))
     for i, k in cells:
         check_cell_budget(gd, i, k, budget, oracle=False)
-    return {(i, k): harmonic_cell(gd, i, k, budget) for (i, k) in cells}
+    out: dict[tuple[int, int], Subspace] = {}
+    dims: dict[tuple[int, int], int] = {}
+    for cell in cells:
+        if _implied_zero(dims, *cell):
+            sub = Subspace(cell_monomials(gd.n, *cell), ())
+        else:
+            sub = harmonic_cell(gd, *cell, budget)
+        out[cell], dims[cell] = sub, sub.dimension
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -935,11 +984,16 @@ def fitting_structures(gd: GroupData, budget: int = DEFAULT_CELL_BUDGET) -> Fitt
         if amb - psi_rank != iprime_rank:
             ann_matches = False
 
-    sh_top_dims: dict[int, int] = {}
+    # Top theta-degree: every budget first, then i upward until a zero
+    # certifies the rest of the row (only the i-neighbour lies in it).
     for i in range(dmax + 1):
-        dim = harmonic_cell_dimension(gd, i, n, budget)
-        if dim:
-            sh_top_dims[i] = dim
+        check_cell_budget(gd, i, n, budget, oracle=False)
+    top: dict[tuple[int, int], int] = {}
+    for i in range(dmax + 1):
+        if _implied_zero(top, i, n):
+            break
+        top[(i, n)] = harmonic_cell_dimension(gd, i, n, budget)
+    sh_top_dims = {i: dim for (i, _), dim in top.items() if dim}
 
     observed_top = max(sh_top_dims, default=0)
     return FittingData(

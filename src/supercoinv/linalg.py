@@ -234,8 +234,3 @@ def residual(rref_rows: list[FracVec], vec: FracVec) -> FracVec:
                 else:
                     work.pop(k, None)
     return work
-
-
-def spans_equal(rref_a: list[FracVec], rref_b: list[FracVec]) -> bool:
-    """RREF is canonical, so span equality is literal equality."""
-    return rref_a == rref_b

@@ -335,41 +335,6 @@ class SuperPoly:
                 return None
         return ratio
 
-    def act_signed_permutation(self, perm, signs) -> "SuperPoly":
-        """Substitute x_j -> signs[j] x_{perm[j]}, theta_j -> signs[j] theta_{perm[j]}.
-
-        perm and signs are 1-indexed by position (perm[j-1] is the image of j).
-        """
-        out: dict[Monomial, Fraction] = {}
-        for (xexp, thetas), c in self.terms.items():
-            coeff = c
-            newx = [0] * self.n
-            for j, e in enumerate(xexp):
-                if e:
-                    newx[perm[j] - 1] = e
-                    if signs[j] == -1 and e & 1:
-                        coeff = -coeff
-            images = []
-            for t in thetas:
-                if signs[t - 1] == -1:
-                    coeff = -coeff
-                images.append(perm[t - 1])
-            # Koszul sign from sorting the images.
-            arr = list(images)
-            for a in range(len(arr)):
-                for b in range(a + 1, len(arr)):
-                    if arr[a] > arr[b]:
-                        coeff = -coeff
-            key = (tuple(newx), tuple(sorted(images)))
-            s = out.get(key, Fraction(0)) + coeff
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        res = SuperPoly.__new__(SuperPoly)
-        res.n, res.terms = self.n, out
-        return res
-
     # -- serialization ---------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:

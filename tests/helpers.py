@@ -1,0 +1,191 @@
+"""Checks that only the tests run; the library never calls them.
+
+Saito-type validators of the group data (Jacobian proportional to Delta,
+the composed Orlik-Solomon operators proportional to
+d_{Delta*} theta_1...theta_n), the group elements of the real groups as
+signed permutations and their action on forms, and literal span equality
+of canonical RREF bases.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import permutations, product
+
+from supercoinv.groups import GroupData, GroupSpec, _perm_sign
+from supercoinv.superpoly import (
+    Monomial,
+    Operator,
+    SuperPoly,
+    partial_operator,
+    x_monomials,
+)
+
+
+class UnsupportedGroupError(ValueError):
+    """Requested group data needs irrational matrix entries."""
+
+
+def spans_equal(rref_a, rref_b) -> bool:
+    """RREF is canonical, so span equality is literal equality."""
+    return rref_a == rref_b
+
+
+def orlik_solomon_operators(gd: GroupData) -> list[Operator]:
+    """All n equivariant derivative operators, including the zero-co-exponent
+    one dropped for S_n (it is sum_j theta_j and acts as 0 on harmonics)."""
+    if gd.spec.m == 1:
+        return [Operator.power_exterior_derivative(gd.n, 0)] + list(
+            gd.ext_derivatives
+        )
+    return list(gd.ext_derivatives)
+
+
+def validate_jacobian(gd: GroupData) -> bool:
+    """Saito criterion: det(d f_i / d x_j) is a nonzero multiple of Delta."""
+    n = gd.n
+    grid = [
+        [f.x_derivative(tuple(1 if v == j else 0 for v in range(n))) for j in range(n)]
+        for f in gd.basic_invariants
+    ]
+    det = SuperPoly.zero(n)
+    for perm in permutations(range(n)):
+        sign = _perm_sign(perm)
+        prod = SuperPoly.one(n)
+        for i in range(n):
+            prod = prod * grid[i][perm[i]]
+            if prod.is_zero():
+                break
+        det = det + sign * prod
+    ratio = det.scalar_ratio(gd.vandermondian)
+    return ratio is not None and ratio != 0
+
+
+def validate_covandermondian(gd: GroupData, probe_cap: int = 600) -> bool:
+    """Check d_1 ... d_n = c * (d_{Delta*} theta_1...theta_n) on probes.
+
+    The composition of all n Orlik-Solomon operators applied to a degree
+    deg(Delta*) polynomial must agree with d_{Delta*} applied to it, times the
+    volume form, with one global nonzero scalar across all probes.  For S_n
+    the composition includes the dropped zero-co-exponent operator.
+    """
+    spec = gd.spec
+    n = spec.n
+    ops = orlik_solomon_operators(gd)
+    deg = spec.degree_of_covandermondian
+    co_op = partial_operator(gd.covandermondian)
+    volume = tuple(range(1, n + 1))
+
+    probes = list(x_monomials(n, deg))
+    if len(probes) > probe_cap:
+        step = len(probes) // probe_cap + 1
+        sampled = probes[::step]
+        sampled.extend(k[0] for k in gd.covandermondian.terms)
+        probes = sorted(set(sampled))
+
+    ratio = None
+    saw_nonzero = False
+    for alpha in probes:
+        f = SuperPoly.monomial(n, alpha)
+        lhs = f
+        for op in reversed(ops):
+            lhs = op.apply(lhs)
+            if lhs.is_zero():
+                break
+        rhs_scalar = co_op.apply(f).constant_term()
+        if lhs.is_zero() and rhs_scalar == 0:
+            continue
+        saw_nonzero = True
+        lhs_scalar = lhs.terms.get(((0,) * n, volume))
+        if lhs_scalar is None or len(lhs.terms) != 1:
+            return False
+        if rhs_scalar == 0:
+            return False
+        r = lhs_scalar / rhs_scalar
+        if ratio is None:
+            ratio = r
+        elif ratio != r:
+            return False
+    return saw_nonzero and ratio is not None and ratio != 0
+
+
+def group_matrices(spec: GroupSpec) -> list[tuple[tuple[int, ...], ...]]:
+    """All elements of G(m, p, n) as integer matrices; only m <= 2 is rational.
+
+    The matrix for (perm, signs) has entry signs[j] in row perm[j], column j.
+    """
+    if spec.m > 2:
+        raise UnsupportedGroupError(
+            f"group elements of G({spec.m},{spec.p},{spec.n}) are not rational"
+        )
+    out = []
+    for perm, signs in group_elements(spec):
+        mat = [[0] * spec.n for _ in range(spec.n)]
+        for j in range(spec.n):
+            mat[perm[j] - 1][j] = signs[j]
+        out.append(tuple(tuple(row) for row in mat))
+    return out
+
+
+def group_elements(spec: GroupSpec) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(perm, signs) pairs for m <= 2; perm[j-1] is the image of j, 1-indexed."""
+    if spec.m > 2:
+        raise UnsupportedGroupError(
+            f"group elements of G({spec.m},{spec.p},{spec.n}) are not rational"
+        )
+    n = spec.n
+    sign_choices = (
+        [(1,) * n]
+        if spec.m == 1
+        else [s for s in product((1, -1), repeat=n)]
+    )
+    if spec.m == 2 and spec.p == 2:
+        sign_choices = [s for s in sign_choices if s.count(-1) % 2 == 0]
+    out = []
+    for perm in sorted(permutations(range(1, n + 1))):
+        for signs in sign_choices:
+            out.append((perm, signs))
+    return out
+
+
+def element_determinant(perm, signs) -> int:
+    det = _perm_sign(tuple(p - 1 for p in perm))
+    for s in signs:
+        det *= s
+    return det
+
+
+def act_signed_permutation(f: SuperPoly, perm, signs) -> SuperPoly:
+    """Substitute x_j -> signs[j] x_{perm[j]}, theta_j -> signs[j] theta_{perm[j]}.
+
+    perm and signs are 1-indexed by position (perm[j-1] is the image of j).
+    """
+    out: dict[Monomial, Fraction] = {}
+    for (xexp, thetas), c in f.terms.items():
+        coeff = c
+        newx = [0] * f.n
+        for j, e in enumerate(xexp):
+            if e:
+                newx[perm[j] - 1] = e
+                if signs[j] == -1 and e & 1:
+                    coeff = -coeff
+        images = []
+        for t in thetas:
+            if signs[t - 1] == -1:
+                coeff = -coeff
+            images.append(perm[t - 1])
+        # Koszul sign from sorting the images.
+        arr = list(images)
+        for a in range(len(arr)):
+            for b in range(a + 1, len(arr)):
+                if arr[a] > arr[b]:
+                    coeff = -coeff
+        key = (tuple(newx), tuple(sorted(images)))
+        s = out.get(key, Fraction(0)) + coeff
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+    res = SuperPoly.__new__(SuperPoly)
+    res.n, res.terms = f.n, out
+    return res

@@ -6,17 +6,17 @@ from math import comb
 import pytest
 
 from supercoinv import groups
-from supercoinv.groups import (
-    GroupSpec,
+from supercoinv.groups import GroupSpec, build_group
+from supercoinv.superpoly import SuperPoly
+from helpers import (
     UnsupportedGroupError,
-    build_group,
+    act_signed_permutation,
     element_determinant,
     group_elements,
     group_matrices,
     validate_covandermondian,
     validate_jacobian,
 )
-from supercoinv.superpoly import SuperPoly
 
 GRID = [
     (m, p, n)
@@ -191,11 +191,11 @@ class TestGroupMatrices:
         for perm, signs in group_elements(spec):
             det = element_determinant(perm, signs)
             for f in gd.basic_invariants:
-                assert f.act_signed_permutation(perm, signs) == f
-            assert gd.vandermondian.act_signed_permutation(perm, signs) == (
+                assert act_signed_permutation(f, perm, signs) == f
+            assert act_signed_permutation(gd.vandermondian, perm, signs) == (
                 det * gd.vandermondian
             )
-            assert gd.covandermondian.act_signed_permutation(perm, signs) == (
+            assert act_signed_permutation(gd.covandermondian, perm, signs) == (
                 det * gd.covandermondian
             )
 
@@ -208,4 +208,4 @@ class TestGroupMatrices:
         for perm, signs in group_elements(gd.spec):
             det = element_determinant(perm, signs)
             for omega in elems.values():
-                assert omega.act_signed_permutation(perm, signs) == det * omega
+                assert act_signed_permutation(omega, perm, signs) == det * omega

@@ -646,3 +646,94 @@ class TestIntegrity:
         assert max(z) == len(row) - 1
         for i, k in harmonics._cell_range(gd):
             assert table.dim(i, k) == harmonics.coinvariant_cell_dimension(gd, i, k)
+
+
+def _reference_dims(gd):
+    """harmonic_cell_dimension on every cell of the table range."""
+    return {
+        (i, k): harmonics.harmonic_cell_dimension(gd, i, k)
+        for i, k in harmonics._cell_range(gd)
+    }
+
+
+DOWN_SET_GROUPS = sorted(
+    {GroupSpec.create(m, p, n) for m in range(1, 5) for p in range(1, m + 1)
+     if m % p == 0 for n in range(1, 4)} | {GroupSpec.create(1, 1, 4)},
+    key=lambda spec: (spec.m, spec.p, spec.n),
+)
+
+
+class TestDownSet:
+    """Cells next to a computed zero are recorded as zero without work."""
+
+    @pytest.mark.parametrize(
+        "spec", DOWN_SET_GROUPS, ids=lambda spec: f"{spec.m}-{spec.p}-{spec.n}"
+    )
+    def test_pruned_table_equals_every_cell_computed(self, monkeypatch, spec):
+        gd = build_group(spec.m, spec.p, spec.n)
+        reference = _reference_dims(gd)
+        # the support is a down-set: a zero cell has zero upper neighbours
+        for (i, k), dim in reference.items():
+            if dim == 0:
+                assert reference.get((i + 1, k), 0) == 0, (i, k)
+                assert reference.get((i, k + 1), 0) == 0, (i, k)
+        computed = []
+        real = harmonics.harmonic_cell_dimension
+
+        def counted(gd, i, k, budget=harmonics.DEFAULT_CELL_BUDGET):
+            computed.append((i, k))
+            return real(gd, i, k, budget)
+
+        monkeypatch.setattr(harmonics, "harmonic_cell_dimension", counted)
+        table = sh_dim_table(gd)
+        assert {key: table.dim(*key) for key in reference} == reference
+        # exactly the cells whose neighbours are not zero were computed
+        skipped = {
+            (i, k) for i, k in reference
+            if reference.get((i - 1, k)) == 0 or reference.get((i, k - 1)) == 0
+        }
+        assert sorted(computed) == sorted(set(reference) - skipped)
+
+    @pytest.mark.parametrize("key", [(1, 1, 3), (2, 1, 3), (2, 2, 3), (3, 3, 3)])
+    def test_harmonic_cells_equal_every_cell_computed(self, key):
+        gd = build_group(*key)
+        cells = harmonic_cells(gd)
+        reference = {(i, k): harmonic_cell(gd, i, k) for i, k in harmonics._cell_range(gd)}
+        assert list(cells) == list(reference)
+        for cell, sub in reference.items():
+            assert cells[cell] == sub, cell
+
+    @pytest.mark.parametrize("key", [(1, 1, 4), (2, 1, 3)])
+    def test_threads_give_the_serial_table(self, key):
+        gd = build_group(*key)
+        assert sh_dim_table(gd, threads=2).entries == sh_dim_table(gd).entries
+
+    @pytest.mark.parametrize("key", [(4, 2, 2), (2, 1, 3), (3, 1, 3)])
+    def test_fitting_top_row_equals_every_cell_computed(self, key):
+        gd = build_group(*key)
+        n, dmax = gd.n, gd.spec.degree_of_vandermondian
+        reference = {}
+        for i in range(dmax + 1):
+            dim = harmonics.harmonic_cell_dimension(gd, i, n)
+            if dim:
+                reference[i] = dim
+        assert fitting_structures(gd).sh_top_dims == reference
+
+    def test_fitting_top_row_refuses_a_skipped_cell(self):
+        # the top row of B_3 is zero from x-degree 1 on, but the budget of
+        # every cell of the row is still checked
+        gd = build_group(2, 1, 3)
+        dmax = gd.spec.degree_of_vandermondian
+        estimate = harmonics._estimate_kernel_entries(gd, dmax, 3)
+        with pytest.raises(FeasibilityError) as err:
+            harmonics.fitting_structures(gd, budget=estimate - 1)
+        assert err.value.bidegree == (dmax, 3)
+
+    def test_chevalley_row_catches_a_wrong_rank(self, monkeypatch):
+        # S_3 cell (2, 0) is the only one with 6 columns; its rank is 4
+        real = linalg.rank
+        monkeypatch.setattr(
+            linalg, "rank", lambda rows, ncols: real(rows, ncols) + (ncols == 6)
+        )
+        with pytest.raises(IntegrityError, match=r"S_3: theta-degree 0 row"):
+            sh_dim_table(build_group(1, 1, 3))

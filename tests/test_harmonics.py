@@ -730,7 +730,8 @@ class TestDownSet:
         assert err.value.bidegree == (dmax, 3)
 
     def test_chevalley_row_catches_a_wrong_rank(self, monkeypatch):
-        # S_3 cell (2, 0) is the only one with 6 columns; its rank is 4
+        # S_3 cell (2, 0) is the only computed cell with 6 columns (cell
+        # (2, 3) has 6 too, but SH^{0,3} = 0 skips it); its rank is 4
         real = linalg.rank
         monkeypatch.setattr(
             linalg, "rank", lambda rows, ncols: real(rows, ncols) + (ncols == 6)

@@ -8,7 +8,9 @@ such a group over Q:
 * basic invariants f_1..f_n (power sums in x^m, plus (x_1...x_n)^{m/p});
 * the Vandermondian Delta = prod_{i<j}(x_j^m - x_i^m) (x_1...x_n)^{m/p-1}
   and the co-Vandermondian Delta*;
-* the generalized exterior derivatives d_1..d_r and their co-exponents.
+* the generalized exterior derivatives d_1..d_r and their co-exponents;
+* for S_n (n >= 2), the reduced presentation Q[y, eta]/I' in n - 1 variables
+  that the harmonic dimensions are computed in (``GroupData.cell_presentation``).
 
 Cyclic groups are normalized: (m, p, 1) is built as (m/p, 1, 1).
 
@@ -24,6 +26,10 @@ from itertools import permutations
 from math import comb, factorial
 
 from .superpoly import Operator, SuperPoly, partial_operator
+
+
+class IntegrityError(RuntimeError):
+    """Two independent computations of the same data disagreed."""
 
 
 @dataclass(frozen=True)
@@ -136,6 +142,7 @@ class GroupData:
         self.exterior_d_adjoint = self.exterior_d.adjoint()
         self._generators: list[SuperPoly] | None = None
         self._generator_ops: list[Operator] | None = None
+        self._reduced: ReducedPresentation | None = None
 
     @property
     def n(self) -> int:
@@ -155,6 +162,97 @@ class GroupData:
         if self._generator_ops is None:
             self._generator_ops = [partial_operator(g) for g in self.ideal_generators()]
         return self._generator_ops
+
+    def cell_presentation(self) -> GroupData | ReducedPresentation:
+        """The presentation whose cells give the harmonic dimensions.
+
+        For S_n with n >= 2 this is the reduced presentation in n - 1
+        variables, built on first use and kept (so a pickled GroupData
+        carries it); for every other group it is the group data itself.
+        """
+        if self.spec.m != 1 or self.n < 2:
+            return self
+        if self._reduced is None:
+            self._reduced = reduce_type_a(self)
+        return self._reduced
+
+
+class ReducedPresentation:
+    """Q[y, eta]/I' for S_n: the linear generators quotiented out first.
+
+    The super coinvariant ideal of S_n contains f_1 = e_1 = x_1 + ... + x_n
+    and d f_1 = theta_1 + ... + theta_n.  Substituting
+        x_n -> -(y_1 + ... + y_{n-1}),  theta_n -> -(eta_1 + ... + eta_{n-1})
+    (and x_j -> y_j, theta_j -> eta_j for j < n) is onto with kernel
+    (f_1, d f_1), so Q[x, theta]/I and Q[y, eta]/I' agree in every bidegree,
+    where I' is generated by the images of f_2..f_n, d f_2..d f_n (integer
+    coefficients).  This is the reduction to the reflection representation.
+    It has what the cell matrices read of a GroupData: ``spec`` (for
+    messages), ``n`` (here the n - 1 variables), ``ideal_generators()`` and
+    ``harmonic_generator_operators()``.
+    """
+
+    def __init__(self, spec: GroupSpec, generators: list[SuperPoly]):
+        self.spec = spec
+        self.n = spec.n - 1
+        self._generators = generators
+        self._generator_ops = [partial_operator(g) for g in generators]
+
+    def ideal_generators(self) -> list[SuperPoly]:
+        return self._generators
+
+    def harmonic_generator_operators(self) -> list[Operator]:
+        return self._generator_ops
+
+
+def _last_variable_images(n: int) -> tuple[SuperPoly, SuperPoly]:
+    """Images of x_n and theta_n in n - 1 variables: minus the sum of the
+    other variables."""
+    ys, etas = SuperPoly.zero(n - 1), SuperPoly.zero(n - 1)
+    for j in range(1, n):
+        ys, etas = ys + SuperPoly.x(n - 1, j), etas + SuperPoly.theta(n - 1, j)
+    return -ys, -etas
+
+
+def _substitute_last(
+    f: SuperPoly, x_powers: list[SuperPoly], theta_image: SuperPoly
+) -> SuperPoly:
+    """f with x_n^e -> x_powers[e] and theta_n -> theta_image, in n - 1
+    variables.
+
+    theta_n is the last factor of a canonical theta word, so it is replaced
+    by multiplying theta_image on the right."""
+    n = f.n
+    out = SuperPoly.zero(n - 1)
+    for (xexp, thetas), c in f.terms.items():
+        has_last = bool(thetas) and thetas[-1] == n
+        head = thetas[:-1] if has_last else thetas
+        term = SuperPoly(n - 1, {(xexp[:-1], head): c}) * x_powers[xexp[-1]]
+        out = out + (term * theta_image if has_last else term)
+    return out
+
+
+def reduce_type_a(gd: GroupData) -> ReducedPresentation:
+    """The reduced presentation of S_n, from the substituted generators.
+
+    Certified at run time: exactly f_1 and d f_1 must map to zero, otherwise
+    IntegrityError (the substitution would not be the quotient by them).
+    """
+    spec, n = gd.spec, gd.n
+    gens = gd.ideal_generators()
+    x_image, theta_image = _last_variable_images(n)
+    x_powers = [SuperPoly.one(n - 1)]
+    for _ in range(max(xexp[-1] for g in gens for xexp, _ in g.terms)):
+        x_powers.append(x_powers[-1] * x_image)
+    images = [_substitute_last(g, x_powers, theta_image) for g in gens]
+    vanished = [j for j, g in enumerate(images) if g.is_zero()]
+    if vanished != [0, n]:
+        raise IntegrityError(
+            f"{spec.label()}: the substitution x_n, theta_n -> -(sum of the "
+            f"others) maps generators {vanished} to zero, not exactly f_1 and "
+            f"d f_1 ({[0, n]})"
+        )
+    return ReducedPresentation(spec, [g for g in images if g])
 
 
 def _vandermonde_in_powers(n: int, m: int) -> SuperPoly:

@@ -26,6 +26,17 @@ table's theta-degree 0 row must equal Chevalley's prod_i [d_i]_q.
 ``coinvariant_cell_dimension`` keeps the full quotient-side route.  The
 exactness and Laplacian checks read the same integer cell matrices.
 
+For S_n (n >= 2) the dimension cells are computed in the reduced presentation
+of ``GroupData.cell_presentation``: the ideal contains f_1 = x_1 + ... + x_n
+and d f_1 = theta_1 + ... + theta_n, and substituting x_n -> -(y_1 + ... +
+y_{n-1}), theta_n -> -(eta_1 + ... + eta_{n-1}) identifies the quotient with
+Q[y, eta]/I' in every bidegree, so a cell has C(i+n-2, n-2) C(n-1, k) columns
+instead of C(i+n-1, n-1) C(n, k).  The pairing argument and the entrywise
+check hold in any polynomial ring, so they run unchanged there; the budget
+estimates stay those of the x-presentation.  Bases (``harmonic_cell``,
+``harmonic_cells``, ``kernel_intersection``, exactness, support) stay in x,
+because they are the harmonics themselves.
+
 The support of the harmonics is a down-set: SH is closed under every d/dx_j
 and d/dtheta_j, so a computed zero at (i-1, k) or (i, k-1) certifies
 SH^{i,k} = 0, and the whole-table entry points (``sh_dim_table``,
@@ -48,7 +59,7 @@ from itertools import combinations, repeat
 from operator import add, sub
 
 from . import linalg
-from .groups import GroupData, GroupSpec
+from .groups import GroupData, GroupSpec, IntegrityError, ReducedPresentation
 from .qseries import QPoly, QZPoly, format_poly, q_integer
 from .superpoly import (
     Monomial,
@@ -64,10 +75,6 @@ from .superpoly import (
 DEFAULT_CELL_BUDGET = 2 * 10**7
 
 SCHEMA_VERSION = 1
-
-
-class IntegrityError(RuntimeError):
-    """Two independent computations of the same data disagreed."""
 
 
 class FeasibilityError(RuntimeError):
@@ -268,41 +275,41 @@ def _cell_index(n: int, i: int, k: int) -> dict[Monomial, int]:
     return {mon: col for col, mon in enumerate(cell_monomials(n, i, k))}
 
 
+@lru_cache(maxsize=None)
+def _x_positions(n: int, i: int) -> dict[tuple[int, ...], int]:
+    return {xexp: xi for xi, xexp in enumerate(x_monomials(n, i))}
+
+
 def _operator_entries(ops, n: int, i: int, k: int):
     """Entries of the stacked operators on the (i, k) cell, unreduced.
 
     Maps (operator index, target monomial) to {source column: int}; the
     integers are those of the operators scaled by the lcm of their
-    denominators.
+    denominators.  A term with x-derivative derx kills every x-monomial that
+    x^derx does not divide, so it visits only the sources x^derx * x^rest,
+    rest of degree i - |derx|.
     """
     words = [t for _, t in cell_monomials(n, 0, k)]
     width = len(words)
+    positions = _x_positions(n, i)
     rows: dict[tuple[int, Monomial], dict[int, int]] = {}
     for oi, op in enumerate(ops):
-        terms = [
-            (
-                mulx,
-                derx,
-                [(j, b) for j, b in enumerate(derx) if b],
-                [theta_action(multheta, dertheta, w) for w in words],
-                c,
-            )
-            for (mulx, multheta, derx, dertheta), c in _integer_terms(op.terms)
-        ]
-        for xi, xexp in enumerate(x_monomials(n, i)):
-            base = xi * width
-            for mulx, derx, xders, actions, c in terms:
+        for (mulx, multheta, derx, dertheta), c in _integer_terms(op.terms):
+            acts = (theta_action(multheta, dertheta, w) for w in words)
+            actions = [(ti, act) for ti, act in enumerate(acts) if act is not None]
+            if not actions:
+                continue
+            xders = [(j, b) for j, b in enumerate(derx) if b]
+            for rest in x_monomials(n, i - sum(derx)):
+                xexp = tuple(map(add, rest, derx))
+                v = c
                 for j, b in xders:
-                    c *= falling_factorial(xexp[j], b)
-                if not c:
-                    continue
-                tx = tuple(map(add, map(sub, xexp, derx), mulx))
-                for ti, act in enumerate(actions):
-                    if act is None:
-                        continue
-                    sign, tw = act
+                    v *= falling_factorial(xexp[j], b)
+                base = positions[xexp] * width
+                tx = tuple(map(add, rest, mulx))
+                for ti, (sign, tw) in actions:
                     row = rows.setdefault((oi, (tx, tw)), {})
-                    row[base + ti] = row.get(base + ti, 0) + sign * c
+                    row[base + ti] = row.get(base + ti, 0) + sign * v
     return rows
 
 
@@ -329,10 +336,14 @@ def _x_factorial(xexp) -> int:
     return prod(map(factorial, xexp))
 
 
-def _check_against_products(gd: GroupData, entries, i: int, k: int):
+def _check_against_products(
+    pres: GroupData | ReducedPresentation, entries, i: int, k: int
+):
     """Prove entrywise that the operator-side matrix of the (i, k) cell is
     the ideal-side one up to diagonal scaling, or raise IntegrityError.
 
+    ``pres`` is a presentation (``GroupData.cell_presentation``, or a
+    GroupData): its ``n`` variables, ideal generators and their operators.
     ``entries`` is ``_operator_entries`` of the harmonic generator operators.
     Under the pairing <x^a theta_I, x^a theta_I> = a!, for a generator g and
     monomials mu, nu
@@ -343,13 +354,16 @@ def _check_against_products(gd: GroupData, entries, i: int, k: int):
     compared and the counts of nonzero entries must agree.  The two matrices
     then have the same rank, so the kernel count is also the quotient count.
     """
-    n = gd.n
+    n = pres.n
     words = [t for _, t in cell_monomials(n, 0, k)]
     word_index = {w: ti for ti, w in enumerate(words)}
-    x_base = {x: xi * len(words) for xi, x in enumerate(x_monomials(n, i))}
+    # column offset and x-factorial of every target x-monomial
+    x_data = {
+        x: (xi * len(words), _x_factorial(x)) for xi, x in enumerate(x_monomials(n, i))
+    }
     degrees = {}
     walked = 0  # rows of ``entries`` met; each (oi, mu) is met at most once
-    for oi, g in enumerate(gd.ideal_generators()):
+    for oi, g in enumerate(pres.ideal_generators()):
         gi, gk = degrees[oi] = g.bidegree()
         terms = _integer_terms(g.terms)
         # For each theta word of mu: (term, sign, theta offset) of every term
@@ -365,8 +379,8 @@ def _check_against_products(gd: GroupData, entries, i: int, k: int):
         for mx in x_monomials(n, i - gi) if merges else ():
             products = []
             for (gx, _), c in terms:
-                nx = tuple(map(add, mx, gx))
-                products.append((x_base[nx], c * _x_factorial(nx)))
+                base, nu_fact = x_data[tuple(map(add, mx, gx))]
+                products.append((base, c * nu_fact))
             mu_fact = _x_factorial(mx)
             for mt, hits in merges:
                 mu = (mx, mt)
@@ -375,30 +389,32 @@ def _check_against_products(gd: GroupData, entries, i: int, k: int):
                 for tj, sign, ti in hits:
                     base, value = products[tj]
                     if sign * value != scale * row.get(base + ti, 0):
-                        _integrity_failure(gd, i, k, (oi, mu), base + ti)
+                        _integrity_failure(pres, i, k, (oi, mu), base + ti)
                 if row:
                     walked += 1
                     if len(row) != len(hits):
                         cols = [products[tj][0] + ti for tj, _, ti in hits]
-                        _check_no_other_entry(gd, i, k, (oi, mu), row, cols)
+                        _check_no_other_entry(pres, i, k, (oi, mu), row, cols)
     if walked != len(entries):
         # Some row lies outside the bidegree (i - gi, k - gk) walked above.
         for key in sorted(entries):
             oi, (mx, mt) = key
             if degrees.get(oi) != (i - sum(mx), k - len(mt)):
-                _check_no_other_entry(gd, i, k, key, entries[key], ())
+                _check_no_other_entry(pres, i, k, key, entries[key], ())
 
 
-def _check_no_other_entry(gd: GroupData, i: int, k: int, key, row, cols):
+def _check_no_other_entry(
+    pres: GroupData | ReducedPresentation, i: int, k: int, key, row, cols
+):
     extra = [col for col, v in row.items() if v and col not in cols]
     if extra:
-        _integrity_failure(gd, i, k, key, min(extra))
+        _integrity_failure(pres, i, k, key, min(extra))
 
 
-def _integrity_failure(gd: GroupData, i: int, k: int, key, col):
+def _integrity_failure(pres: GroupData | ReducedPresentation, i: int, k: int, key, col):
     oi, mu = key
     raise IntegrityError(
-        f"{gd.spec.label()} bidegree ({i},{k}): operator {oi} at target {mu}, "
+        f"{pres.spec.label()} bidegree ({i},{k}): operator {oi} at target {mu}, "
         f"column {col}: entry disagrees with the ideal product"
     )
 
@@ -462,21 +478,28 @@ def harmonic_cell_dimension(
 ) -> int:
     """dim of the bidegree-(i, k) harmonic space.
 
-    One elimination of the operator-side matrix, whose entries are first
-    checked against the ideal products (``_check_against_products``).
+    Computed in ``gd.cell_presentation()``: for S_n the reduced presentation
+    in n - 1 variables, whose (i, k) part has the same dimension; otherwise
+    the group's own.  One elimination of the operator-side matrix, whose
+    entries are first checked against the ideal products
+    (``_check_against_products``).  The budget is always that of the
+    x-presentation, so refusals do not depend on the route.
     """
-    cols = cell_dimension(gd.n, i, k)
-    if cols == 0:
+    if cell_dimension(gd.n, i, k) == 0:
         return 0
     check_cell_budget(gd, i, k, budget, oracle=False)
-    return cols - linalg.rank(_checked_operator_rows(gd, i, k), cols)
+    pres = gd.cell_presentation()
+    cols = cell_dimension(pres.n, i, k)
+    if cols == 0:
+        return 0
+    return cols - linalg.rank(_checked_operator_rows(pres, i, k), cols)
 
 
-def _checked_operator_rows(gd: GroupData, i: int, k: int):
-    """``_operator_equation_rows`` of the harmonic generator operators, after
-    every entry has been checked against the ideal products."""
-    entries = _operator_entries(gd.harmonic_generator_operators(), gd.n, i, k)
-    _check_against_products(gd, entries, i, k)
+def _checked_operator_rows(pres: GroupData | ReducedPresentation, i: int, k: int):
+    """``_operator_equation_rows`` of the presentation's generator operators,
+    after every entry has been checked against the ideal products."""
+    entries = _operator_entries(pres.harmonic_generator_operators(), pres.n, i, k)
+    _check_against_products(pres, entries, i, k)
     yield from _reduced_rows(entries)
 
 
@@ -538,7 +561,8 @@ def sh_dim_table(
 
     Dimensions above deg Delta vanish (the classical coinvariant algebra is
     zero there and the cells are quotients of its tensor layers), so they are
-    recorded as zero without computation.  The cells are computed in waves
+    recorded as zero without computation.  The cells are computed (in
+    ``gd.cell_presentation()``, see ``harmonic_cell_dimension``) in waves
     of equal i + k, each wave through ``pool.map`` over ``threads`` worker
     processes or through the builtin ``map``; every computed cell is checked
     entrywise by ``harmonic_cell_dimension``, and a cell with a zero
@@ -558,6 +582,8 @@ def sh_dim_table(
     for i, k in cells:
         waves.setdefault(i + k, []).append((i, k))
     dims: dict[tuple[int, int], int] = {}
+    # Built here, once: the workers receive it inside the pickled group.
+    gd.cell_presentation()
     pool = None
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -748,10 +774,12 @@ def _image_rank(
     op: Operator,
     cells: dict[tuple[int, int], Subspace],
     source: tuple[int, int],
+    targets: dict | None = None,
 ) -> tuple[int, bool]:
     """Rank of op on the harmonic cell at `source`; also whether the image
     stays inside the harmonics (the generators' target-cell matrix must
-    annihilate it).  Both are read off integer cell matrices."""
+    annihilate it).  Both are read off integer cell matrices; ``targets``
+    keeps the generators' matrix of each target cell across calls."""
     n = gd.n
     sub = cells.get(source)
     if sub is None or sub.dimension == 0:
@@ -760,9 +788,13 @@ def _image_rank(
     target = (source[0] + dx, source[1] + dk)
     index = _cell_index(n, *target)
     op_columns = _columns(_operator_entries([op], n, *source), index)
-    gen_columns = _columns(
-        _operator_entries(gd.harmonic_generator_operators(), n, *target)
-    )
+    if targets is None:
+        targets = {}
+    if target not in targets:
+        targets[target] = _columns(
+            _operator_entries(gd.harmonic_generator_operators(), n, *target)
+        )
+    gen_columns = targets[target]
     vectors = []
     inside = True
     for row in sub.basis:
@@ -812,11 +844,12 @@ def exactness_check(
     rank_d: dict[tuple[int, int], int] = {}
     rank_ddag: dict[tuple[int, int], int] = {}
     images_ok = True
+    targets: dict = {}
     for key, sub in sorted(cells.items()):
         if sub.dimension == 0:
             continue
-        rank_d[key], ok1 = _image_rank(gd, d, cells, key)
-        rank_ddag[key], ok2 = _image_rank(gd, ddag, cells, key)
+        rank_d[key], ok1 = _image_rank(gd, d, cells, key, targets)
+        rank_ddag[key], ok2 = _image_rank(gd, ddag, cells, key, targets)
         images_ok = images_ok and ok1 and ok2
 
     first_failure = ""

@@ -3,10 +3,11 @@
 import multiprocessing
 import pickle
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 
-from supercoinv import harmonics, linalg
+from supercoinv import groups, harmonics, linalg
 from supercoinv.groups import GroupSpec, build_group
 from supercoinv.harmonics import (
     DimTable,
@@ -29,7 +30,13 @@ from supercoinv.harmonics import (
     support_check,
 )
 from supercoinv.qseries import QPoly, q_integer
-from supercoinv.superpoly import Operator, SuperPoly
+from supercoinv.superpoly import (
+    Operator,
+    SuperPoly,
+    falling_factorial,
+    theta_action,
+    x_monomials,
+)
 from supercoinv.verify import GOLDEN_TABLE
 from test_linalg import reference_rank
 
@@ -83,6 +90,36 @@ def _reference_operator_rows(ops, n, i, k):
     return [linalg.to_int_row(rows[key]) for key in sorted(rows)]
 
 
+def _reference_operator_entries(ops, n, i, k):
+    """The entry map through a loop over every source x-monomial of the cell
+    for every operator term (the assembly before it visited only the sources
+    a term's x-derivative keeps)."""
+    words = [t for _, t in cell_monomials(n, 0, k)]
+    width = len(words)
+    rows = {}
+    for oi, op in enumerate(ops):
+        terms = [
+            (mulx, derx, [(j, b) for j, b in enumerate(derx) if b],
+             [theta_action(multheta, dertheta, w) for w in words], c)
+            for (mulx, multheta, derx, dertheta), c in harmonics._integer_terms(op.terms)
+        ]
+        for xi, xexp in enumerate(x_monomials(n, i)):
+            base = xi * width
+            for mulx, derx, xders, actions, c in terms:
+                for j, b in xders:
+                    c *= falling_factorial(xexp[j], b)
+                if not c:
+                    continue
+                tx = tuple(map(add, map(sub, xexp, derx), mulx))
+                for ti, act in enumerate(actions):
+                    if act is None:
+                        continue
+                    sign, tw = act
+                    row = rows.setdefault((oi, (tx, tw)), {})
+                    row[base + ti] = row.get(base + ti, 0) + sign * c
+    return rows
+
+
 def _reference_ideal_rows(gens, n, i, k):
     """Ideal-side rows through SuperPoly products mu * g."""
     index = {mon: c for c, mon in enumerate(cell_monomials(n, i, k))}
@@ -133,6 +170,117 @@ class TestIntegerAssembly:
             ideal_rows = list(harmonics._ideal_rows(gens, n, i, k))
             assert ideal_rows == _reference_ideal_rows(gens, n, i, k), (i, k)
             assert ideal_rows == list(harmonics._ideal_rows(plain_gens, n, i, k))
+
+
+class TestOperatorEntries:
+    """The entry map equals the loop over every source monomial."""
+
+    @pytest.mark.parametrize("key", [(1, 1, 3), (2, 1, 3), (2, 2, 3), (3, 3, 3)])
+    def test_every_cell_of_the_x_presentation(self, key):
+        gd = build_group(*key)
+        ops = gd.harmonic_generator_operators()
+        for i, k in harmonics._cell_range(gd):
+            got = harmonics._operator_entries(ops, gd.n, i, k)
+            assert got == _reference_operator_entries(ops, gd.n, i, k), (i, k)
+
+    def test_every_cell_of_the_reduced_s4(self):
+        gd = build_group(1, 1, 4)
+        pres = gd.cell_presentation()
+        ops = pres.harmonic_generator_operators()
+        for i, k in harmonics._cell_range(gd):
+            got = harmonics._operator_entries(ops, pres.n, i, k)
+            assert got == _reference_operator_entries(ops, pres.n, i, k), (i, k)
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_laplacian_and_exterior_derivatives(self, N):
+        # d^dagger d + d d^dagger has multiplication terms in x and theta
+        d = Operator.power_exterior_derivative(3, N)
+        ops = [d.adjoint() @ d + d @ d.adjoint(), d, d.adjoint()]
+        for k in range(4):
+            for i in range(5):
+                got = harmonics._operator_entries(ops, 3, i, k)
+                assert got == _reference_operator_entries(ops, 3, i, k), (i, k)
+
+
+class TestReducedPresentation:
+    """Type A cells computed in n - 1 variables after x_n, theta_n -> -sum."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_shape(self, n):
+        gd = build_group(1, 1, n)
+        pres = gd.cell_presentation()
+        assert pres is gd.cell_presentation()
+        assert (pres.n, pres.spec) == (n - 1, gd.spec)
+        gens = pres.ideal_generators()
+        assert [g.bidegree() for g in gens] == (
+            [(d, 0) for d in range(2, n + 1)] + [(d - 1, 1) for d in range(2, n + 1)]
+        )
+        assert all(c.denominator == 1 for g in gens for c in g.terms.values())
+        assert len(pres.harmonic_generator_operators()) == 2 * n - 2
+
+    @pytest.mark.parametrize("key", [(1, 1, 1), (2, 1, 3), (2, 2, 3), (3, 3, 2)])
+    def test_other_groups_keep_their_presentation(self, key):
+        gd = build_group(*key)
+        assert gd.cell_presentation() is gd
+
+    def test_images_of_f2_by_hand(self):
+        # x_3 -> -(y_1 + y_2), theta_3 -> -(eta_1 + eta_2)
+        gens = build_group(1, 1, 3).cell_presentation().ideal_generators()
+        assert gens[0] == SuperPoly.parse("2*x1^2 + 2*x1*x2 + 2*x2^2", 2)
+        assert gens[2] == SuperPoly.parse("4*x1*t1 + 2*x1*t2 + 2*x2*t1 + 4*x2*t2", 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_cell_equals_the_x_side_oracle(self, n):
+        gd = build_group(1, 1, n)
+        for i, k in harmonics._cell_range(gd):
+            assert harmonics.harmonic_cell_dimension(gd, i, k) == (
+                harmonics.coinvariant_cell_dimension(gd, i, k)
+            ), (i, k)
+
+    def test_s5_z_row_is_golden(self):
+        table = sh_dim_table(build_group(1, 1, 5), budget=10**9)
+        z = table.z_coefficients_at_q1()
+        assert [z[k] for k in sorted(z)] == GOLDEN_TABLE[(1, 1, 5)][0]
+
+    def test_s5_benchmark_cells(self):
+        gd = build_group(1, 1, 5)
+        dims = {cell: harmonics.harmonic_cell_dimension(gd, *cell, budget=10**9)
+                for cell in [(8, 0), (9, 0), (4, 3), (8, 5)]}
+        assert dims == {(8, 0): 9, (9, 0): 4, (4, 3): 1, (8, 5): 0}
+
+    def test_budget_is_that_of_the_x_presentation(self):
+        # reduced cell (8, 5) of S_5 has no columns; the x-cell is refused
+        gd = build_group(1, 1, 5)
+        estimate = harmonics._estimate_kernel_entries(gd, 8, 5)
+        with pytest.raises(FeasibilityError) as err:
+            harmonics.harmonic_cell_dimension(gd, 8, 5, budget=estimate - 1)
+        assert err.value.estimate == estimate
+        assert harmonics.harmonic_cell_dimension(gd, 8, 5, budget=estimate) == 0
+
+    def test_wrong_theta_image_is_caught(self, monkeypatch):
+        # theta_n -> +sum eta does not kill d f_1
+        def plus_theta(n):
+            x_image, theta_image = real(n)
+            return x_image, -theta_image
+
+        real = groups._last_variable_images
+        monkeypatch.setattr(groups, "_last_variable_images", plus_theta)
+        with pytest.raises(IntegrityError, match=r"S_3: .*generators \[0\] to zero"):
+            sh_dim_table(build_group.__wrapped__(1, 1, 3))
+
+    def test_pickled_group_carries_the_presentation(self, monkeypatch):
+        gd = build_group.__wrapped__(1, 1, 4)
+        table = sh_dim_table(gd)
+        copy = pickle.loads(pickle.dumps(gd))
+
+        def rebuilt(gd):
+            raise AssertionError("presentation rebuilt")
+
+        monkeypatch.setattr(groups, "reduce_type_a", rebuilt)
+        assert copy.cell_presentation().ideal_generators() == (
+            gd.cell_presentation().ideal_generators()
+        )
+        assert sh_dim_table(copy).entries == table.entries
 
 
 class TestDimTables:
@@ -310,6 +458,27 @@ class TestExactness:
         table = sh_dim_table(build_group(1, 1, 2))
         alt = table.hilbert_qz().z_substitute_signed_power(1)
         assert alt == QPoly.one()
+
+    def test_each_target_cell_is_assembled_once(self, monkeypatch):
+        gd = build_group(2, 1, 3)
+        cells = harmonic_cells(gd)
+        gens = gd.harmonic_generator_operators()
+        assembled = []
+        real = harmonics._operator_entries
+
+        def counted(ops, n, i, k):
+            if ops is gens:
+                assembled.append((i, k))
+            return real(ops, n, i, k)
+
+        monkeypatch.setattr(harmonics, "_operator_entries", counted)
+        assert exactness_check(gd, cells).passed
+        targets = {
+            (i + dx, k + dk)
+            for (i, k), sub in cells.items() if sub.dimension
+            for dx, dk in [(-1, 1), (1, -1)]
+        }
+        assert sorted(assembled) == sorted(targets)
 
 
 class TestLaplacian:
@@ -729,12 +898,28 @@ class TestDownSet:
             harmonics.fitting_structures(gd, budget=estimate - 1)
         assert err.value.bidegree == (dmax, 3)
 
+    @staticmethod
+    def _rank_off_at_2_0(monkeypatch):
+        # the rank of k = 0 cell (2, 0) alone is one too high
+        real_cell, real_rank = harmonics.harmonic_cell_dimension, linalg.rank
+
+        def cell(gd, i, k, budget=harmonics.DEFAULT_CELL_BUDGET):
+            if (i, k) != (2, 0):
+                return real_cell(gd, i, k, budget)
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "rank", lambda rows, ncols: real_rank(rows, ncols) + 1)
+                return real_cell(gd, i, k, budget)
+
+        monkeypatch.setattr(harmonics, "harmonic_cell_dimension", cell)
+
     def test_chevalley_row_catches_a_wrong_rank(self, monkeypatch):
-        # S_3 cell (2, 0) is the only computed cell with 6 columns (cell
-        # (2, 3) has 6 too, but SH^{0,3} = 0 skips it); its rank is 4
-        real = linalg.rank
-        monkeypatch.setattr(
-            linalg, "rank", lambda rows, ncols: real(rows, ncols) + (ncols == 6)
-        )
+        # S_3 cells are computed in the reduced presentation
+        self._rank_off_at_2_0(monkeypatch)
         with pytest.raises(IntegrityError, match=r"S_3: theta-degree 0 row"):
             sh_dim_table(build_group(1, 1, 3))
+
+    def test_chevalley_row_catches_a_wrong_rank_in_x(self, monkeypatch):
+        # B_3 cells are computed in the x-presentation
+        self._rank_off_at_2_0(monkeypatch)
+        with pytest.raises(IntegrityError, match=r"B_3: theta-degree 0 row"):
+            sh_dim_table(build_group(2, 1, 3))

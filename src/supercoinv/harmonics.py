@@ -45,17 +45,22 @@ as zero without building them.  Cells whose matrices would exceed the cell
 budget (rows x columns entries) are refused with a size estimate; the
 whole-table entry points check every cell, skipped or not, before they
 compute the first one.
+
+The derivative closure of the det-isotypic elements d_{i_1}...d_{i_k} Delta
+is computed one x-degree at a time, top down: only the rows found
+independent one x-degree higher are differentiated, by one x_j at a time.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
-from itertools import combinations, repeat
+from itertools import chain, combinations, product, repeat
 from operator import add, sub
 
 from . import linalg
@@ -446,29 +451,22 @@ def _ideal_rows(gens, n: int, i: int, k: int):
 
 
 def _estimate_kernel_entries(gd: GroupData, i: int, k: int) -> int:
+    """rows x cols of the (i, k) operator matrix, read off the degrees d_j.
+
+    d_{f_j} and d_{d f_j} lower the bidegree by that of f_j, (d_j, 0), and of
+    d f_j, (d_j - 1, 1); the ideal-side matrix, products mu * g of the same
+    generators, has the same shape, so this one estimate serves both sides.
+    """
     n = gd.n
-    cols = cell_dimension(n, i, k)
-    rows = 0
-    for op in gd.harmonic_generator_operators():
-        dx, dk = op.bidegree_shift()
-        rows += cell_dimension(n, i + dx, k + dk)
-    return rows * cols
+    rows = sum(
+        cell_dimension(n, i - d, k) + cell_dimension(n, i - d + 1, k - 1)
+        for d in gd.spec.degrees
+    )
+    return rows * cell_dimension(n, i, k)
 
 
-def _estimate_ideal_entries(gd: GroupData, i: int, k: int) -> int:
-    n = gd.n
-    cols = cell_dimension(n, i, k)
-    rows = 0
-    for g in gd.ideal_generators():
-        gi, gk = g.bidegree()
-        rows += cell_dimension(n, i - gi, k - gk)
-    return rows * cols
-
-
-def check_cell_budget(gd: GroupData, i: int, k: int, budget: int, oracle: bool = True):
+def check_cell_budget(gd: GroupData, i: int, k: int, budget: int):
     est = _estimate_kernel_entries(gd, i, k)
-    if oracle:
-        est = max(est, _estimate_ideal_entries(gd, i, k))
     if est > budget:
         raise FeasibilityError(gd.spec, (i, k), est, budget)
 
@@ -487,7 +485,7 @@ def harmonic_cell_dimension(
     """
     if cell_dimension(gd.n, i, k) == 0:
         return 0
-    check_cell_budget(gd, i, k, budget, oracle=False)
+    check_cell_budget(gd, i, k, budget)
     pres = gd.cell_presentation()
     cols = cell_dimension(pres.n, i, k)
     if cols == 0:
@@ -511,7 +509,7 @@ def coinvariant_cell_dimension(
     cols = cell_dimension(n, i, k)
     if cols == 0:
         return 0
-    check_cell_budget(gd, i, k, budget, oracle=True)
+    check_cell_budget(gd, i, k, budget)
     rows = _ideal_rows(gd.ideal_generators(), n, i, k)
     return cols - linalg.rank(rows, cols)
 
@@ -527,7 +525,7 @@ def kernel_intersection(
 
 
 def harmonic_cell(gd: GroupData, i: int, k: int, budget: int = DEFAULT_CELL_BUDGET) -> Subspace:
-    check_cell_budget(gd, i, k, budget, oracle=False)
+    check_cell_budget(gd, i, k, budget)
     return kernel_intersection(gd.harmonic_generator_operators(), (i, k), gd.n)
 
 
@@ -572,12 +570,8 @@ def sh_dim_table(
     Chevalley's prod_i [d_i]_q.
     """
     cells = list(_cell_range(gd))
-    # Both estimates, kernel side first: a table refuses a cell whose
-    # ideal-side matrix is over budget although it never builds that matrix.
     for i, k in cells:
-        if cell_dimension(gd.n, i, k):
-            check_cell_budget(gd, i, k, budget, oracle=False)
-            check_cell_budget(gd, i, k, budget)
+        check_cell_budget(gd, i, k, budget)
     waves: dict[int, list[tuple[int, int]]] = {}
     for i, k in cells:
         waves.setdefault(i + k, []).append((i, k))
@@ -626,7 +620,7 @@ def harmonic_cells(
     """
     cells = list(_cell_range(gd))
     for i, k in cells:
-        check_cell_budget(gd, i, k, budget, oracle=False)
+        check_cell_budget(gd, i, k, budget)
     out: dict[tuple[int, int], Subspace] = {}
     dims: dict[tuple[int, int], int] = {}
     for cell in cells:
@@ -649,7 +643,8 @@ def det_isotypic_elements(gd: GroupData) -> dict[tuple[int, ...], SuperPoly]:
     Each element is verified to be nonzero, of the predicted bidegree
     (deg Delta - sum of the chosen co-exponents, k), and annihilated by all
     ideal generator operators; any failure raises IntegrityError since it
-    would signal wrong operator data.
+    would signal wrong operator data.  The element of a subset S is d_{min S}
+    applied to the element of S minus its smallest index.
     """
     spec = gd.spec
     r = spec.rank
@@ -659,8 +654,8 @@ def det_isotypic_elements(gd: GroupData) -> dict[tuple[int, ...], SuperPoly]:
     for k in range(r + 1):
         for subset in combinations(range(1, r + 1), k):
             elem = gd.vandermondian
-            for idx in reversed(subset):
-                elem = gd.ext_derivatives[idx - 1].apply(elem)
+            if subset:
+                elem = gd.ext_derivatives[subset[0] - 1].apply(out[subset[1:]])
             if elem.is_zero():
                 raise IntegrityError(
                     f"det-isotypic element for subset {subset} of "
@@ -720,28 +715,44 @@ def det_isotypic_basis(gd: GroupData) -> dict[int, Subspace]:
 
 def derivative_closure(gd: GroupData, budget: int = DEFAULT_CELL_BUDGET) -> DimTable:
     """Bidegree dimensions of the span of all x-derivatives of the
-    det-isotypic elements."""
+    det-isotypic elements.
+
+    d^beta = d/dx_j d^(beta - e_j), so the span W_{i,k} of the derivatives
+    of bidegree (i, k) is spanned by the elements of that bidegree and
+    d/dx_j W_{i+1,k}, j = 1..n.  Each theta-degree is walked down from its top
+    x-degree; the rows that raise a cell's rank are a basis of W_{i,k}, and
+    only they are differentiated for the next cell.  Every cell's budget is
+    checked first: cols x (number of nonzero d^beta e in the cell), which
+    are the beta under some x-exponent of e (d^beta is injective on the
+    monomials it does not kill).
+    """
     n = gd.n
-    elements = det_isotypic_elements(gd)
-    by_cell: dict[tuple[int, int], list[list[tuple[Monomial, int]]]] = {}
-    for subset, elem in sorted(elements.items()):
+    seeds: dict[tuple[int, int], list[list[tuple[Monomial, int]]]] = {}
+    counts: Counter[tuple[int, int]] = Counter()
+    for _, elem in sorted(det_isotypic_elements(gd).items()):
         i0, k = elem.bidegree()
-        terms = _integer_terms(elem.terms)
-        for drop in range(i0 + 1):
-            for beta in x_monomials(n, drop):
-                de = _x_derivative(terms, beta)
-                if de:
-                    by_cell.setdefault((i0 - drop, k), []).append(de)
+        seeds.setdefault((i0, k), []).append(_integer_terms(elem.terms))
+        boxes = (product(*(range(a + 1) for a in xexp)) for xexp, _ in elem.terms)
+        counts.update((i0 - sum(beta), k) for beta in set(chain.from_iterable(boxes)))
+    for (i, k), count in sorted(counts.items()):
+        estimate = cell_dimension(n, i, k) * count
+        if estimate > budget:
+            raise FeasibilityError(gd.spec, (i, k), estimate, budget)
+    units = [tuple(int(j == l) for l in range(n)) for j in range(n)]
     table = DimTable(gd.spec)
-    for (i, k), derivatives in sorted(by_cell.items()):
-        cols = cell_dimension(n, i, k)
-        if cols * len(derivatives) > budget:
-            raise FeasibilityError(gd.spec, (i, k), cols * len(derivatives), budget)
-        index = _cell_index(n, i, k)
-        rows = (
-            _reduced_row((index[mon], c) for mon, c in de) for de in derivatives
-        )
-        table.set(i, k, linalg.rank(rows, cols))
+    for k in sorted({k for _, k in seeds}):
+        basis: list[list[tuple[Monomial, int]]] = []
+        for i in range(max(i for i, kk in seeds if kk == k), -1, -1):
+            rows = seeds.get((i, k), []) + [
+                _x_derivative(terms, unit) for terms in basis for unit in units
+            ]
+            index = _cell_index(n, i, k)
+            el = linalg.IntEliminator(len(index))
+            basis = []
+            for terms in rows:
+                if terms and el.add(_reduced_row((index[mon], c) for mon, c in terms)):
+                    basis.append(terms)
+            table.set(i, k, el.rank)
     return table
 
 
@@ -1020,7 +1031,7 @@ def fitting_structures(gd: GroupData, budget: int = DEFAULT_CELL_BUDGET) -> Fitt
     # Top theta-degree: every budget first, then i upward until a zero
     # certifies the rest of the row (only the i-neighbour lies in it).
     for i in range(dmax + 1):
-        check_cell_budget(gd, i, n, budget, oracle=False)
+        check_cell_budget(gd, i, n, budget)
     top: dict[tuple[int, int], int] = {}
     for i in range(dmax + 1):
         if _implied_zero(top, i, n):

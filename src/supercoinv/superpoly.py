@@ -612,7 +612,8 @@ class Operator:
 
         Computed in integers, with the operator and the polynomial each
         scaled by the lcm of its denominators; every output coefficient is
-        divided back once."""
+        divided back once.  Each operator term acts once on each distinct
+        theta word of f."""
         if f.n != self.n:
             raise ValueError("mismatched variable counts")
         oden = lcm(*(c.denominator for c in self.terms.values()))
@@ -621,12 +622,14 @@ class Operator:
             (xexp, thetas, c.numerator * (fden // c.denominator))
             for (xexp, thetas), c in f.terms.items()
         ]
+        words = {thetas for _, thetas, _ in fterms}
         out: dict[Monomial, int] = {}
         for (mulx, multheta, derx, dertheta), oc in self.terms.items():
             oc = oc.numerator * (oden // oc.denominator)
             xders = [(j, b) for j, b in enumerate(derx) if b]
+            acts = {w: theta_action(multheta, dertheta, w) for w in words}
             for xexp, thetas, c in fterms:
-                act = theta_action(multheta, dertheta, thetas)
+                act = acts[thetas]
                 if act is None or any(xexp[j] < b for j, b in xders):
                     continue
                 c *= act[0] * oc

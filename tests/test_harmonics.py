@@ -382,7 +382,46 @@ class TestBudget:
         assert calls == []
 
 
+class TestBudgetEstimate:
+    @pytest.mark.parametrize(
+        "key", [(1, 1, 1), (1, 1, 4), (2, 1, 3), (2, 2, 4), (3, 3, 3), (4, 2, 3)]
+    )
+    def test_equals_the_shape_of_both_cell_matrices(self, key):
+        # rows: one per operator and target monomial, or per generator and
+        # multiplier monomial
+        gd = build_group(*key)
+        n = gd.n
+        shifts = [op.bidegree_shift() for op in gd.harmonic_generator_operators()]
+        degrees = [g.bidegree() for g in gd.ideal_generators()]
+        for i in range(-1, gd.spec.degree_of_vandermondian + 3):
+            for k in range(-1, n + 2):
+                cols = harmonics.cell_dimension(n, i, k)
+                kernel = sum(harmonics.cell_dimension(n, i + dx, k + dk) for dx, dk in shifts)
+                ideal = sum(harmonics.cell_dimension(n, i - gi, k - gk) for gi, gk in degrees)
+                estimate = harmonics._estimate_kernel_entries(gd, i, k)
+                assert estimate == kernel * cols == ideal * cols, (i, k)
+
+
 class TestDetIsotypic:
+    @pytest.mark.parametrize("key", [(1, 1, 4), (2, 1, 3), (3, 3, 3)])
+    def test_elements_are_the_operator_products_one_apply_each(self, monkeypatch, key):
+        gd = build_group(*key)
+        r, gens = gd.spec.rank, gd.harmonic_generator_operators()
+        calls = []
+        real_apply = Operator.apply
+        monkeypatch.setattr(
+            Operator, "apply", lambda op, f: calls.append(op) or real_apply(op, f)
+        )
+        elems = det_isotypic_elements(gd)
+        # one d-apply per nonempty subset, 2n harmonicity applies per element
+        assert len(calls) == 2**r - 1 + 2**r * len(gens)
+        monkeypatch.undo()
+        for subset, elem in elems.items():
+            want = gd.vandermondian
+            for idx in reversed(subset):
+                want = gd.ext_derivatives[idx - 1].apply(want)
+            assert elem == want, subset
+
     def test_k0_is_vandermondian(self):
         gd = build_group(2, 2, 3)
         elems = det_isotypic_elements(gd)
@@ -425,7 +464,68 @@ class TestDetIsotypic:
             assert top.scalar_ratio(expected) is not None
 
 
+def _reference_derivative_closure(gd, budget=harmonics.DEFAULT_CELL_BUDGET):
+    """Every nonzero d^beta e of every det-isotypic element e, one rank per
+    cell; each cell is refused when cols x (number of them) is over budget."""
+    n = gd.n
+    by_cell = {}
+    for subset, elem in sorted(det_isotypic_elements(gd).items()):
+        i0, k = elem.bidegree()
+        terms = harmonics._integer_terms(elem.terms)
+        for drop in range(i0 + 1):
+            for beta in x_monomials(n, drop):
+                de = harmonics._x_derivative(terms, beta)
+                if de:
+                    by_cell.setdefault((i0 - drop, k), []).append(de)
+    table = DimTable(gd.spec)
+    for (i, k), derivatives in sorted(by_cell.items()):
+        cols = harmonics.cell_dimension(n, i, k)
+        if cols * len(derivatives) > budget:
+            raise FeasibilityError(gd.spec, (i, k), cols * len(derivatives), budget)
+        index = harmonics._cell_index(n, i, k)
+        rows = (
+            harmonics._reduced_row((index[mon], c) for mon, c in de)
+            for de in derivatives
+        )
+        table.set(i, k, reference_rank(rows, cols))
+    return table
+
+
+CLOSURE_GROUPS = [
+    (m, p, n)
+    for m in range(1, 5)
+    for p in range(1, m + 1)
+    if m % p == 0
+    for n in range(1, 4)
+] + [(1, 1, 4), (2, 2, 4)]
+
+
 class TestDerivativeClosure:
+    @pytest.mark.parametrize("key", CLOSURE_GROUPS)
+    def test_equals_the_all_derivatives_reference(self, key):
+        gd = build_group(*key)
+        got = derivative_closure(gd, budget=10**8)
+        assert got.entries == _reference_derivative_closure(gd, 10**8).entries
+
+    @pytest.mark.parametrize("key, budget", [
+        ((2, 1, 3), 1), ((2, 1, 3), 10), ((2, 1, 3), 100), ((2, 1, 3), 1000),
+        ((2, 2, 3), 1), ((2, 2, 3), 10), ((2, 2, 3), 100), ((2, 2, 3), 200),
+    ])
+    def test_refusal_comes_before_any_elimination(self, monkeypatch, key, budget):
+        gd = build_group(*key)
+        with pytest.raises(FeasibilityError) as want:
+            _reference_derivative_closure(gd, budget)
+        adds = []
+        real_add = linalg.IntEliminator.add
+        monkeypatch.setattr(
+            linalg.IntEliminator, "add", lambda el, row: adds.append(row) or real_add(el, row)
+        )
+        with pytest.raises(FeasibilityError) as got:
+            derivative_closure(gd, budget=budget)
+        assert adds == []
+        assert (got.value.group, got.value.bidegree) == (gd.spec, want.value.bidegree)
+        assert (got.value.estimate, got.value.budget) == (want.value.estimate, budget)
+
     def test_matches_harmonics_for_s3(self, s3_table):
         closure = derivative_closure(build_group(1, 1, 3))
         assert closure.entries == s3_table.entries

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from supercoinv import superpoly
 from supercoinv.superpoly import (
     Operator,
     SuperPoly,
@@ -401,6 +402,28 @@ def test_integer_apply_equals_the_fraction_reference(op, f):
     # Same keys in the same order, and the same Fraction values.
     assert list(got.terms.items()) == list(want.terms.items())
     assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_integer_apply_acts_once_per_theta_word(monkeypatch):
+    # 18 terms of f share 3 theta words: the 3 operator terms act 9 times
+    words = [(1,), (2,), (1, 3)]
+    f = SuperPoly(3, {
+        ((a, b, 2 - a - b), w): Fraction(a + 2 * b + j + 1, 1 + b)
+        for j, w in enumerate(words) for a in range(3) for b in range(3 - a)
+    })
+    op = (
+        Operator.term(3, Fraction(1, 2), derx=(1, 0, 0), multheta=(2,))
+        + Operator.term(3, 3, dertheta=(1,), mulx=(0, 1, 0))
+        + Operator.term(3, Fraction(-2, 3), multheta=(3,))
+    )
+    calls = []
+    real = superpoly.theta_action
+    monkeypatch.setattr(
+        superpoly, "theta_action", lambda *a: calls.append(a) or real(*a)
+    )
+    got = op.apply(f)
+    assert len(f.terms) == 18 and len(calls) == 9
+    assert list(got.terms.items()) == list(_fraction_apply(op, f).terms.items())
 
 
 def test_integer_apply_divides_each_term_once():

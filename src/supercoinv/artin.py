@@ -19,53 +19,15 @@ column m and has its first min(a_l, m) cells replaced by floor(min(a_l, m)/p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import factorial
 
 from .qseries import QPoly, q_integer
 
 
-@dataclass(frozen=True)
-class Diagram:
-    """Sub-staircase diagram / exponent vector for G(m, p, n)."""
-
-    rows: tuple[int, ...]
-    m: int
-    p: int
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    @property
-    def total(self) -> int:
-        return sum(self.rows)
-
-    def is_valid(self) -> bool:
-        if self.p == 1:
-            return is_substaircase(self.rows, self.m)
-        return satisfies_pivot_condition(self.rows, self.m, self.p)
-
-
 def is_substaircase(rows, m: int) -> bool:
     """Type G(m, 1, n) condition: a_i < i*m for all i."""
     return all(0 <= a < (i + 1) * m for i, a in enumerate(rows))
-
-
-def satisfies_pivot_condition(rows, m: int, p: int) -> bool:
-    """The defining three-clause condition for type G(m, p, n) diagrams."""
-    mp = m // p
-    n = len(rows)
-    for j in range(1, n + 1):
-        if rows[j - 1] >= mp:
-            continue
-        ok = all(0 <= rows[i - 1] < i * m for i in range(1, j)) and all(
-            0 <= rows[i - 1] - mp < (i - 1) * m for i in range(j + 1, n + 1)
-        )
-        if ok:
-            return True
-    return False
 
 
 def p_contract(rows, m: int, p: int) -> tuple[int, ...]:

@@ -7,18 +7,16 @@ The cache directory is taken from --cache-dir, else the SUPERCOINV_CACHE
 environment variable, else ~/.cache/supercoinv.  Entries are JSON files
 keyed by (computation kind, m, p, n, engine version) and carry a sha256
 checksum; corrupted or version-mismatched entries are recomputed, never
-silently used.  Writers hold a lock file; reads are lock-free.
+silently used.  Writers hold a lock file; reads are lock-free.  hashlib,
+fcntl and tempfile are imported only by the cache code that uses them.
 """
 
 from __future__ import annotations
 
 import argparse
-import fcntl
-import hashlib
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import ENGINE_VERSION, artin, groebner, harmonics, verify
@@ -60,6 +58,9 @@ class ResultCache:
     def store(self, kind: str, spec: GroupSpec, payload):
         if not self.enabled:
             return
+        import fcntl
+        import tempfile
+
         self.root.mkdir(parents=True, exist_ok=True)
         wrapper = {"payload": payload, "checksum": _checksum(payload)}
         text = json.dumps(wrapper, sort_keys=True)
@@ -108,6 +109,8 @@ class ResultCache:
 
 
 def _checksum(payload) -> str:
+    import hashlib
+
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()
     ).hexdigest()

@@ -15,9 +15,11 @@ confirm that, and their standard monomials reproduce the Artin bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+
+from .records import Value
+from .superpoly import unchecked
 
 Exp = tuple[int, ...]
 
@@ -85,15 +87,10 @@ class CommPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        res = CommPoly.__new__(CommPoly)
-        res.n, res.terms = self.n, out
-        return res
+        return unchecked(CommPoly, self.n, out)
 
     def __neg__(self) -> "CommPoly":
-        res = CommPoly.__new__(CommPoly)
-        res.n = self.n
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return unchecked(CommPoly, self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "CommPoly") -> "CommPoly":
         return self + (-other)
@@ -101,10 +98,8 @@ class CommPoly:
     def __mul__(self, other) -> "CommPoly":
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            res = CommPoly.__new__(CommPoly)
-            res.n = self.n
-            res.terms = {e: v * c for e, v in self.terms.items()} if c else {}
-            return res
+            terms = {e: v * c for e, v in self.terms.items()} if c else {}
+            return unchecked(CommPoly, self.n, terms)
         out: dict[Exp, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -114,20 +109,15 @@ class CommPoly:
                     out[e] = s
                 else:
                     del out[e]
-        res = CommPoly.__new__(CommPoly)
-        res.n, res.terms = self.n, out
-        return res
+        return unchecked(CommPoly, self.n, out)
 
     __rmul__ = __mul__
 
     def term_mul(self, exp: Exp, coeff: Fraction) -> "CommPoly":
-        res = CommPoly.__new__(CommPoly)
-        res.n = self.n
-        res.terms = {
+        return unchecked(CommPoly, self.n, {
             tuple(a + b for a, b in zip(e, exp)): c * coeff
             for e, c in self.terms.items()
-        }
-        return res
+        })
 
     def leading_monomial(self) -> Exp:
         return max(self.terms)
@@ -139,10 +129,7 @@ class CommPoly:
         if not self.terms:
             return self
         inv = 1 / self.leading_coefficient()
-        res = CommPoly.__new__(CommPoly)
-        res.n = self.n
-        res.terms = {e: c * inv for e, c in self.terms.items()}
-        return res
+        return unchecked(CommPoly, self.n, {e: c * inv for e, c in self.terms.items()})
 
     def to_string(self) -> str:
         from .superpoly import SuperPoly
@@ -201,9 +188,7 @@ def normal_form(f: CommPoly, basis) -> CommPoly:
                 break
         else:
             remainder[e] = remainder.get(e, Fraction(0)) + c
-    res = CommPoly.__new__(CommPoly)
-    res.n, res.terms = f.n, remainder
-    return res
+    return unchecked(CommPoly, f.n, remainder)
 
 
 def s_polynomial(f: CommPoly, g: CommPoly) -> CommPoly:
@@ -216,8 +201,7 @@ def s_polynomial(f: CommPoly, g: CommPoly) -> CommPoly:
     )
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(Value):
     """Reduced lex Groebner basis: monic, mutually reduced, sorted by LM."""
 
     n: int

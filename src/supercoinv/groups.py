@@ -20,42 +20,40 @@ no constants); downstream checks only ever compare spans or proportionality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, lcm, prod
+from operator import add
 
-from .superpoly import Operator, SuperPoly, partial_operator
+from .records import Value
+from .superpoly import Operator, SuperPoly, merge_thetas, partial_operator
+from .superpoly import unchecked, x_monomials
 
 
 class IntegrityError(RuntimeError):
     """Two independent computations of the same data disagreed."""
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Value):
     """Validated parameter triple (m, p, n) with derived numeric invariants."""
 
     m: int
     p: int
     n: int
 
-    def __post_init__(self):
-        if self.m < 1 or self.p < 1 or self.n < 1:
-            raise ValueError("m, p, n must be positive")
-        if self.m % self.p:
-            raise ValueError(f"p={self.p} does not divide m={self.m}")
-
-    @staticmethod
-    def create(m: int, p: int, n: int) -> "GroupSpec":
-        """Validate and normalize; cyclic (m, p, 1) becomes (m/p, 1, 1)."""
+    def __init__(self, m: int, p: int, n: int):
         if m < 1 or p < 1 or n < 1:
             raise ValueError("m, p, n must be positive")
         if m % p:
             raise ValueError(f"p={p} does not divide m={m}")
-        if n == 1 and p > 1:
-            m, p = m // p, 1
-        return GroupSpec(m, p, n)
+        super().__init__(m, p, n)
+
+    @staticmethod
+    def create(m: int, p: int, n: int) -> "GroupSpec":
+        """Validate and normalize; cyclic (m, p, 1) becomes (m/p, 1, 1)."""
+        spec = GroupSpec(m, p, n)
+        return GroupSpec(m // p, 1, 1) if n == 1 and p > 1 else spec
 
     @property
     def order(self) -> int:
@@ -125,6 +123,9 @@ class GroupSpec:
 class GroupData:
     """All explicit polynomial/operator data attached to a GroupSpec."""
 
+    # Kept by harmonics.det_isotypic_elements; not pickled (see __getstate__).
+    _det_elements: dict | None = None
+
     def __init__(
         self,
         spec: GroupSpec,
@@ -176,6 +177,9 @@ class GroupData:
             self._reduced = reduce_type_a(self)
         return self._reduced
 
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_det_elements"}
+
 
 class ReducedPresentation:
     """Q[y, eta]/I' for S_n: the linear generators quotiented out first.
@@ -205,31 +209,39 @@ class ReducedPresentation:
         return self._generator_ops
 
 
-def _last_variable_images(n: int) -> tuple[SuperPoly, SuperPoly]:
-    """Images of x_n and theta_n in n - 1 variables: minus the sum of the
-    other variables."""
-    ys, etas = SuperPoly.zero(n - 1), SuperPoly.zero(n - 1)
-    for j in range(1, n):
-        ys, etas = ys + SuperPoly.x(n - 1, j), etas + SuperPoly.theta(n - 1, j)
-    return -ys, -etas
+def _last_variable_images(n: int, top: int) -> tuple[list[dict], dict]:
+    """Images of x_n^0..x_n^top and of theta_n in n - 1 variables, where x_n
+    and theta_n go to minus the sum of the other variables: one
+    {y-exponent: int} per power (signed multinomials), and {eta index: int}."""
+    x_powers = [
+        {a: (-1) ** e * factorial(e) // prod(map(factorial, a))
+         for a in x_monomials(n - 1, e)}
+        for e in range(top + 1)
+    ]
+    return x_powers, dict.fromkeys(range(1, n), -1)
 
 
-def _substitute_last(
-    f: SuperPoly, x_powers: list[SuperPoly], theta_image: SuperPoly
-) -> SuperPoly:
+def _substitute_last(f: SuperPoly, x_powers: list, theta_image: dict) -> SuperPoly:
     """f with x_n^e -> x_powers[e] and theta_n -> theta_image, in n - 1
-    variables.
+    variables, summed in integers and divided once by the lcm of f's
+    denominators.
 
     theta_n is the last factor of a canonical theta word, so it is replaced
     by multiplying theta_image on the right."""
     n = f.n
-    out = SuperPoly.zero(n - 1)
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    out: dict = {}
     for (xexp, thetas), c in f.terms.items():
-        has_last = bool(thetas) and thetas[-1] == n
-        head = thetas[:-1] if has_last else thetas
-        term = SuperPoly(n - 1, {(xexp[:-1], head): c}) * x_powers[xexp[-1]]
-        out = out + (term * theta_image if has_last else term)
-    return out
+        c = c.numerator * (den // c.denominator)
+        words = [(thetas, c)]
+        if thetas and thetas[-1] == n:
+            hits = ((merge_thetas(thetas[:-1], (j,)), b) for j, b in theta_image.items())
+            words = [(hit[1], hit[0] * b * c) for hit, b in hits if hit]
+        for yexp, a in x_powers[xexp[-1]].items():
+            yexp = tuple(map(add, xexp[:-1], yexp))
+            for word, b in words:
+                out[yexp, word] = out.get((yexp, word), 0) + a * b
+    return unchecked(SuperPoly, n - 1, {k: Fraction(v, den) for k, v in out.items() if v})
 
 
 def reduce_type_a(gd: GroupData) -> ReducedPresentation:
@@ -240,10 +252,8 @@ def reduce_type_a(gd: GroupData) -> ReducedPresentation:
     """
     spec, n = gd.spec, gd.n
     gens = gd.ideal_generators()
-    x_image, theta_image = _last_variable_images(n)
-    x_powers = [SuperPoly.one(n - 1)]
-    for _ in range(max(xexp[-1] for g in gens for xexp, _ in g.terms)):
-        x_powers.append(x_powers[-1] * x_image)
+    top = max(xexp[-1] for g in gens for xexp, _ in g.terms)
+    x_powers, theta_image = _last_variable_images(n, top)
     images = [_substitute_last(g, x_powers, theta_image) for g in gens]
     vanished = [j for j, g in enumerate(images) if g.is_zero()]
     if vanished != [0, n]:
@@ -271,17 +281,13 @@ def _times_product_of_all_x(f: SuperPoly, power: int) -> SuperPoly:
     """f (x_1...x_n)^power, as a shift of every x-exponent."""
     if not power:
         return f
-    res = SuperPoly.__new__(SuperPoly)
-    res.n = f.n
-    res.terms = {(tuple(e + power for e in x), t): c for (x, t), c in f.terms.items()}
-    return res
+    shifted = {(tuple(e + power for e in x), t): c for (x, t), c in f.terms.items()}
+    return unchecked(SuperPoly, f.n, shifted)
 
 
 def _power_sum(n: int, k: int) -> SuperPoly:
-    out = SuperPoly.zero(n)
-    for j in range(1, n + 1):
-        out = out + SuperPoly.x(n, j, k)
-    return out
+    powers = (tuple(k * (i == j) for i in range(n)) for j in range(n))
+    return unchecked(SuperPoly, n, {(x, ()): Fraction(1) for x in powers})
 
 
 @lru_cache(maxsize=None)

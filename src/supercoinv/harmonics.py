@@ -56,7 +56,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
@@ -66,6 +65,7 @@ from operator import add, sub
 from . import linalg
 from .groups import GroupData, GroupSpec, IntegrityError, ReducedPresentation
 from .qseries import QPoly, QZPoly, format_poly, q_integer
+from .records import Record, Value
 from .superpoly import (
     Monomial,
     Operator,
@@ -101,8 +101,7 @@ class FeasibilityError(RuntimeError):
         return (type(self), (self.group, self.bidegree, self.estimate, self.budget))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Value):
     """Subspace of a bidegree cell in reduced row echelon form.
 
     ambient: the ordered monomial basis of the cell; basis: RREF rows as
@@ -134,12 +133,11 @@ class Subspace:
         return Subspace(tuple(ambient), frozen)
 
 
-@dataclass
-class DimTable:
+class DimTable(Record):
     """Bi-graded dimension table: (x-degree, theta-degree) -> dimension."""
 
     group: GroupSpec
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+    entries: dict[tuple[int, int], int] = {}
 
     def dim(self, i: int, k: int) -> int:
         return self.entries.get((i, k), 0)
@@ -644,8 +642,15 @@ def det_isotypic_elements(gd: GroupData) -> dict[tuple[int, ...], SuperPoly]:
     (deg Delta - sum of the chosen co-exponents, k), and annihilated by all
     ideal generator operators; any failure raises IntegrityError since it
     would signal wrong operator data.  The element of a subset S is d_{min S}
-    applied to the element of S minus its smallest index.
+    applied to the element of S minus its smallest index.  Built once per
+    GroupData and kept on it; callers must not modify the result.
     """
+    if gd._det_elements is None:
+        gd._det_elements = _build_det_isotypic_elements(gd)
+    return gd._det_elements
+
+
+def _build_det_isotypic_elements(gd: GroupData) -> dict[tuple[int, ...], SuperPoly]:
     spec = gd.spec
     r = spec.rank
     coexp = spec.coexponents
@@ -761,8 +766,7 @@ def derivative_closure(gd: GroupData, budget: int = DEFAULT_CELL_BUDGET) -> DimT
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExactnessReport:
+class ExactnessReport(Record):
     group: GroupSpec
     rank_balance_ok: bool
     hodge_ok: bool
@@ -947,8 +951,7 @@ def laplacian_spectrum_check(N: int, n: int, degree_bound: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FittingData:
+class FittingData(Record):
     group: GroupSpec
     iprime_generators: list[SuperPoly]
     gamma: SuperPoly
@@ -1073,8 +1076,7 @@ def _gamma_map_rank(gamma: SuperPoly, mons, n: int, d: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SupportReport:
+class SupportReport(Record):
     group: GroupSpec
     observed_support: set[tuple[int, int]]
     bidegree_bound_applies: bool

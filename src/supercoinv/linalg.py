@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
 
 # A sparse integer row: list of (column, value), sorted by column, no zeros.
 IntRow = list[tuple[int, int]]

@@ -65,6 +65,13 @@ class QPoly:
                     data[int(e)] = int(c)
         self.coeffs = data
 
+    @staticmethod
+    def _of(coeffs: dict[int, int]) -> "QPoly":
+        """A QPoly over coeffs already free of zeros, without the checks."""
+        res = QPoly.__new__(QPoly)
+        res.coeffs = coeffs
+        return res
+
     @classmethod
     def zero(cls) -> "QPoly":
         return cls()
@@ -105,16 +112,12 @@ class QPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        res = QPoly.__new__(QPoly)
-        res.coeffs = out
-        return res
+        return QPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
-        res = QPoly.__new__(QPoly)
-        res.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return res
+        return QPoly._of({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other) -> "QPoly":
         if isinstance(other, int):
@@ -128,9 +131,7 @@ class QPoly:
         if isinstance(other, int):
             if other == 0:
                 return QPoly()
-            res = QPoly.__new__(QPoly)
-            res.coeffs = {e: c * other for e, c in self.coeffs.items()}
-            return res
+            return QPoly._of({e: c * other for e, c in self.coeffs.items()})
         out: dict[int, int] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -140,9 +141,7 @@ class QPoly:
                     out[e] = s
                 else:
                     del out[e]
-        res = QPoly.__new__(QPoly)
-        res.coeffs = out
-        return res
+        return QPoly._of(out)
 
     __rmul__ = __mul__
 
@@ -162,9 +161,7 @@ class QPoly:
         """Substitute q -> q^r."""
         if r < 1:
             raise ValueError("stretch factor must be positive")
-        res = QPoly.__new__(QPoly)
-        res.coeffs = {e * r: c for e, c in self.coeffs.items()}
-        return res
+        return QPoly._of({e * r: c for e, c in self.coeffs.items()})
 
     def __call__(self, value: int) -> int:
         return sum(c * value**e for e, c in self.coeffs.items())

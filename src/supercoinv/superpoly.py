@@ -112,6 +112,14 @@ def theta_action(
     return sign * merged[0], merged[1]
 
 
+def unchecked(cls, n: int, terms: dict):
+    """A SuperPoly, Operator or CommPoly over n variables whose terms are
+    already canonical, without the constructor's checks."""
+    res = cls.__new__(cls)
+    res.n, res.terms = n, terms
+    return res
+
+
 class SuperPoly:
     """Element of Q[x_1..x_n, theta_1..theta_n], sparse and immutable."""
 
@@ -213,17 +221,12 @@ class SuperPoly:
                 out[k] = s
             else:
                 out.pop(k, None)
-        res = SuperPoly.__new__(SuperPoly)
-        res.n, res.terms = self.n, out
-        return res
+        return unchecked(SuperPoly, self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SuperPoly":
-        res = SuperPoly.__new__(SuperPoly)
-        res.n = self.n
-        res.terms = {k: -v for k, v in self.terms.items()}
-        return res
+        return unchecked(SuperPoly, self.n, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other) -> "SuperPoly":
         if isinstance(other, (int, Fraction)):
@@ -233,10 +236,8 @@ class SuperPoly:
     def __mul__(self, other) -> "SuperPoly":
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            res = SuperPoly.__new__(SuperPoly)
-            res.n = self.n
-            res.terms = {k: v * c for k, v in self.terms.items()} if c else {}
-            return res
+            terms = {k: v * c for k, v in self.terms.items()} if c else {}
+            return unchecked(SuperPoly, self.n, terms)
         self._check(other)
         out: dict[Monomial, Fraction] = {}
         for (x1, t1), c1 in self.terms.items():
@@ -252,9 +253,7 @@ class SuperPoly:
                     out[key] = s
                 else:
                     del out[key]
-        res = SuperPoly.__new__(SuperPoly)
-        res.n, res.terms = self.n, out
-        return res
+        return unchecked(SuperPoly, self.n, out)
 
     __rmul__ = __mul__
 
@@ -288,9 +287,7 @@ class SuperPoly:
                 out[key] = s
             else:
                 del out[key]
-        res = SuperPoly.__new__(SuperPoly)
-        res.n, res.terms = self.n, out
-        return res
+        return unchecked(SuperPoly, self.n, out)
 
     def x_derivative(self, beta) -> "SuperPoly":
         """Apply prod_j (d/dx_j)^beta_j."""
@@ -314,9 +311,7 @@ class SuperPoly:
                     out[key] = s
                 else:
                     del out[key]
-        res = SuperPoly.__new__(SuperPoly)
-        res.n, res.terms = self.n, out
-        return res
+        return unchecked(SuperPoly, self.n, out)
 
     def scalar_ratio(self, other: "SuperPoly") -> Fraction | None:
         """c with self == c * other, or None (zero polys never match nonzero)."""
@@ -588,19 +583,15 @@ class Operator:
                 out[k] = s
             else:
                 out.pop(k, None)
-        res = Operator.__new__(Operator)
-        res.n, res.terms = self.n, out
-        return res
+        return unchecked(Operator, self.n, out)
 
     def __sub__(self, other: "Operator") -> "Operator":
         return self + (-1) * other
 
     def __mul__(self, c) -> "Operator":
         c = Fraction(c)
-        res = Operator.__new__(Operator)
-        res.n = self.n
-        res.terms = {k: v * c for k, v in self.terms.items()} if c else {}
-        return res
+        terms = {k: v * c for k, v in self.terms.items()} if c else {}
+        return unchecked(Operator, self.n, terms)
 
     __rmul__ = __mul__
 
@@ -642,21 +633,16 @@ class Operator:
                 else:
                     del out[key]
         den = oden * fden
-        res = SuperPoly.__new__(SuperPoly)
-        res.n, res.terms = self.n, {k: Fraction(v, den) for k, v in out.items()}
-        return res
+        return unchecked(SuperPoly, self.n, {k: Fraction(v, den) for k, v in out.items()})
 
     __call__ = apply
 
     def adjoint(self) -> "Operator":
         """Adjoint for the differentiation pairing: swap mul and der data."""
-        res = Operator.__new__(Operator)
-        res.n = self.n
-        res.terms = {
+        return unchecked(Operator, self.n, {
             (derx, dertheta, mulx, multheta): c
             for (mulx, multheta, derx, dertheta), c in self.terms.items()
-        }
-        return res
+        })
 
     def __matmul__(self, other: "Operator") -> "Operator":
         """Composition self o other, re-normal-ordered."""
@@ -700,9 +686,7 @@ class Operator:
                             out[key] = val
                         else:
                             del out[key]
-        res = Operator.__new__(Operator)
-        res.n, res.terms = self.n, out
-        return res
+        return unchecked(Operator, self.n, out)
 
     def bidegree_shift(self) -> tuple[int, int] | None:
         """(x-degree shift, theta-degree shift) if uniform across terms."""

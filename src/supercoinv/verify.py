@@ -26,20 +26,19 @@ Suites and the claim ids their reports carry:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from . import artin, groebner, harmonics, qseries
 from .groups import GroupSpec, build_group
 from .harmonics import DEFAULT_CELL_BUDGET, FeasibilityError
 from .qseries import QPoly
+from .records import Record
 
 PROVENANCE_PUBLISHED = "published-table"
 PROVENANCE_FORMULA = "closed-form"
 PROVENANCE_DERIVED = "derived"
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record):
     claim_id: str
     params: dict
     expected: str
@@ -118,12 +117,11 @@ def _zpoly_str(coeffs_by_k) -> str:
     return qseries.format_poly(data, var="z")
 
 
-@dataclass
-class _Context:
+class _Context(Record):
     budget: int = DEFAULT_CELL_BUDGET
     threads: int = 1
-    _tables: dict = field(default_factory=dict)
-    _cells: dict = field(default_factory=dict)
+    _tables: dict = {}
+    _cells: dict = {}
 
     def table(self, key) -> harmonics.DimTable:
         if key not in self._tables:

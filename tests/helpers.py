@@ -3,15 +3,19 @@
 Saito-type validators of the group data (Jacobian proportional to Delta,
 the composed Orlik-Solomon operators proportional to
 d_{Delta*} theta_1...theta_n), the group elements of the real groups as
-signed permutations and their action on forms, and literal span equality
-of canonical RREF bases.
+signed permutations and their action on forms, literal span equality
+of canonical RREF bases, the SuperPoly substitution that the integer
+reduced presentation of S_n is pinned to, and the Diagram record with the
+three-clause pivot condition for G(m, p, n) diagrams.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
+from supercoinv.artin import is_substaircase
 from supercoinv.groups import GroupData, GroupSpec, _perm_sign
 from supercoinv.superpoly import (
     Monomial,
@@ -189,3 +193,65 @@ def act_signed_permutation(f: SuperPoly, perm, signs) -> SuperPoly:
     res = SuperPoly.__new__(SuperPoly)
     res.n, res.terms = f.n, out
     return res
+
+
+def reference_reduced_images(gd: GroupData) -> list[SuperPoly]:
+    """Images of all 2n ideal generators of S_n under x_n -> -(y_1 + ... +
+    y_{n-1}), theta_n -> -(eta_1 + ... + eta_{n-1}), by SuperPoly products
+    and sums, one per term."""
+    n = gd.n
+    ys, etas = SuperPoly.zero(n - 1), SuperPoly.zero(n - 1)
+    for j in range(1, n):
+        ys, etas = ys + SuperPoly.x(n - 1, j), etas + SuperPoly.theta(n - 1, j)
+    x_image, theta_image = -ys, -etas
+    gens = gd.ideal_generators()
+    x_powers = [SuperPoly.one(n - 1)]
+    for _ in range(max(xexp[-1] for g in gens for xexp, _ in g.terms)):
+        x_powers.append(x_powers[-1] * x_image)
+    images = []
+    for f in gens:
+        out = SuperPoly.zero(n - 1)
+        for (xexp, thetas), c in f.terms.items():
+            has_last = bool(thetas) and thetas[-1] == n
+            head = thetas[:-1] if has_last else thetas
+            term = SuperPoly(n - 1, {(xexp[:-1], head): c}) * x_powers[xexp[-1]]
+            out = out + (term * theta_image if has_last else term)
+        images.append(out)
+    return images
+
+
+@dataclass(frozen=True)
+class Diagram:
+    """Sub-staircase diagram / exponent vector for G(m, p, n)."""
+
+    rows: tuple[int, ...]
+    m: int
+    p: int
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    @property
+    def total(self) -> int:
+        return sum(self.rows)
+
+    def is_valid(self) -> bool:
+        if self.p == 1:
+            return is_substaircase(self.rows, self.m)
+        return satisfies_pivot_condition(self.rows, self.m, self.p)
+
+
+def satisfies_pivot_condition(rows, m: int, p: int) -> bool:
+    """The defining three-clause condition for type G(m, p, n) diagrams."""
+    mp = m // p
+    n = len(rows)
+    for j in range(1, n + 1):
+        if rows[j - 1] >= mp:
+            continue
+        ok = all(0 <= rows[i - 1] < i * m for i in range(1, j)) and all(
+            0 <= rows[i - 1] - mp < (i - 1) * m for i in range(j + 1, n + 1)
+        )
+        if ok:
+            return True
+    return False

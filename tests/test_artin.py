@@ -5,6 +5,8 @@ import pytest
 from supercoinv import artin
 from supercoinv.qseries import QPoly, q_factorial, q_integer
 
+from helpers import Diagram
+
 GRID = [
     (m, p, n)
     for m in range(1, 5)
@@ -110,10 +112,10 @@ class TestHilbert:
 
 class TestDiagram:
     def test_validity(self):
-        assert artin.Diagram((1, 3), 2, 1).is_valid()
-        assert not artin.Diagram((3, 0), 2, 1).is_valid()
-        assert artin.Diagram((0, 2), 2, 2).is_valid()
-        assert not artin.Diagram((1, 1), 2, 2).is_valid()
+        assert Diagram((1, 3), 2, 1).is_valid()
+        assert not Diagram((3, 0), 2, 1).is_valid()
+        assert Diagram((0, 2), 2, 2).is_valid()
+        assert not Diagram((1, 1), 2, 2).is_valid()
 
     def test_total(self):
-        assert artin.Diagram((1, 4, 1, 13, 4), 4, 2).total == 23
+        assert Diagram((1, 4, 1, 13, 4), 4, 2).total == 23

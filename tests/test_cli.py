@@ -1,6 +1,10 @@
 """Command-line surface: outputs, exit codes, and the result cache."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -298,3 +302,28 @@ class TestCache:
         calls = []
         cache.get_dim_table("sh-dims", spec, lambda: (calls.append(1), table)[1])
         assert calls == [1]
+
+
+class TestStartUp:
+    """Every CLI process compiles and imports the package; keep that cheap."""
+
+    SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+    def loaded_after(self, *lines):
+        # -S: no site hooks, so only the package's own imports are seen
+        code = "import sys, supercoinv.cli as cli\n" + "\n".join(lines) + (
+            "\nprint(sorted({'dataclasses', 'inspect', 'hashlib'} & set(sys.modules)))"
+        )
+        env = dict(os.environ, PYTHONPATH=self.SRC)
+        out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        return out.stdout.split("\n")[-2]
+
+    def test_import_loads_no_dataclasses_inspect_or_hashlib(self):
+        assert self.loaded_after() == "[]"
+
+    def test_hashlib_is_loaded_by_a_cache_store_or_load(self, tmp_path):
+        cache = f"cli.ResultCache({str(tmp_path)!r})"
+        spec = "cli.GroupSpec(1, 1, 2)"
+        assert self.loaded_after(f"{cache}.store('k', {spec}, [1])") == "['hashlib']"
+        assert self.loaded_after(f"print({cache}.load('k', {spec}))") == "['hashlib']"

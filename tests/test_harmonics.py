@@ -38,6 +38,7 @@ from supercoinv.superpoly import (
     x_monomials,
 )
 from supercoinv.verify import GOLDEN_TABLE
+from helpers import reference_reduced_images
 from test_linalg import reference_rank
 
 
@@ -223,6 +224,17 @@ class TestReducedPresentation:
         gd = build_group(*key)
         assert gd.cell_presentation() is gd
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_images_equal_the_superpoly_substitution(self, n):
+        # same terms, values and order: the order fixes the cell rows' order
+        gd = build_group.__wrapped__(1, 1, n)
+        want = [g for g in reference_reduced_images(gd) if g]
+        got = gd.cell_presentation().ideal_generators()
+        assert [list(g.terms.items()) for g in got] == [
+            list(g.terms.items()) for g in want
+        ]
+        assert all(type(c) is Fraction for g in got for c in g.terms.values())
+
     def test_images_of_f2_by_hand(self):
         # x_3 -> -(y_1 + y_2), theta_3 -> -(eta_1 + eta_2)
         gens = build_group(1, 1, 3).cell_presentation().ideal_generators()
@@ -259,9 +271,9 @@ class TestReducedPresentation:
 
     def test_wrong_theta_image_is_caught(self, monkeypatch):
         # theta_n -> +sum eta does not kill d f_1
-        def plus_theta(n):
-            x_image, theta_image = real(n)
-            return x_image, -theta_image
+        def plus_theta(n, top):
+            x_powers, theta_image = real(n, top)
+            return x_powers, {j: -c for j, c in theta_image.items()}
 
         real = groups._last_variable_images
         monkeypatch.setattr(groups, "_last_variable_images", plus_theta)
@@ -405,7 +417,7 @@ class TestBudgetEstimate:
 class TestDetIsotypic:
     @pytest.mark.parametrize("key", [(1, 1, 4), (2, 1, 3), (3, 3, 3)])
     def test_elements_are_the_operator_products_one_apply_each(self, monkeypatch, key):
-        gd = build_group(*key)
+        gd = build_group.__wrapped__(*key)
         r, gens = gd.spec.rank, gd.harmonic_generator_operators()
         calls = []
         real_apply = Operator.apply
@@ -421,6 +433,21 @@ class TestDetIsotypic:
             for idx in reversed(subset):
                 want = gd.ext_derivatives[idx - 1].apply(want)
             assert elem == want, subset
+
+    def test_built_once_per_group_and_left_out_of_the_pickle(self, monkeypatch):
+        builds = []
+        real = harmonics._build_det_isotypic_elements
+        monkeypatch.setattr(harmonics, "_build_det_isotypic_elements",
+                            lambda gd: builds.append(gd.spec) or real(gd))
+        gd = build_group.__wrapped__(2, 1, 3)
+        gd.harmonic_generator_operators()
+        before = pickle.dumps(gd)
+        derivative_closure(gd)
+        det_isotypic_basis(gd)
+        support_check(gd)
+        assert builds == [gd.spec]
+        assert pickle.dumps(gd) == before
+        assert pickle.loads(before)._det_elements is None
 
     def test_k0_is_vandermondian(self):
         gd = build_group(2, 2, 3)

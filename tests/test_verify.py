@@ -2,7 +2,8 @@
 
 import pytest
 
-from supercoinv import groebner
+from supercoinv import groebner, harmonics
+from supercoinv.groups import build_group
 from supercoinv.verify import (
     GOLDEN_TABLE,
     SUITES,
@@ -158,3 +159,15 @@ def test_closed_form_basis_check():
     # Same leading monomials, but x1 + x2^2 is not reduced by x2^2.
     tail = groebner.GroebnerBasis(2, (x(2, 2, 2), x(2, 1) + x(2, 2, 2)))
     assert closed_form_basis_check((1, 1, 2), tail) == (False, True, False)
+
+
+def test_det_isotypic_elements_built_once_per_group(monkeypatch):
+    # these four suites all read the det-isotypic elements of their groups
+    builds = []
+    real = harmonics._build_det_isotypic_elements
+    monkeypatch.setattr(harmonics, "_build_det_isotypic_elements",
+                        lambda gd: builds.append(gd.spec) or real(gd))
+    build_group.cache_clear()
+    for name in ("table-calcs", "support-b", "support-c", "closure"):
+        run_suite(name)
+    assert builds and len(builds) == len(set(builds))

@@ -168,8 +168,8 @@ class GroupData:
         """The presentation whose cells give the harmonic dimensions.
 
         For S_n with n >= 2 this is the reduced presentation in n - 1
-        variables, built on first use and kept (so a pickled GroupData
-        carries it); for every other group it is the group data itself.
+        variables, built on first use and kept (a pickled GroupData carries
+        it); for every other group it is the group data itself.
         """
         if self.spec.m != 1 or self.n < 2:
             return self
@@ -178,6 +178,9 @@ class GroupData:
         return self._reduced
 
     def __getstate__(self):
+        # The presentation is built before pickling, so that the workers of a
+        # process pool receive it instead of each building its own.
+        self.cell_presentation()
         return {k: v for k, v in self.__dict__.items() if k != "_det_elements"}
 
 

@@ -13,18 +13,17 @@ lcm of their denominators, which leaves every reduced row unchanged), and
 each entry is a falling factorial times a Koszul sign.  The rows are streamed
 into the incremental Gauss-Jordan eliminator of ``linalg``, which stops
 pulling rows once the rank reaches the cell dimension; ranks, reduced
-echelon bases and nullspaces all come from that one path.  Before
-``harmonic_cell_dimension`` (the cell route of dimension tables) eliminates a
-cell, every entry of its operator matrix is checked against the ideal
-products mu * g: under the pairing <x^a theta_I, x^a theta_I> = a! the two
-matrices agree up to diagonal scaling, so they have the same rank and the
-harmonic count equals the quotient-side count; a mismatch raises
-IntegrityError.  The check proves equal ranks, not that the one elimination
-is right; the elimination itself is not cross-checked cell by cell at run
-time (the reference-rank tests and the golden table rows cover it), but every
-table's theta-degree 0 row must equal Chevalley's prod_i [d_i]_q.
-``coinvariant_cell_dimension`` keeps the full quotient-side route.  The
-exactness and Laplacian checks read the same integer cell matrices.
+echelon bases and nullspaces all come from that one path.  The generator
+operators become a cell matrix only in ``_cell_entries``, which checks every
+entry against the ideal products mu * g, so dimensions, bases and exactness
+targets all pass the same check: under the pairing <x^a theta_I, x^a
+theta_I> = a! the two matrices agree up to diagonal scaling, so they have
+the same rank and the harmonic count equals the quotient-side count; a
+mismatch raises IntegrityError.  The check proves equal ranks, not that the
+one elimination is right (the reference-rank tests and the golden table rows
+cover that), but every table's theta-degree 0 row must equal Chevalley's
+prod_i [d_i]_q.  ``coinvariant_cell_dimension`` keeps the full quotient-side
+route.
 
 For S_n (n >= 2) the dimension cells are computed in the reduced presentation
 of ``GroupData.cell_presentation``: the ideal contains f_1 = x_1 + ... + x_n
@@ -38,13 +37,12 @@ estimates stay those of the x-presentation.  Bases (``harmonic_cell``,
 because they are the harmonics themselves.
 
 The support of the harmonics is a down-set: SH is closed under every d/dx_j
-and d/dtheta_j, so a computed zero at (i-1, k) or (i, k-1) certifies
-SH^{i,k} = 0, and the whole-table entry points (``sh_dim_table``,
-``harmonic_cells``, the top row of ``fitting_structures``) record such cells
-as zero without building them.  Cells whose matrices would exceed the cell
-budget (rows x columns entries) are refused with a size estimate; the
-whole-table entry points check every cell, skipped or not, before they
-compute the first one.
+and d/dtheta_j, so a zero at (i-1, k) or (i, k-1) certifies SH^{i,k} = 0.
+One walker, ``_walk``, serves the whole-table entry points (``sh_dim_table``,
+``harmonic_cells``, the top row of ``fitting_structures``): it records such
+cells as zero without building them.  Cells whose matrices would exceed the
+cell budget (rows x columns entries) are refused with a size estimate; the
+walker checks every cell, skipped or not, before it computes the first one.
 
 The derivative closure of the det-isotypic elements d_{i_1}...d_{i_k} Delta
 is computed one x-degree at a time, top down: only the rows found
@@ -115,6 +113,9 @@ class Subspace(Value):
     @property
     def dimension(self) -> int:
         return len(self.basis)
+
+    def __bool__(self) -> bool:  # the zero subspace is falsy, like dimension 0
+        return bool(self.basis)
 
     def vectors(self, n: int) -> list[SuperPoly]:
         return [SuperPoly(n, {self.ambient[c]: v for c, v in row}) for row in self.basis]
@@ -324,17 +325,6 @@ def _reduced_rows(entries):
             yield row
 
 
-def _operator_equation_rows(ops, n: int, i: int, k: int):
-    """Equation rows (one per operator and target monomial) for the stacked
-    operators on the (i, k) cell.
-
-    Yields content-reduced integer rows over the source cell coordinates in
-    (operator index, target monomial) order, skipping zero rows; the kernel
-    of the stack is the common kernel of the operators on the cell.
-    """
-    yield from _reduced_rows(_operator_entries(ops, n, i, k))
-
-
 def _x_factorial(xexp) -> int:
     return prod(map(factorial, xexp))
 
@@ -477,9 +467,9 @@ def harmonic_cell_dimension(
     Computed in ``gd.cell_presentation()``: for S_n the reduced presentation
     in n - 1 variables, whose (i, k) part has the same dimension; otherwise
     the group's own.  One elimination of the operator-side matrix, whose
-    entries are first checked against the ideal products
-    (``_check_against_products``).  The budget is always that of the
-    x-presentation, so refusals do not depend on the route.
+    entries are first checked against the ideal products (``_cell_entries``).
+    The budget is always that of the x-presentation, so refusals do not
+    depend on the route.
     """
     if cell_dimension(gd.n, i, k) == 0:
         return 0
@@ -488,15 +478,16 @@ def harmonic_cell_dimension(
     cols = cell_dimension(pres.n, i, k)
     if cols == 0:
         return 0
-    return cols - linalg.rank(_checked_operator_rows(pres, i, k), cols)
+    return cols - linalg.rank(_reduced_rows(_cell_entries(pres, i, k)), cols)
 
 
-def _checked_operator_rows(pres: GroupData | ReducedPresentation, i: int, k: int):
-    """``_operator_equation_rows`` of the presentation's generator operators,
-    after every entry has been checked against the ideal products."""
+def _cell_entries(pres: GroupData | ReducedPresentation, i: int, k: int):
+    """``_operator_entries`` of the presentation's generator operators on the
+    (i, k) cell, every entry checked against the ideal products: the one
+    generator cell matrix, read by dimensions, bases and exactness targets."""
     entries = _operator_entries(pres.harmonic_generator_operators(), pres.n, i, k)
     _check_against_products(pres, entries, i, k)
-    yield from _reduced_rows(entries)
+    return entries
 
 
 def coinvariant_cell_dimension(
@@ -513,18 +504,19 @@ def coinvariant_cell_dimension(
 
 
 def kernel_intersection(
-    ops, bidegree: tuple[int, int], n: int
+    pres: GroupData | ReducedPresentation, i: int, k: int
 ) -> Subspace:
-    """Reduced-echelon basis of the common kernel of ops on a bidegree cell."""
-    i, k = bidegree
-    ambient = cell_monomials(n, i, k)
-    kernel = linalg.nullspace(_operator_equation_rows(ops, n, i, k), len(ambient))
-    return Subspace.from_vectors(ambient, kernel)
+    """Reduced-echelon basis of the (i, k) harmonics of a presentation: the
+    common kernel of its generator operators on the cell, checked entrywise
+    by ``_cell_entries``."""
+    ambient = cell_monomials(pres.n, i, k)
+    rows = _reduced_rows(_cell_entries(pres, i, k))
+    return Subspace.from_vectors(ambient, linalg.nullspace(rows, len(ambient)))
 
 
 def harmonic_cell(gd: GroupData, i: int, k: int, budget: int = DEFAULT_CELL_BUDGET) -> Subspace:
     check_cell_budget(gd, i, k, budget)
-    return kernel_intersection(gd.harmonic_generator_operators(), (i, k), gd.n)
+    return kernel_intersection(gd, i, k)
 
 
 def _cell_range(gd: GroupData):
@@ -534,18 +526,44 @@ def _cell_range(gd: GroupData):
             yield i, k
 
 
-def _implied_zero(dims, i: int, k: int) -> bool:
-    """Whether a computed zero neighbour certifies SH^{i,k} = 0.
+def _implied_zero(zeros, i: int, k: int) -> bool:
+    """Whether a zero neighbour certifies SH^{i,k} = 0.
 
-    ``dims`` maps the cells computed so far to their dimensions.  SH is
-    closed under every d/dx_j and d/dtheta_j (each commutes, up to sign,
-    with g(d) for every g in the ideal), and in characteristic 0 a nonzero
-    form of x-degree i > 0 (theta-degree k > 0) has a nonzero d/dx_j
-    (d/dtheta_j), so SH^{i-1,k} = 0 or SH^{i,k-1} = 0 forces SH^{i,k} = 0.
+    ``zeros`` holds the cells known to be zero so far.  SH is closed under
+    every d/dx_j and d/dtheta_j (each commutes, up to sign, with g(d) for
+    every g in the ideal), and in characteristic 0 a nonzero form of
+    x-degree i > 0 (theta-degree k > 0) has a nonzero d/dx_j (d/dtheta_j),
+    so SH^{i-1,k} = 0 or SH^{i,k-1} = 0 forces SH^{i,k} = 0.
     """
-    return (i > 0 and dims.get((i - 1, k)) == 0) or (
-        k > 0 and dims.get((i, k - 1)) == 0
-    )
+    return (i - 1, k) in zeros or (i, k - 1) in zeros
+
+
+def _walk(gd: GroupData, cells, budget: int, compute, mapper=map) -> dict:
+    """``compute(gd, i, k, budget)`` on every cell the down-set leaves open.
+
+    Every cell's budget, skipped or not, is checked before the first one is
+    computed.  The cells are then walked in waves of equal i + k, each wave
+    through one ``mapper`` call (``pool.map`` or the builtin ``map``); a cell
+    next to a zero of the previous wave is zero by ``_implied_zero`` and is
+    skipped.  A computed value is zero when it is falsy (a dimension 0, the
+    zero Subspace).  Returns the computed values in the order of ``cells``;
+    the skipped cells, all zero, are left out.
+    """
+    for i, k in cells:
+        check_cell_budget(gd, i, k, budget)
+    found, zeros = {}, set()
+    for s in sorted({i + k for i, k in cells}):
+        wave = [(i, k) for i, k in cells if i + k == s]
+        zeros.update([cell for cell in wave if _implied_zero(zeros, *cell)])
+        todo = [cell for cell in wave if cell not in zeros]
+        values = mapper(
+            compute, repeat(gd), [i for i, _ in todo], [k for _, k in todo], repeat(budget)
+        )
+        for cell, value in zip(todo, values):
+            found[cell] = value
+            if not value:
+                zeros.add(cell)
+    return {cell: found[cell] for cell in cells if cell in found}
 
 
 def sh_dim_table(
@@ -558,24 +576,12 @@ def sh_dim_table(
     Dimensions above deg Delta vanish (the classical coinvariant algebra is
     zero there and the cells are quotients of its tensor layers), so they are
     recorded as zero without computation.  The cells are computed (in
-    ``gd.cell_presentation()``, see ``harmonic_cell_dimension``) in waves
-    of equal i + k, each wave through ``pool.map`` over ``threads`` worker
+    ``gd.cell_presentation()``, see ``harmonic_cell_dimension``) by
+    ``_walk``, each wave through ``pool.map`` over ``threads`` worker
     processes or through the builtin ``map``; every computed cell is checked
-    entrywise by ``harmonic_cell_dimension``, and a cell with a zero
-    neighbour on the previous wave is zero by the down-set argument of
-    ``_implied_zero``.  Every cell's budget, skipped or not, is checked before
-    the first one is computed, and the theta-degree 0 row must equal
-    Chevalley's prod_i [d_i]_q.
+    entrywise, and the theta-degree 0 row must equal Chevalley's
+    prod_i [d_i]_q.
     """
-    cells = list(_cell_range(gd))
-    for i, k in cells:
-        check_cell_budget(gd, i, k, budget)
-    waves: dict[int, list[tuple[int, int]]] = {}
-    for i, k in cells:
-        waves.setdefault(i + k, []).append((i, k))
-    dims: dict[tuple[int, int], int] = {}
-    # Built here, once: the workers receive it inside the pickled group.
-    gd.cell_presentation()
     pool = None
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -583,21 +589,11 @@ def sh_dim_table(
         pool = ProcessPoolExecutor(max_workers=threads)
     with pool or nullcontext():
         mapper = pool.map if pool else map
-        for _, wave in sorted(waves.items()):
-            todo = [cell for cell in wave if not _implied_zero(dims, *cell)]
-            found = dict(zip(todo, mapper(
-                harmonic_cell_dimension,
-                repeat(gd),
-                [i for i, _ in todo],
-                [k for _, k in todo],
-                repeat(budget),
-            )))
-            for cell in wave:
-                dims[cell] = found.get(cell, 0)
+        dims = _walk(gd, list(_cell_range(gd)), budget, harmonic_cell_dimension, mapper)
     spec = gd.spec
     table = DimTable(spec)
-    for i, k in cells:
-        table.set(i, k, dims[(i, k)])
+    for (i, k), dim in dims.items():
+        table.set(i, k, dim)
     chevalley = prod(map(q_integer, spec.degrees), start=QPoly.one())
     if table.column(0) != chevalley:
         raise IntegrityError(
@@ -612,22 +608,16 @@ def harmonic_cells(
 ) -> dict[tuple[int, int], Subspace]:
     """Subspace bases for every cell with i <= deg Delta, k <= n.
 
-    Every cell's budget is checked before the first basis is computed.  A
-    cell with a zero neighbour is an empty subspace by the down-set argument
-    of ``_implied_zero``; every other basis is a computed kernel.
+    Walked by ``_walk``: every cell's budget is checked before the first
+    basis is computed, and a cell that the down-set makes zero is an empty
+    subspace; every other basis is a computed kernel.
     """
     cells = list(_cell_range(gd))
-    for i, k in cells:
-        check_cell_budget(gd, i, k, budget)
-    out: dict[tuple[int, int], Subspace] = {}
-    dims: dict[tuple[int, int], int] = {}
-    for cell in cells:
-        if _implied_zero(dims, *cell):
-            sub = Subspace(cell_monomials(gd.n, *cell), ())
-        else:
-            sub = harmonic_cell(gd, *cell, budget)
-        out[cell], dims[cell] = sub, sub.dimension
-    return out
+    found = _walk(gd, cells, budget, harmonic_cell)
+    return {
+        cell: found[cell] if cell in found else Subspace(cell_monomials(gd.n, *cell), ())
+        for cell in cells
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -806,9 +796,7 @@ def _image_rank(
     if targets is None:
         targets = {}
     if target not in targets:
-        targets[target] = _columns(
-            _operator_entries(gd.harmonic_generator_operators(), n, *target)
-        )
+        targets[target] = _columns(_cell_entries(gd, *target))
     gen_columns = targets[target]
     vectors = []
     inside = True
@@ -1031,15 +1019,8 @@ def fitting_structures(gd: GroupData, budget: int = DEFAULT_CELL_BUDGET) -> Fitt
         if amb - psi_rank != iprime_rank:
             ann_matches = False
 
-    # Top theta-degree: every budget first, then i upward until a zero
-    # certifies the rest of the row (only the i-neighbour lies in it).
-    for i in range(dmax + 1):
-        check_cell_budget(gd, i, n, budget)
-    top: dict[tuple[int, int], int] = {}
-    for i in range(dmax + 1):
-        if _implied_zero(top, i, n):
-            break
-        top[(i, n)] = harmonic_cell_dimension(gd, i, n, budget)
+    # Top theta-degree: only the i-neighbour of a cell lies in the row.
+    top = _walk(gd, [(i, n) for i in range(dmax + 1)], budget, harmonic_cell_dimension)
     sh_top_dims = {i: dim for (i, _), dim in top.items() if dim}
 
     observed_top = max(sh_top_dims, default=0)

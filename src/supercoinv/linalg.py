@@ -11,13 +11,16 @@ An incoming row is reduced in one pass over its own pivot-column entries;
 what is left lies on free columns only.  If it is zero the row is dependent,
 otherwise its smallest column becomes a new pivot, and that column is cleared
 from exactly the pivot rows that hold it, found through a column -> pivot-rows
-index.  ``rref`` and ``nullspace`` read the canonical form directly.
+index.  ``rref`` and ``nullspace`` read the canonical form directly;
+``nullspace`` gives integer rows, which ``rref`` takes back without
+conversion.
 Row consumption stops with the row that brings the rank to ncols; every later
 row is dependent and is never pulled (with ncols = 0, no row is).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -176,17 +179,20 @@ class IntEliminator:
             out.append(row)
         return out
 
-    def nullspace(self) -> list[FracVec]:
+    def nullspace(self) -> list[IntRow]:
         """One basis vector per free column f, in increasing f: 1 at f and
-        minus the RREF entry at f of each pivot row holding f."""
+        minus the RREF entry at f of each pivot row holding f, as a
+        content-reduced IntRow (scaled by the lcm of the holders' leads).
+        Every holder's pivot column is below f, so the row is built sorted."""
         basis = []
         for f in range(self.ncols):
             if f in self.pivots:
                 continue
-            vec: FracVec = {f: Fraction(1)}
-            for c in sorted(self.holders.get(f, ())):
-                vec[c] = Fraction(-self.pivots[c][f], self.lead[c])
-            basis.append(vec)
+            holders = sorted(self.holders.get(f, ()))
+            scale = lcm(*(self.lead[c] for c in holders))
+            row = [(c, -self.pivots[c][f] * (scale // self.lead[c])) for c in holders]
+            row.append((f, scale))
+            basis.append(_content_reduce(row))
         return basis
 
 
@@ -211,10 +217,11 @@ def rref(rows: Iterable, ncols: int) -> list[FracVec]:
     return _eliminate(rows, ncols).rref()
 
 
-def nullspace(rows: Iterable, ncols: int) -> list[FracVec]:
+def nullspace(rows: Iterable, ncols: int) -> list[IntRow]:
     """Basis of {x in Q^ncols : row . x = 0 for every row}.
 
-    One basis vector per free column, in increasing column order.
+    One content-reduced integer vector per free column, in increasing column
+    order: the canonical basis read off the RREF, each scaled to integers.
     """
     return _eliminate(rows, ncols).nullspace()
 

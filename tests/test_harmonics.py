@@ -69,15 +69,16 @@ class TestKernelIntersection:
 
     def test_raw_kernel_intersection_interface(self):
         gd = build_group(1, 1, 2)
-        sub = kernel_intersection(gd.harmonic_generator_operators(), (1, 0), 2)
+        sub = kernel_intersection(gd, 1, 0)
         assert sub.dimension == 1
         (vec,) = sub.vectors(2)
         assert vec.scalar_ratio(SuperPoly.x(2, 1) - SuperPoly.x(2, 2)) is not None
-        # Rational operators: same kernel as the integer ones they scale.
-        ops = gd.harmonic_generator_operators()
-        scaled = [Fraction(1, 3) * op for op in ops]
-        for key in [(1, 0), (1, 1), (0, 2)]:
-            assert kernel_intersection(scaled, key, 2) == kernel_intersection(ops, key, 2)
+        assert sub == harmonic_cell(gd, 1, 0)
+
+
+def _kernel_rows(ops, n, i, k):
+    """The program's content-reduced equation rows of ops on a cell."""
+    return harmonics._reduced_rows(harmonics._operator_entries(ops, n, i, k))
 
 
 def _reference_operator_rows(ops, n, i, k):
@@ -145,7 +146,7 @@ class TestIntegerAssembly:
         n = gd.n
         ops, gens = gd.harmonic_generator_operators(), gd.ideal_generators()
         for i, k in harmonics._cell_range(gd):
-            kernel_rows = list(harmonics._operator_equation_rows(ops, n, i, k))
+            kernel_rows = list(_kernel_rows(ops, n, i, k))
             assert kernel_rows == _reference_operator_rows(ops, n, i, k), (i, k)
             ideal_rows = list(harmonics._ideal_rows(gens, n, i, k))
             assert ideal_rows == _reference_ideal_rows(gens, n, i, k), (i, k)
@@ -160,13 +161,12 @@ class TestIntegerAssembly:
             gd.exterior_d_adjoint * Fraction(-7, 2),
         ]
         gens = [g * Fraction(3, 7) for g in plain_gens]
-        kernel_rows = harmonics._operator_equation_rows
         for i, k in harmonics._cell_range(gd):
-            rows = list(kernel_rows(ops, n, i, k))
+            rows = list(_kernel_rows(ops, n, i, k))
             assert rows == _reference_operator_rows(ops, n, i, k), (i, k)
             # A positive scalar leaves every content-reduced row unchanged.
-            assert list(kernel_rows(scaled_ops, n, i, k)) == list(
-                kernel_rows(plain_ops, n, i, k)
+            assert list(_kernel_rows(scaled_ops, n, i, k)) == list(
+                _kernel_rows(plain_ops, n, i, k)
             )
             ideal_rows = list(harmonics._ideal_rows(gens, n, i, k))
             assert ideal_rows == _reference_ideal_rows(gens, n, i, k), (i, k)
@@ -844,7 +844,7 @@ class TestDualRoutes:
         table = sh_dim_table(gd)
         for i, k in harmonics._cell_range(gd):
             cols = harmonics.cell_dimension(n, i, k)
-            kernel_rows = list(harmonics._operator_equation_rows(ops, n, i, k))
+            kernel_rows = list(_kernel_rows(ops, n, i, k))
             ideal_rows = list(harmonics._ideal_rows(gens, n, i, k))
             kernel_rank = reference_rank(kernel_rows, cols)
             assert linalg.rank(kernel_rows, cols) == kernel_rank, (i, k)
@@ -878,23 +878,40 @@ class TestIntegrity:
         ops[j] = op
         monkeypatch.setattr(gd, "_generator_ops", ops)
 
-    @pytest.mark.parametrize("j", range(6))
-    def test_negated_operator_is_caught(self, monkeypatch, j):
+    # Each entry point that reads a generator cell matrix, given the group and
+    # its cells computed before the corruption; (6, 1) is a cell on which
+    # every B_3 operator has entries.
+    ENTRY_POINTS = {
+        "sh_dim_table": lambda gd, cells: sh_dim_table(gd),
+        "harmonic_cells": lambda gd, cells: harmonic_cells(gd),
+        "harmonic_cell": lambda gd, cells: harmonic_cell(gd, 6, 1),
+        "exactness_check": exactness_check,
+    }
+    # the sh_dim_table cases keep their ids, the operator index alone
+    CASES = [
+        pytest.param(j, entry, id=str(j) if entry == "sh_dim_table" else f"{entry}-{j}")
+        for entry in ENTRY_POINTS for j in range(6)
+    ]
+
+    @pytest.mark.parametrize("j, entry", CASES)
+    def test_negated_operator_is_caught(self, monkeypatch, j, entry):
         # the kernel, so the rank comparison, cannot see a sign flip
         gd = build_group(2, 1, 3)
+        cells = harmonic_cells(gd)
         self._corrupt(monkeypatch, gd, j, -gd.harmonic_generator_operators()[j])
         with pytest.raises(IntegrityError, match=r"B_3 bidegree \(\d+,\d+\).*column"):
-            sh_dim_table(gd)
+            self.ENTRY_POINTS[entry](gd, cells)
 
-    @pytest.mark.parametrize("j", range(6))
-    def test_one_doubled_term_is_caught(self, monkeypatch, j):
+    @pytest.mark.parametrize("j, entry", CASES)
+    def test_one_doubled_term_is_caught(self, monkeypatch, j, entry):
         gd = build_group(2, 1, 3)
+        cells = harmonic_cells(gd)
         op = gd.harmonic_generator_operators()[j]
         key = min(op.terms)
         bad = Operator(op.n, {**op.terms, key: 2 * op.terms[key]})
         self._corrupt(monkeypatch, gd, j, bad)
         with pytest.raises(IntegrityError, match=r"B_3 bidegree \(\d+,\d+\).*column"):
-            sh_dim_table(gd)
+            self.ENTRY_POINTS[entry](gd, cells)
 
     @staticmethod
     def _entries(gd, i, k):
@@ -989,6 +1006,26 @@ class TestDownSet:
             if reference.get((i - 1, k)) == 0 or reference.get((i, k - 1)) == 0
         }
         assert sorted(computed) == sorted(set(reference) - skipped)
+        # the bases walk the same cells
+        bases = []
+        real_basis = harmonics.harmonic_cell
+
+        def counted_basis(gd, i, k, budget=harmonics.DEFAULT_CELL_BUDGET):
+            bases.append((i, k))
+            return real_basis(gd, i, k, budget)
+
+        monkeypatch.setattr(harmonics, "harmonic_cell", counted_basis)
+        harmonic_cells(gd)
+        assert sorted(bases) == sorted(set(reference) - skipped)
+        # the top row of fitting_structures sees only its i-neighbours
+        if spec.m > 1:
+            computed.clear()
+            fitting_structures(gd)
+            top = [
+                (i, k) for i, k in reference
+                if k == spec.n and reference.get((i - 1, k)) != 0
+            ]
+            assert sorted(computed) == sorted(top)
 
     @pytest.mark.parametrize("key", [(1, 1, 3), (2, 1, 3), (2, 2, 3), (3, 3, 3)])
     def test_harmonic_cells_equal_every_cell_computed(self, key):

@@ -1,11 +1,16 @@
 """Value types and records: equality, hashing, immutability and pickling."""
 
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
+import typing
 from fractions import Fraction
 
 import pytest
 
+import supercoinv
 from supercoinv import groebner
 from supercoinv.groups import GroupSpec
 from supercoinv.harmonics import DimTable, Subspace
@@ -89,3 +94,33 @@ def test_constructor_rejects_bad_arguments():
         DimTable(spec, group=spec)
     with pytest.raises(TypeError, match="unexpected"):
         DimTable(spec, rows={})
+
+
+def _functions_and_methods(module):
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            for member in vars(obj).values():
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                if inspect.isfunction(member):
+                    yield member
+
+
+def test_every_annotation_resolves():
+    # annotations are strings under ``from __future__ import annotations``;
+    # a name they use but the module no longer imports only shows here
+    unresolved = []
+    for info in pkgutil.iter_modules(supercoinv.__path__):
+        module = importlib.import_module(f"supercoinv.{info.name}")
+        for fn in _functions_and_methods(module):
+            try:
+                typing.get_type_hints(fn)
+            except NameError as err:
+                unresolved.append(f"{module.__name__}.{fn.__qualname__}: {err}")
+    assert unresolved == []

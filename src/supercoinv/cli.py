@@ -302,28 +302,27 @@ def _dispatch(args, cache: ResultCache) -> int:
 
 
 def _cmd_hilbert(args, cache: ResultCache) -> int:
+    # The group is built only when a table is computed, not on a cache hit.
     spec = _spec(args)
-    gd = build_group(spec.m, spec.p, spec.n)
 
     def compute_sh():
-        return harmonics.sh_dim_table(gd, budget=args.cell_budget,
-                                      threads=args.threads)
+        return harmonics.sh_dim_table(build_group(spec.m, spec.p, spec.n),
+                                      budget=args.cell_budget, threads=args.threads)
 
     def compute_closure():
-        return harmonics.derivative_closure(gd, budget=args.cell_budget)
+        return harmonics.derivative_closure(build_group(spec.m, spec.p, spec.n),
+                                            budget=args.cell_budget)
 
     if args.format == "latex":
-        sh = cache.get_dim_table("sh-dims", gd.spec, compute_sh)
-        closure = cache.get_dim_table("closure-dims", gd.spec, compute_closure)
+        sh = cache.get_dim_table("sh-dims", spec, compute_sh)
+        closure = cache.get_dim_table("closure-dims", spec, compute_closure)
         print(harmonics.latex_table([
-            (gd.spec.label(), sh.hilbert_z_string(), closure.hilbert_z_string())
+            (spec.label(), sh.hilbert_z_string(), closure.hilbert_z_string())
         ]))
         return EXIT_OK
 
     kind = "closure-dims" if args.closure else "sh-dims"
-    table = cache.get_dim_table(
-        kind, gd.spec, compute_closure if args.closure else compute_sh
-    )
+    table = cache.get_dim_table(kind, spec, compute_closure if args.closure else compute_sh)
 
     if args.format == "json":
         print(table.to_json())

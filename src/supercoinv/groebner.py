@@ -2,9 +2,9 @@
 
 Term order is fixed: lexicographic with x_1 > x_2 > ... > x_n, i.e. plain
 tuple comparison on exponent vectors.  The engine is deterministic: S-pairs
-are processed by minimal lcm total degree with ties broken lexicographically
-on the lcm, and the final basis is inter-reduced, monic, and sorted by
-leading monomial.
+are processed by minimal lcm total degree, ties broken lexicographically on
+the lcm and then by pair index, and the final basis is inter-reduced, monic,
+and sorted by leading monomial.
 
 The closed-form generating families for the coinvariant ideals of G(m, p, n)
 live here too (`groebner_generators`): complete homogeneous pieces
@@ -16,7 +16,7 @@ confirm that, and their standard monomials reproduce the Artin bases.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 from .records import Value
 from .superpoly import unchecked
@@ -226,50 +226,41 @@ class GroebnerBasis(Value):
 
 def buchberger(gens) -> GroebnerBasis:
     """Deterministic Buchberger with the product and chain criteria."""
+    import heapq
+
     basis = [g.monic() for g in gens if not g.is_zero()]
     if not basis:
         raise ValueError("empty generating set")
     n = basis[0].n
+    lms = [g.leading_monomial() for g in basis]
 
-    pairs: set[tuple[int, int]] = set()
+    def pair(i, j):
+        lcm = _lcm(lms[i], lms[j])
+        return (sum(lcm), lcm, i, j)
+
+    pairs = [pair(i, j) for i, j in combinations(range(len(basis)), 2)]
+    heapq.heapify(pairs)
     done: set[tuple[int, int]] = set()
-    for i, j in combinations_indices(len(basis)):
-        pairs.add((i, j))
-
-    def pair_key(ij):
-        i, j = ij
-        lcm = _lcm(basis[i].leading_monomial(), basis[j].leading_monomial())
-        return (sum(lcm), lcm)
-
     while pairs:
-        ij = min(pairs, key=pair_key)
-        pairs.discard(ij)
-        done.add(ij)
-        i, j = ij
-        li, lj = basis[i].leading_monomial(), basis[j].leading_monomial()
-        lcm = _lcm(li, lj)
+        _, lcm, i, j = heapq.heappop(pairs)
+        done.add((i, j))
         # Product criterion: coprime leading monomials reduce to zero.
-        if all(a + b == c for a, b, c in zip(li, lj, lcm)):
+        if all(a + b == c for a, b, c in zip(lms[i], lms[j], lcm)):
             continue
         # Chain criterion: some k with lm_k | lcm and both mixed pairs done.
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if _divides(basis[k].leading_monomial(), lcm):
-                p1 = (min(i, k), max(i, k))
-                p2 = (min(j, k), max(j, k))
-                if p1 in done and p2 in done:
-                    skip = True
-                    break
-        if skip:
+        if any(
+            k != i and k != j and _divides(lm, lcm)
+            and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+            for k, lm in enumerate(lms)
+        ):
             continue
         r = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if not r.is_zero():
             basis.append(r.monic())
+            lms.append(r.leading_monomial())
             new = len(basis) - 1
             for k in range(new):
-                pairs.add((k, new))
+                heapq.heappush(pairs, pair(k, new))
 
     # Inter-reduce to the unique reduced basis.
     changed = True
@@ -290,12 +281,6 @@ def buchberger(gens) -> GroebnerBasis:
                 break
     basis.sort(key=lambda g: g.leading_monomial())
     return GroebnerBasis(n, tuple(basis))
-
-
-def combinations_indices(k: int):
-    for j in range(1, k):
-        for i in range(j):
-            yield (i, j)
 
 
 def complete_homogeneous(degree: int, variables, n: int, power: int = 1) -> CommPoly:
@@ -375,8 +360,8 @@ def standard_monomials(gb: GroebnerBasis, degree_bound: int | None = None) -> li
     """
     n = gb.n
     caps = [None] * n
-    # The pure powers only bound the box; divisibility is tested against
-    # the other leading monomials (none for p = 1).
+    # The pure powers only bound the box; every other leading monomial
+    # (none for p = 1) removes the sub-box of the points it divides.
     others = []
     for lm in gb.leading_monomials():
         support = [i for i, e in enumerate(lm) if e]
@@ -398,11 +383,11 @@ def standard_monomials(gb: GroebnerBasis, degree_bound: int | None = None) -> li
             range(min(c, degree_bound + 1) if c is not None else degree_bound + 1)
             for c in caps
         ]
-    out = []
-    for exp in product(*ranges):
-        if degree_bound is not None and sum(exp) > degree_bound:
-            continue
-        if not any(_divides(lm, exp) for lm in others):
-            out.append(exp)
-    out.sort()
-    return out
+    covered = set()
+    for lm in others:
+        covered.update(product(*(range(e, len(r)) for e, r in zip(lm, ranges))))
+    return [
+        exp
+        for exp in product(*ranges)
+        if exp not in covered and (degree_bound is None or sum(exp) <= degree_bound)
+    ]

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import ExitStack
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
@@ -578,18 +578,24 @@ def sh_dim_table(
     recorded as zero without computation.  The cells are computed (in
     ``gd.cell_presentation()``, see ``harmonic_cell_dimension``) by
     ``_walk``, each wave through ``pool.map`` over ``threads`` worker
-    processes or through the builtin ``map``; every computed cell is checked
+    processes (the pool starts on the first wave, so a refusal starts
+    none) or through the builtin ``map``; every computed cell is checked
     entrywise, and the theta-degree 0 row must equal Chevalley's
     prod_i [d_i]_q.
     """
     pool = None
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=threads)
-    with pool or nullcontext():
-        mapper = pool.map if pool else map
-        dims = _walk(gd, list(_cell_range(gd)), budget, harmonic_cell_dimension, mapper)
+    def pool_map(*args):
+        nonlocal pool
+        if pool is None:  # the first wave, after _walk has checked every budget
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=threads))
+        return pool.map(*args)
+
+    with ExitStack() as stack:
+        dims = _walk(gd, list(_cell_range(gd)), budget, harmonic_cell_dimension,
+                     pool_map if threads > 1 else map)
     spec = gd.spec
     table = DimTable(spec)
     for (i, k), dim in dims.items():

@@ -712,11 +712,10 @@ def partial_operator(omega: SuperPoly) -> Operator:
     thetas become interior products applied in reversed order.  (The
     coefficient conjugation is the identity over Q.)
     """
-    terms: dict[OpKey, Fraction] = {}
     z = (0,) * omega.n
-    for (xexp, thetas), c in omega.terms.items():
-        terms[(z, (), xexp, thetas)] = c
-    return Operator(omega.n, terms)
+    return unchecked(Operator, omega.n, {
+        (z, (), xexp, thetas): c for (xexp, thetas), c in omega.terms.items()
+    })
 
 
 def pairing(f: SuperPoly, omega: SuperPoly) -> Fraction:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from supercoinv import cli
 from supercoinv.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INFEASIBLE,
@@ -81,6 +82,18 @@ class TestHilbert:
         )
         assert code == EXIT_OK
         assert "$S_3$ & $z^2 + 6z + 6$ & (same)" in out
+
+    def test_warm_cache_builds_no_group(self, capsys, cache_dir, monkeypatch):
+        base = ["hilbert", "--m", "2", "--p", "2", "--n", "3"]
+        variants = [[], ["--format", "json"], ["--format", "latex"], ["--closure"]]
+        cold = [run(capsys, *base, *extra) for extra in variants]
+        assert all(code == EXIT_OK for code, _, _ in cold)
+
+        def no_group(*args):
+            raise AssertionError("hilbert built the group on a cache hit")
+
+        monkeypatch.setattr(cli, "build_group", no_group)
+        assert [run(capsys, *base, *extra) for extra in variants] == cold
 
     def test_infeasible_exit_code(self, capsys, cache_dir):
         code, out, err = run(

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from supercoinv import artin
 from supercoinv.groebner import (
     CommPoly,
+    GroebnerBasis,
     QuotientNotFiniteError,
     buchberger,
     complete_homogeneous,
@@ -95,6 +96,48 @@ class TestBuchberger:
             tuple(sorted(g.monic().terms.items())) for g in gens
         }
         assert set(gb.leading_monomials()) == predicted_leading_monomials(m, p, n)
+
+
+def _invariants(m, p, n):
+    """The basic invariants of G(m, p, n), which generate the same ideal as
+    the closed-form family but are not a lex Groebner basis for n > 1."""
+    def power_sum(k):
+        return sum((CommPoly.x(n, j, k) for j in range(1, n + 1)), CommPoly.zero(n))
+
+    if m == 1:
+        return [power_sum(i) for i in range(1, n + 1)]
+    last = power_sum(m * n) if p == 1 else CommPoly.monomial(n, (m // p,) * n)
+    return [power_sum(m * i) for i in range(1, n)] + [last]
+
+
+def _reorderings(gens):
+    return [gens[::-1]] + [gens[r:] + gens[:r] for r in range(1, len(gens))]
+
+
+MIXED_LEADING_MONOMIALS = [
+    CommPoly.x(3, 1, 3),
+    CommPoly.x(3, 1) * CommPoly.x(3, 2),
+    CommPoly.x(3, 2, 2) * CommPoly.x(3, 3),
+    CommPoly.x(3, 2, 4),
+    CommPoly.x(3, 3, 2),
+]
+
+
+class TestBuchbergerOrder:
+    """The reduced basis is unique, so neither the generator order nor the
+    order in which tied S-pairs are processed can change it."""
+
+    @pytest.mark.parametrize("key", GRID)
+    def test_reordered_generators_give_the_same_basis(self, key):
+        gb = buchberger(groebner_generators(*key))
+        for gens in (groebner_generators(*key), _invariants(*key)):
+            for reordered in _reorderings(gens):
+                assert buchberger(reordered) == gb
+
+    def test_mixed_leading_monomials(self):
+        gb = buchberger(MIXED_LEADING_MONOMIALS)
+        for reordered in _reorderings(MIXED_LEADING_MONOMIALS):
+            assert buchberger(reordered) == gb
 
 
 class TestNormalForm:
@@ -197,10 +240,7 @@ class TestStandardMonomialsBruteForce:
         )
 
     def test_mixed_leading_monomials(self):
-        x = CommPoly.x
-        gb = buchberger(
-            [x(3, 1, 3), x(3, 1) * x(3, 2), x(3, 2, 2) * x(3, 3), x(3, 2, 4), x(3, 3, 2)]
-        )
+        gb = buchberger(MIXED_LEADING_MONOMIALS)
         assert not all(sum(1 for e in lm if e) == 1 for lm in gb.leading_monomials())
         for bound in (None, 2, 5):
             assert standard_monomials(gb, bound) == _brute_force_standard(gb, bound)
@@ -218,6 +258,37 @@ class TestStandardMonomialsBruteForce:
         with pytest.raises(QuotientNotFiniteError):
             standard_monomials(gb)
         assert standard_monomials(gb, 3) == []
+
+
+@st.composite
+def monomial_ideals(draw):
+    """A basis of monomials in 1-4 variables, not necessarily minimal: pure
+    powers, mixed monomials and the unit (0, ..., 0), some of them outside
+    the box the pure powers bound, and some variables with no pure power."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=4)] * n)
+    pure_powers = st.builds(
+        lambda i, d: tuple(d if j == i else 0 for j in range(n)),
+        st.integers(min_value=0, max_value=n - 1),
+        st.integers(min_value=1, max_value=5),
+    )
+    lms = draw(st.lists(st.one_of(exps, pure_powers), min_size=1, max_size=7))
+    return GroebnerBasis(n, tuple(CommPoly.monomial(n, e) for e in lms))
+
+
+class TestStandardMonomialsRandomIdeals:
+    @settings(max_examples=300, deadline=None)
+    @given(monomial_ideals())
+    def test_against_brute_force(self, gb):
+        lms = gb.leading_monomials()
+        finite = all(any(lm[i] and sum(lm) == lm[i] for lm in lms) for i in range(gb.n))
+        if finite:
+            assert standard_monomials(gb) == _brute_force_standard(gb)
+        else:
+            with pytest.raises(QuotientNotFiniteError):
+                standard_monomials(gb)
+        for bound in (0, 1, 3, 6):
+            assert standard_monomials(gb, bound) == _brute_force_standard(gb, bound)
 
 
 class TestIdealContainments:

@@ -393,6 +393,16 @@ class TestBudget:
             assert (err.value.estimate, err.value.budget) == (estimate, budget)
         assert calls == []
 
+    def test_refused_threads_run_starts_no_pool(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the worker pool started before the budget check")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(FeasibilityError):
+            sh_dim_table(build_group(1, 1, 4), budget=100000, threads=2)
+
 
 class TestBudgetEstimate:
     @pytest.mark.parametrize(

@@ -2,9 +2,10 @@
 """Recompute the two-column Hilbert series table and diff it against the
 published values.
 
-By default runs the desk-scale groups (seconds each).  --stretch adds the
-heavy rows (S_5, B_4, D_4, minutes to an hour in total); --group m p n runs a
-single group.  Exit status 0 iff every computed row matches its golden row.
+By default runs the desk-scale groups (under a second in total).  --stretch
+adds the rows of S_5, B_4 and D_4 (about 6 s in total on a 2-core machine,
+S_5 the slowest); --group m p n runs a single group.  Exit status 0 iff every
+computed row matches its golden row.
 """
 
 import argparse
@@ -39,7 +40,7 @@ def run_group(key, budget):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--stretch", action="store_true",
-                        help="include S_5, B_4, D_4 (slow)")
+                        help="include S_5, B_4, D_4 (seconds)")
     parser.add_argument("--group", type=int, nargs=3, metavar=("M", "P", "N"))
     parser.add_argument("--cell-budget", type=int, default=10**9)
     parser.add_argument("--latex", action="store_true",

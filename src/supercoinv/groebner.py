@@ -159,14 +159,16 @@ def _lcm(a: Exp, b: Exp) -> Exp:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def normal_form(f: CommPoly, basis) -> CommPoly:
+def normal_form(f: CommPoly, basis, lms=None) -> CommPoly:
     """Remainder of multivariate division by the (monic) basis polynomials.
 
     No monomial of the result is divisible by any basis leading monomial; the
-    map is linear in f and idempotent.
+    map is linear in f and idempotent.  ``lms``, the basis's leading
+    monomials in order, spares recomputing them.
     """
-    gens = list(basis.generators) if isinstance(basis, GroebnerBasis) else list(basis)
-    lms = [g.leading_monomial() for g in gens]
+    gens = basis.generators if isinstance(basis, GroebnerBasis) else basis
+    if lms is None:
+        lms = [g.leading_monomial() for g in gens]
     work = dict(f.terms)
     remainder: dict[Exp, Fraction] = {}
     while work:
@@ -254,7 +256,7 @@ def buchberger(gens) -> GroebnerBasis:
             for k, lm in enumerate(lms)
         ):
             continue
-        r = normal_form(s_polynomial(basis[i], basis[j]), basis)
+        r = normal_form(s_polynomial(basis[i], basis[j]), basis, lms)
         if not r.is_zero():
             basis.append(r.monic())
             lms.append(r.leading_monomial())
@@ -262,25 +264,26 @@ def buchberger(gens) -> GroebnerBasis:
             for k in range(new):
                 heapq.heappush(pairs, pair(k, new))
 
-    # Inter-reduce to the unique reduced basis.
+    # Inter-reduce to the unique reduced basis.  The basis stays a Groebner
+    # basis, so an element reduces to zero exactly when another leading
+    # monomial divides its own, and otherwise keeps its leading monomial.
     changed = True
-    while changed:
+    while changed and len(basis) > 1:
         changed = False
         for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1 :]
-            if not others:
-                continue
-            r = normal_form(basis[i], others)
+            r = normal_form(basis[i], basis[:i] + basis[i + 1 :], lms[:i] + lms[i + 1 :])
             if r.is_zero():
                 basis.pop(i)
+                lms.pop(i)
                 changed = True
                 break
-            if r.monic() != basis[i]:
-                basis[i] = r.monic()
+            r = r.monic()
+            if r != basis[i]:
+                basis[i] = r
                 changed = True
                 break
-    basis.sort(key=lambda g: g.leading_monomial())
-    return GroebnerBasis(n, tuple(basis))
+    order = sorted(range(len(basis)), key=lms.__getitem__)
+    return GroebnerBasis(n, tuple(basis[i] for i in order))
 
 
 def complete_homogeneous(degree: int, variables, n: int, power: int = 1) -> CommPoly:

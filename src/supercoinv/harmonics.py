@@ -5,6 +5,11 @@ derivative operator attached to the coinvariant ideal; since that ideal is
 generated by the basic invariants f_i together with their exterior
 derivatives d f_i, the bidegree-(i, k) harmonic space is the common kernel of
 the 2n operators  d_{f_i}, d_{d f_i}  restricted to the (i, k) monomial cell.
+The (i, 0) cell holds the rows of the f_i alone; its kernel is the classical
+harmonics H_i.  The f_i have no theta, so on an (i, k) cell their rows are
+those of the (i, 0) cell times the identity on the theta words, and the cell
+is solved on H_i (x) Lambda^k: only the d f_i rows are eliminated there, on
+dim H_i * C(n, k) columns, and bases are lifted back through the H_i basis.
 
 Everything is exact rational linear algebra on sparse integer matrices.  Cell
 matrices are assembled directly as content-reduced integer rows: the
@@ -15,7 +20,8 @@ into the incremental Gauss-Jordan eliminator of ``linalg``, which stops
 pulling rows once the rank reaches the cell dimension; ranks, reduced
 echelon bases and nullspaces all come from that one path.  The generator
 operators become a cell matrix only in ``_cell_entries``, which checks every
-entry against the ideal products mu * g, so dimensions, bases and exactness
+entry against the ideal products mu * g (the f_i entries in the (i, 0) cell,
+the d f_i entries in the (i, k) cell), so dimensions, bases and exactness
 targets all pass the same check: under the pairing <x^a theta_I, x^a
 theta_I> = a! the two matrices agree up to diagonal scaling, so they have
 the same rank and the harmonic count equals the quotient-side count; a
@@ -40,9 +46,11 @@ The support of the harmonics is a down-set: SH is closed under every d/dx_j
 and d/dtheta_j, so a zero at (i-1, k) or (i, k-1) certifies SH^{i,k} = 0.
 One walker, ``_walk``, serves the whole-table entry points (``sh_dim_table``,
 ``harmonic_cells``, the top row of ``fitting_structures``): it records such
-cells as zero without building them.  Cells whose matrices would exceed the
-cell budget (rows x columns entries) are refused with a size estimate; the
-walker checks every cell, skipped or not, before it computes the first one.
+cells as zero without building them, and hands the H_i of each (i, 0) cell
+to the cells (i, k) of the same walk, never beyond it.  Cells whose matrices
+would exceed the cell budget (rows x columns entries) are refused with a size
+estimate; the walker checks every cell, skipped or not, before it computes
+the first one.
 
 The derivative closure of the det-isotypic elements d_{i_1}...d_{i_k} Delta
 is computed one x-degree at a time, top down: only the rows found
@@ -51,7 +59,6 @@ independent one x-degree higher are differentiated, by one x_j at a time.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from contextlib import ExitStack
 from fractions import Fraction
@@ -61,8 +68,9 @@ from itertools import chain, combinations, product, repeat
 from operator import add, sub
 
 from . import linalg
+from .dimtable import DimTable
 from .groups import GroupData, GroupSpec, IntegrityError, ReducedPresentation
-from .qseries import QPoly, QZPoly, format_poly, q_integer
+from .qseries import QPoly, QZPoly, q_integer
 from .records import Record, Value
 from .superpoly import (
     Monomial,
@@ -76,8 +84,6 @@ from .superpoly import (
 )
 
 DEFAULT_CELL_BUDGET = 2 * 10**7
-
-SCHEMA_VERSION = 1
 
 
 class FeasibilityError(RuntimeError):
@@ -132,64 +138,6 @@ class Subspace(Value):
         rows = linalg.rref(vectors, len(ambient))
         frozen = tuple(tuple(sorted(r.items())) for r in rows)
         return Subspace(tuple(ambient), frozen)
-
-
-class DimTable(Record):
-    """Bi-graded dimension table: (x-degree, theta-degree) -> dimension."""
-
-    group: GroupSpec
-    entries: dict[tuple[int, int], int] = {}
-
-    def dim(self, i: int, k: int) -> int:
-        return self.entries.get((i, k), 0)
-
-    def set(self, i: int, k: int, value: int):
-        if value:
-            self.entries[(i, k)] = value
-        else:
-            self.entries.pop((i, k), None)
-
-    def hilbert_qz(self) -> QZPoly:
-        return QZPoly({(i, k): v for (i, k), v in self.entries.items()})
-
-    def z_coefficients_at_q1(self) -> dict[int, int]:
-        """{theta-degree: total dimension}; the Hilb(.; 1, z) coefficients."""
-        out: dict[int, int] = {}
-        for (i, k), v in self.entries.items():
-            out[k] = out.get(k, 0) + v
-        return out
-
-    def hilbert_z_string(self) -> str:
-        return format_poly(self.z_coefficients_at_q1(), var="z")
-
-    def column(self, k: int) -> QPoly:
-        return QPoly({i: v for (i, kk), v in self.entries.items() if kk == k})
-
-    def to_json_dict(self) -> dict:
-        dims = [[i, k, v] for (i, k), v in sorted(self.entries.items())]
-        return {
-            "group": {"m": self.group.m, "p": self.group.p, "n": self.group.n},
-            "version": SCHEMA_VERSION,
-            "dims": dims,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "DimTable":
-        if data.get("version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported dimension table version {data.get('version')}")
-        g = data["group"]
-        spec = GroupSpec.create(g["m"], g["p"], g["n"])
-        table = DimTable(spec)
-        for i, k, v in data["dims"]:
-            table.set(int(i), int(k), int(v))
-        return table
-
-    @staticmethod
-    def from_json(text: str) -> "DimTable":
-        return DimTable.from_json_dict(json.loads(text))
 
 
 def latex_table(rows: list[tuple[str, str, str]]) -> str:
@@ -289,15 +237,18 @@ def _operator_entries(ops, n: int, i: int, k: int):
 
     Maps (operator index, target monomial) to {source column: int}; the
     integers are those of the operators scaled by the lcm of their
-    denominators.  A term with x-derivative derx kills every x-monomial that
-    x^derx does not divide, so it visits only the sources x^derx * x^rest,
-    rest of degree i - |derx|.
+    denominators.  An operator given as None is left out (the others keep
+    their list index).  A term with x-derivative derx kills every x-monomial
+    that x^derx does not divide, so it visits only the sources
+    x^derx * x^rest, rest of degree i - |derx|.
     """
     words = [t for _, t in cell_monomials(n, 0, k)]
     width = len(words)
     positions = _x_positions(n, i)
     rows: dict[tuple[int, Monomial], dict[int, int]] = {}
     for oi, op in enumerate(ops):
+        if op is None:
+            continue
         for (mulx, multheta, derx, dertheta), c in _integer_terms(op.terms):
             acts = (theta_action(multheta, dertheta, w) for w in words)
             actions = [(ti, act) for ti, act in enumerate(acts) if act is not None]
@@ -330,14 +281,16 @@ def _x_factorial(xexp) -> int:
 
 
 def _check_against_products(
-    pres: GroupData | ReducedPresentation, entries, i: int, k: int
+    pres: GroupData | ReducedPresentation, entries, i: int, k: int,
+    theta_only: bool = False,
 ):
     """Prove entrywise that the operator-side matrix of the (i, k) cell is
     the ideal-side one up to diagonal scaling, or raise IntegrityError.
 
     ``pres`` is a presentation (``GroupData.cell_presentation``, or a
     GroupData): its ``n`` variables, ideal generators and their operators.
-    ``entries`` is ``_operator_entries`` of the harmonic generator operators.
+    ``entries`` is ``_operator_entries`` of the harmonic generator operators
+    (with ``theta_only``, of the d f_j alone: a row of an f_j is then extra).
     Under the pairing <x^a theta_I, x^a theta_I> = a!, for a generator g and
     monomials mu, nu
         coeff_nu(mu g) nu_x! = eps coeff_mu(d_g nu) mu_x!,
@@ -357,7 +310,10 @@ def _check_against_products(
     degrees = {}
     walked = 0  # rows of ``entries`` met; each (oi, mu) is met at most once
     for oi, g in enumerate(pres.ideal_generators()):
-        gi, gk = degrees[oi] = g.bidegree()
+        gi, gk = g.bidegree()
+        if theta_only and not gk:
+            continue
+        degrees[oi] = gi, gk
         terms = _integer_terms(g.terms)
         # For each theta word of mu: (term, sign, theta offset) of every term
         # whose product with it is nonzero.
@@ -464,30 +420,88 @@ def harmonic_cell_dimension(
 ) -> int:
     """dim of the bidegree-(i, k) harmonic space.
 
-    Computed in ``gd.cell_presentation()``: for S_n the reduced presentation
-    in n - 1 variables, whose (i, k) part has the same dimension; otherwise
-    the group's own.  One elimination of the operator-side matrix, whose
-    entries are first checked against the ideal products (``_cell_entries``).
-    The budget is always that of the x-presentation, so refusals do not
-    depend on the route.
+    Computed in ``gd.cell_presentation()`` (for S_n the reduced presentation
+    in n - 1 variables, whose (i, k) part has the same dimension): dim H_i
+    for k = 0, else the corank of ``_theta_rows``.  Every eliminated entry is
+    first checked against the ideal products (``_cell_entries``).  The budget
+    is always that of the x-presentation, so refusals do not depend on the
+    route.
     """
     if cell_dimension(gd.n, i, k) == 0:
         return 0
     check_cell_budget(gd, i, k, budget)
     pres = gd.cell_presentation()
-    cols = cell_dimension(pres.n, i, k)
-    if cols == 0:
+    if cell_dimension(pres.n, i, k) == 0:
         return 0
-    return cols - linalg.rank(_reduced_rows(_cell_entries(pres, i, k)), cols)
+    classical = _classical_harmonics(pres, i)
+    if k == 0:
+        return len(classical)
+    cols = len(classical) * comb(pres.n, k)
+    return cols - linalg.rank(_theta_rows(pres, i, k, classical), cols)
 
 
-def _cell_entries(pres: GroupData | ReducedPresentation, i: int, k: int):
+def _cell_entries(
+    pres: GroupData | ReducedPresentation, i: int, k: int, theta_only: bool = False
+):
     """``_operator_entries`` of the presentation's generator operators on the
     (i, k) cell, every entry checked against the ideal products: the one
-    generator cell matrix, read by dimensions, bases and exactness targets."""
-    entries = _operator_entries(pres.harmonic_generator_operators(), pres.n, i, k)
-    _check_against_products(pres, entries, i, k)
+    generator cell matrix, read by dimensions, bases and exactness targets.
+
+    With ``theta_only``, of the d f_j alone.  The f_j rows are then those of
+    the (i, 0) cell times the identity on the theta words, because f_j (its
+    bidegree is checked) and d_{f_j} (checked here) have no theta.
+    """
+    ops = pres.harmonic_generator_operators()
+    if theta_only:
+        gens = pres.ideal_generators()
+        if any(mt or dt for g, op in zip(gens, ops) if not g.bidegree()[1]
+               for _, mt, _, dt in op.terms):
+            raise IntegrityError(f"{pres.spec.label()}: an f_j operator acts on theta")
+        ops = [op if g.bidegree()[1] else None for g, op in zip(gens, ops)]
+    entries = _operator_entries(ops, pres.n, i, k)
+    _check_against_products(pres, entries, i, k, theta_only)
     return entries
+
+
+# H_i held by ``_walk_cell`` for one cell call and reset when it returns or
+# raises; None outside a walk.  Walks run cells one at a time per process.
+_walk_classical: dict | None = None
+
+
+def _classical_harmonics(pres: GroupData | ReducedPresentation, i: int):
+    """H_i, the kernel of the (checked) f_j rows that make up the (i, 0)
+    cell, as integer rows over the degree-i x-monomials; inside a walk it is
+    taken from, or left for, ``_walk_cell``."""
+    held = _walk_classical
+    if held is not None and i in held:
+        return held[i]
+    rows = _reduced_rows(_cell_entries(pres, i, 0))
+    kernel = linalg.nullspace(rows, cell_dimension(pres.n, i, 0))
+    if held is not None:
+        held[i] = kernel
+    return kernel
+
+
+def _theta_rows(pres: GroupData | ReducedPresentation, i: int, k: int, classical):
+    """Content-reduced rows of the d f_j on H_i (x) Lambda^k, where the forms
+    of the cell killed by every f_j lie.  Column h * C(n, k) + t is vector h
+    of ``classical`` times theta word t.  The first pull assembles and checks
+    every entry; with no columns, none is pulled."""
+    entries = _cell_entries(pres, i, k, theta_only=True)
+    width = comb(pres.n, k)
+    by_x = {}
+    for h, vec in enumerate(classical):
+        for xi, b in vec:
+            by_x.setdefault(xi, []).append((h * width, b))
+    for key in sorted(entries):
+        out = {}
+        for col, v in entries[key].items():
+            xi, t = divmod(col, width)
+            for base, b in by_x.get(xi, ()):
+                out[base + t] = out.get(base + t, 0) + v * b
+        row = _reduced_row(out.items())
+        if row:
+            yield row
 
 
 def coinvariant_cell_dimension(
@@ -506,12 +520,20 @@ def coinvariant_cell_dimension(
 def kernel_intersection(
     pres: GroupData | ReducedPresentation, i: int, k: int
 ) -> Subspace:
-    """Reduced-echelon basis of the (i, k) harmonics of a presentation: the
-    common kernel of its generator operators on the cell, checked entrywise
-    by ``_cell_entries``."""
-    ambient = cell_monomials(pres.n, i, k)
-    rows = _reduced_rows(_cell_entries(pres, i, k))
-    return Subspace.from_vectors(ambient, linalg.nullspace(rows, len(ambient)))
+    """Reduced-echelon basis of the (i, k) harmonics of a presentation: H_i
+    for k = 0, else the kernel of ``_theta_rows`` taken back to the cell."""
+    vectors = classical = _classical_harmonics(pres, i)
+    if k:
+        width = comb(pres.n, k)
+        vectors = []
+        for vec in linalg.nullspace(_theta_rows(pres, i, k, classical), len(classical) * width):
+            lifted = {}
+            for col, a in vec:
+                h, t = divmod(col, width)
+                for xi, b in classical[h]:
+                    lifted[xi * width + t] = lifted.get(xi * width + t, 0) + a * b
+            vectors.append(lifted)
+    return Subspace.from_vectors(cell_monomials(pres.n, i, k), vectors)
 
 
 def harmonic_cell(gd: GroupData, i: int, k: int, budget: int = DEFAULT_CELL_BUDGET) -> Subspace:
@@ -543,27 +565,43 @@ def _walk(gd: GroupData, cells, budget: int, compute, mapper=map) -> dict:
 
     Every cell's budget, skipped or not, is checked before the first one is
     computed.  The cells are then walked in waves of equal i + k, each wave
-    through one ``mapper`` call (``pool.map`` or the builtin ``map``); a cell
-    next to a zero of the previous wave is zero by ``_implied_zero`` and is
-    skipped.  A computed value is zero when it is falsy (a dimension 0, the
-    zero Subspace).  Returns the computed values in the order of ``cells``;
-    the skipped cells, all zero, are left out.
+    through one ``mapper`` call (``pool.map`` or the builtin ``map``) of
+    ``_walk_cell``, which hands the H_i of each (i, 0) cell to the later
+    cells (i, k); a cell next to a zero of the previous wave is zero by
+    ``_implied_zero`` and is skipped.  A computed value is zero when it is
+    falsy (a dimension 0, the zero Subspace).  Returns the computed values in
+    the order of ``cells``; the skipped cells, all zero, are left out.
     """
     for i, k in cells:
         check_cell_budget(gd, i, k, budget)
-    found, zeros = {}, set()
+    found, zeros, classical = {}, set(), {}
     for s in sorted({i + k for i, k in cells}):
         wave = [(i, k) for i, k in cells if i + k == s]
         zeros.update([cell for cell in wave if _implied_zero(zeros, *cell)])
         todo = [cell for cell in wave if cell not in zeros]
-        values = mapper(
-            compute, repeat(gd), [i for i, _ in todo], [k for _, k in todo], repeat(budget)
+        results = mapper(
+            _walk_cell, repeat(compute), repeat(gd), [i for i, _ in todo],
+            [k for _, k in todo], repeat(budget), [classical.get(i) for i, _ in todo],
         )
-        for cell, value in zip(todo, values):
-            found[cell] = value
+        for (i, k), (value, kernel) in zip(todo, results):
+            found[i, k] = value
+            if kernel is not None:
+                classical[i] = kernel
             if not value:
-                zeros.add(cell)
+                zeros.add((i, k))
     return {cell: found[cell] for cell in cells if cell in found}
+
+
+def _walk_cell(compute, gd: GroupData, i: int, k: int, budget: int, classical):
+    """``compute(gd, i, k, budget)`` given the H_i of the walk's (i, 0) cell,
+    or None; returns the value and, for an (i, 0) cell, the H_i it found
+    (which comes back from a worker process with the value)."""
+    global _walk_classical
+    held = _walk_classical = {} if classical is None else {i: classical}
+    try:
+        return compute(gd, i, k, budget), None if k else held.get(i)
+    finally:
+        _walk_classical = None
 
 
 def sh_dim_table(

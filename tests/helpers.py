@@ -5,8 +5,10 @@ the composed Orlik-Solomon operators proportional to
 d_{Delta*} theta_1...theta_n), the group elements of the real groups as
 signed permutations and their action on forms, literal span equality
 of canonical RREF bases, the SuperPoly substitution that the integer
-reduced presentation of S_n is pinned to, and the Diagram record with the
-three-clause pivot condition for G(m, p, n) diagrams.
+reduced presentation of S_n is pinned to, the whole-cell harmonic
+dimension and kernel that the H_i (x) Lambda^k route is pinned to, and the
+Diagram record with the three-clause pivot condition for G(m, p, n)
+diagrams.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
+from supercoinv import harmonics, linalg
 from supercoinv.artin import is_substaircase
 from supercoinv.groups import GroupData, GroupSpec, _perm_sign
 from supercoinv.superpoly import (
@@ -218,6 +221,30 @@ def reference_reduced_images(gd: GroupData) -> list[SuperPoly]:
             out = out + (term * theta_image if has_last else term)
         images.append(out)
     return images
+
+
+def full_cell_dimension(gd: GroupData, i: int, k: int, budget: int) -> int:
+    """dim SH^{i,k} from one elimination of all 2n generator operators on the
+    whole (i, k) cell of ``gd.cell_presentation()``, every entry checked: the
+    route every cell took before the cells of theta-degree >= 1 were solved
+    on H_i (x) Lambda^k."""
+    if harmonics.cell_dimension(gd.n, i, k) == 0:
+        return 0
+    harmonics.check_cell_budget(gd, i, k, budget)
+    pres = gd.cell_presentation()
+    cols = harmonics.cell_dimension(pres.n, i, k)
+    if cols == 0:
+        return 0
+    rows = harmonics._reduced_rows(harmonics._cell_entries(pres, i, k))
+    return cols - linalg.rank(rows, cols)
+
+
+def full_cell_kernel(pres, i: int, k: int) -> harmonics.Subspace:
+    """Reduced-echelon basis of the (i, k) harmonics of a presentation: the
+    common kernel of all its generator operators on the whole cell."""
+    ambient = harmonics.cell_monomials(pres.n, i, k)
+    rows = harmonics._reduced_rows(harmonics._cell_entries(pres, i, k))
+    return harmonics.Subspace.from_vectors(ambient, linalg.nullspace(rows, len(ambient)))
 
 
 @dataclass(frozen=True)

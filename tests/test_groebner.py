@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from supercoinv import artin
+from supercoinv import artin, groebner
 from supercoinv.groebner import (
     CommPoly,
     GroebnerBasis,
@@ -138,6 +138,22 @@ class TestBuchbergerOrder:
         gb = buchberger(MIXED_LEADING_MONOMIALS)
         for reordered in _reorderings(MIXED_LEADING_MONOMIALS):
             assert buchberger(reordered) == gb
+
+    @pytest.mark.parametrize("key", GRID)
+    def test_normal_form_gets_the_kept_leading_monomials(self, monkeypatch, key):
+        # for the S-pair reductions and for the inter-reduction alike
+        real = groebner.normal_form
+        calls = []
+
+        def checked(f, basis, lms=None):
+            assert lms == [g.leading_monomial() for g in basis]
+            calls.append(len(basis))
+            return real(f, basis, lms)
+
+        monkeypatch.setattr(groebner, "normal_form", checked)
+        for gens in (groebner_generators(*key), _invariants(*key)):
+            buchberger(gens)
+        assert calls or key[2] == 1  # one generator: nothing to reduce
 
 
 class TestNormalForm:

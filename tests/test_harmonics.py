@@ -38,7 +38,7 @@ from supercoinv.superpoly import (
     x_monomials,
 )
 from supercoinv.verify import GOLDEN_TABLE
-from helpers import reference_reduced_images
+from helpers import full_cell_dimension, full_cell_kernel, reference_reduced_images
 from test_linalg import reference_rank
 
 
@@ -1074,14 +1074,16 @@ class TestDownSet:
 
     @staticmethod
     def _rank_off_at_2_0(monkeypatch):
-        # the rank of k = 0 cell (2, 0) alone is one too high
-        real_cell, real_rank = harmonics.harmonic_cell_dimension, linalg.rank
+        # the rank of k = 0 cell (2, 0) alone is one too high: its kernel,
+        # H_2, which the k = 0 cell is read from, lacks one vector
+        real_cell, real_nullspace = harmonics.harmonic_cell_dimension, linalg.nullspace
 
         def cell(gd, i, k, budget=harmonics.DEFAULT_CELL_BUDGET):
             if (i, k) != (2, 0):
                 return real_cell(gd, i, k, budget)
             with monkeypatch.context() as patch:
-                patch.setattr(linalg, "rank", lambda rows, ncols: real_rank(rows, ncols) + 1)
+                patch.setattr(linalg, "nullspace",
+                              lambda rows, ncols: real_nullspace(rows, ncols)[1:])
                 return real_cell(gd, i, k, budget)
 
         monkeypatch.setattr(harmonics, "harmonic_cell_dimension", cell)
@@ -1097,3 +1099,106 @@ class TestDownSet:
         self._rank_off_at_2_0(monkeypatch)
         with pytest.raises(IntegrityError, match=r"B_3: theta-degree 0 row"):
             sh_dim_table(build_group(2, 1, 3))
+
+
+class TestThetaCells:
+    """Cells of theta-degree k >= 1 solved on H_i (x) Lambda^k, pinned to the
+    whole-cell route (``helpers.full_cell_dimension``, ``full_cell_kernel``)."""
+
+    @pytest.mark.parametrize(
+        "spec", DOWN_SET_GROUPS, ids=lambda spec: f"{spec.m}-{spec.p}-{spec.n}"
+    )
+    def test_dimensions_equal_the_full_cell(self, spec):
+        gd = build_group(spec.m, spec.p, spec.n)
+        budget = harmonics.DEFAULT_CELL_BUDGET
+        for i, k in harmonics._cell_range(gd):
+            assert harmonics.harmonic_cell_dimension(gd, i, k) == (
+                full_cell_dimension(gd, i, k, budget)
+            ), (i, k)
+
+    def test_reduced_s4_kernels_equal_the_full_cell(self):
+        gd = build_group(1, 1, 4)
+        pres = gd.cell_presentation()
+        for i, k in harmonics._cell_range(gd):
+            assert kernel_intersection(pres, i, k) == full_cell_kernel(pres, i, k), (i, k)
+
+    def test_s5_benchmark_cells_equal_the_full_cell(self):
+        gd = build_group(1, 1, 5)
+        for cell in [(8, 0), (9, 0), (4, 3), (8, 5)]:
+            assert harmonics.harmonic_cell_dimension(gd, *cell, budget=10**9) == (
+                full_cell_dimension(gd, *cell, 10**9)
+            ), cell
+
+    @pytest.mark.parametrize(
+        "spec", [spec for spec in DOWN_SET_GROUPS if spec.n <= 3],
+        ids=lambda spec: f"{spec.m}-{spec.p}-{spec.n}",
+    )
+    def test_subspaces_equal_the_full_cell(self, spec):
+        gd = build_group(spec.m, spec.p, spec.n)
+        cells = harmonic_cells(gd)
+        for cell, sub in cells.items():
+            reference = full_cell_kernel(gd, *cell)
+            assert sub == reference, cell
+            assert harmonic_cell(gd, *cell) == reference, cell
+
+    @pytest.mark.parametrize("j", range(3))
+    @pytest.mark.parametrize("entry", ["harmonic_cell", "harmonic_cell_dimension"])
+    def test_stale_kernel_is_not_reused(self, monkeypatch, j, entry):
+        # H_6 of B_3 was found by the walks and calls before f_j was
+        # corrupted; a later call computes and checks its own
+        gd = build_group(2, 1, 3)
+        harmonic_cells(gd)
+        sh_dim_table(gd)
+        harmonic_cell(gd, 6, 1)
+        harmonics.harmonic_cell_dimension(gd, 6, 1)
+        ops = list(gd.harmonic_generator_operators())
+        ops[j] = -ops[j]
+        monkeypatch.setattr(gd, "_generator_ops", ops)
+        with pytest.raises(IntegrityError, match=r"B_3 bidegree \(6,0\).*column"):
+            getattr(harmonics, entry)(gd, 6, 1)
+
+    @pytest.mark.parametrize("entry", ["harmonic_cell", "harmonic_cell_dimension"])
+    def test_x_only_operator_acting_on_theta_is_caught(self, monkeypatch, entry):
+        # a theta-derivative term has no entries on the (i, 0) cell, so only
+        # the check that the f_j block is A_i (x) I can see it
+        gd = build_group(2, 1, 3)
+        ops = list(gd.harmonic_generator_operators())
+        ops[0] = ops[0] + Operator.term(3, derx=(2, 0, 0), dertheta=(1,))
+        monkeypatch.setattr(gd, "_generator_ops", ops)
+        assert getattr(harmonics, entry)(gd, 6, 0) is not None
+        with pytest.raises(IntegrityError, match=r"B_3: an f_j operator acts on theta"):
+            getattr(harmonics, entry)(gd, 6, 1)
+
+    @staticmethod
+    def _record_assemblies(monkeypatch, log):
+        real = harmonics._cell_entries
+
+        def recorded(pres, i, k, theta_only=False):
+            with open(log, "a") as out:
+                out.write(f"{i} {k} {int(theta_only)}\n")
+            return real(pres, i, k, theta_only)
+
+        monkeypatch.setattr(harmonics, "_cell_entries", recorded)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers rebuild the module; only forked ones see the recorder",
+    )
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("key", [(1, 1, 4), (2, 1, 3)])
+    def test_each_classical_cell_is_computed_once(self, monkeypatch, tmp_path, key, threads):
+        gd = build_group(*key)
+        reference = sh_dim_table(gd)
+        log = tmp_path / "assemblies"
+        self._record_assemblies(monkeypatch, log)
+        assert sh_dim_table(gd, threads=threads).entries == reference.entries
+        seen = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        assert len(seen) == len(set(seen))
+        # the (i, 0) cells the down-set leaves open, and no whole k >= 1 cell
+        open_rows = {
+            i for i, k in harmonics._cell_range(gd)
+            if k == 0 and (i == 0 or reference.dim(i - 1, 0))
+        }
+        assert {i for i, k, theta in seen if not theta} == open_rows
+        assert all(k == 0 for _, k, theta in seen if not theta)
+        assert all(k >= 1 for _, k, theta in seen if theta)

@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from supercoinv import harmonics
 from supercoinv.groups import build_group
-from supercoinv.verify import DESK_SCALE_GROUPS, GOLDEN_TABLE
+from supercoinv.verify import DESK_SCALE_GROUPS, golden_row
 
 STRETCH_GROUPS = [(1, 1, 5), (2, 1, 4), (2, 2, 4)]
 
@@ -62,13 +62,11 @@ def main():
         sh = table.z_coefficients_at_q1()
         cl = closure.z_coefficients_at_q1()
         rows.append((label, z_string(sh), z_string(cl)))
-        golden = GOLDEN_TABLE.get(key)
+        golden = golden_row(key)
         if golden is None:
             status = "no golden row"
         else:
-            want_sh = {k: c for k, c in enumerate(golden[0]) if c}
-            want_cl = {k: c for k, c in enumerate(golden[1] or golden[0]) if c}
-            ok = sh == want_sh and cl == want_cl
+            ok = (sh, cl) == golden
             all_ok = all_ok and ok
             status = "ok" if ok else "MISMATCH"
         closure_txt = "(same)" if cl == sh else z_string(cl)

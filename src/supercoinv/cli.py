@@ -136,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute everything, touch no cache files")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for the dimension-table cells")
+                        help="worker processes for the dimension-table cells; "
+                        "slower than 1 below B_4/S_5-sized tables")
     parser.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET,
                         help="max matrix entries per bidegree cell before "
                         "refusing (default %(default)s)")

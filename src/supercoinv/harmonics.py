@@ -183,13 +183,6 @@ def cell_dimension(n: int, i: int, k: int) -> int:
     return comb(i + n - 1, n - 1) * comb(n, k)
 
 
-def poly_to_vector(f: SuperPoly, index: dict[Monomial, int]) -> dict[int, Fraction]:
-    vec = {}
-    for mon, c in f.terms.items():
-        vec[index[mon]] = c
-    return vec
-
-
 # ---------------------------------------------------------------------------
 # Integer row assembly
 # ---------------------------------------------------------------------------
@@ -209,6 +202,11 @@ def _integer_terms(terms: dict) -> list:
 def _reduced_row(entries) -> linalg.IntRow:
     """Content-reduced IntRow from (column, int) pairs with distinct columns."""
     return linalg._content_reduce(sorted((col, v) for col, v in entries if v))
+
+
+def _poly_row(f: SuperPoly, index: dict[Monomial, int]) -> linalg.IntRow:
+    """Content-reduced IntRow of f over the monomial columns of index."""
+    return _reduced_row((index[mon], c) for mon, c in _integer_terms(f.terms))
 
 
 def _x_derivative(terms, beta) -> list[tuple[Monomial, int]]:
@@ -734,9 +732,7 @@ def det_isotypic_basis(gd: GroupData) -> dict[int, Subspace]:
     for k, elems in sorted(by_k.items()):
         mons = sorted({mon for e in elems for mon in e.terms}, reverse=True)
         index = {mon: c for c, mon in enumerate(mons)}
-        sub = Subspace.from_vectors(
-            tuple(mons), [poly_to_vector(e, index) for e in elems]
-        )
+        sub = Subspace.from_vectors(tuple(mons), [_poly_row(e, index) for e in elems])
         if sub.dimension != len(elems):
             raise IntegrityError(
                 f"det-isotypic elements of {spec.label()} at theta-degree {k} "
@@ -1173,7 +1169,7 @@ def support_check(
             expected = [ddelta]
         index = _cell_index(n, *key)
         span = Subspace.from_vectors(
-            cell_monomials(n, *key), [poly_to_vector(f, index) for f in expected]
+            cell_monomials(n, *key), [_poly_row(f, index) for f in expected]
         )
         if (sub.dimension != span.dimension) or (sub.basis != span.basis):
             pair_ok = False
@@ -1185,7 +1181,7 @@ def support_check(
             continue
         index = _cell_index(n, *key)
         det_here = [
-            poly_to_vector(e, index) for e in det_elems.values() if e.bidegree() == key
+            _poly_row(e, index) for e in det_elems.values() if e.bidegree() == key
         ]
         det_span = Subspace.from_vectors(cell_monomials(n, *key), det_here)
         if sub.basis != det_span.basis:

@@ -535,22 +535,14 @@ class Operator:
     @classmethod
     def exterior_derivative(cls, n: int) -> "Operator":
         """d = sum_j (d/dx_j) theta_j."""
-        out = cls.zero(n)
-        for j in range(1, n + 1):
-            exp = [0] * n
-            exp[j - 1] = 1
-            out = out + cls.term(n, multheta=(j,), derx=exp)
-        return out
+        return cls.power_exterior_derivative(n, 1)
 
     @classmethod
     def power_exterior_derivative(cls, n: int, power: int) -> "Operator":
         """sum_j (d/dx_j)^power theta_j; power 0 gives sum_j theta_j."""
-        out = cls.zero(n)
-        for j in range(1, n + 1):
-            exp = [0] * n
-            exp[j - 1] = power
-            out = out + cls.term(n, multheta=(j,), derx=exp)
-        return out
+        return cls.theta_weighted_derivative(
+            n, [[power if l == j else 0 for l in range(n)] for j in range(n)]
+        )
 
     @classmethod
     def theta_weighted_derivative(cls, n: int, exps_by_theta) -> "Operator":

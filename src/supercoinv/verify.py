@@ -6,6 +6,12 @@ computed, verdict).  Theorem suites report pass/fail; conjecture suites
 report consistent/inconsistent and never assert the conjecture as ground
 truth.  All comparisons are exact; "pass"/"consistent" requires equality.
 
+Every suite over groups is one ``check(key, params)`` closure that ``_each``
+runs on each case ``_groups`` selects: the group given by m, p, n, or the
+suite's default list.  A case outside a claim's scope comes back from its
+check as ``skipped`` with the reason; a case the cell budget refuses is
+turned into ``skipped`` with the size estimate by ``_each`` alone.
+
 Suites and the claim ids their reports carry:
 
     table-calcs   golden two-column Hilbert series table (q = 1)
@@ -109,12 +115,13 @@ GRID = [
 ]
 
 
-def _zpoly_str(coeffs_by_k) -> str:
-    if isinstance(coeffs_by_k, dict):
-        data = coeffs_by_k
-    else:
-        data = {k: c for k, c in enumerate(coeffs_by_k)}
-    return qseries.format_poly(data, var="z")
+def golden_row(key) -> tuple[dict[int, int], dict[int, int]] | None:
+    """The golden (harmonic, closure) z-coefficients of a group at q = 1, as
+    {theta-degree: dimension} without zeros; None if the group has no row."""
+    if key not in GOLDEN_TABLE:
+        return None
+    sh, closure = GOLDEN_TABLE[key]
+    return tuple({k: c for k, c in enumerate(col) if c} for col in (sh, closure or sh))
 
 
 class _Context(Record):
@@ -138,12 +145,28 @@ class _Context(Record):
         return self._cells[key]
 
 
-def _group_keys(m, p, n, default) -> list[tuple[int, int, int]]:
+def _groups(m, p, n, default, **extra) -> list[tuple[tuple[int, int, int], dict]]:
+    """(key, params) of the group m, p, n, or of every default group when no
+    group is given; extra entries are added to each params."""
     if m is None and p is None and n is None:
-        return list(default)
-    if m is None or n is None:
+        keys = default
+    elif m is None or n is None:
         raise ValueError("both --m and --n are required when selecting a group")
-    return [(m, 1 if p is None else p, n)]
+    else:
+        keys = [(m, 1 if p is None else p, n)]
+    return [(key, {"m": key[0], "p": key[1], "n": key[2], **extra}) for key in keys]
+
+
+def _each(claim, cases, check) -> list[CheckReport]:
+    """check(key, params) -> CheckReport for every case; a case the cell
+    budget refuses is reported skipped with the refusal."""
+    reports = []
+    for key, params in cases:
+        try:
+            reports.append(check(key, params))
+        except FeasibilityError as exc:
+            reports.append(_skip(claim, params, str(exc)))
+    return reports
 
 
 def _skip(claim, params, reason) -> CheckReport:
@@ -156,84 +179,59 @@ def _skip(claim, params, reason) -> CheckReport:
 
 
 def _suite_table_calcs(ctx: _Context, m=None, p=None, n=None, **_) -> list[CheckReport]:
-    reports = []
-    for key in _group_keys(m, p, n, DESK_SCALE_GROUPS):
-        if key not in GOLDEN_TABLE:
-            reports.append(
-                _skip("tab:calcs", _params(key), "no golden row for this group")
-            )
-            continue
-        sh_gold, closure_gold = GOLDEN_TABLE[key]
-        closure_gold = closure_gold or sh_gold
-        params = _params(key)
-        try:
-            table = ctx.table(key)
-            gd = build_group(*key)
-            closure = harmonics.derivative_closure(gd, budget=ctx.budget)
-        except FeasibilityError as exc:
-            reports.append(_skip("tab:calcs", params, str(exc)))
-            continue
-        got_sh = table.z_coefficients_at_q1()
-        got_cl = closure.z_coefficients_at_q1()
-        want_sh = {k: c for k, c in enumerate(sh_gold) if c}
-        want_cl = {k: c for k, c in enumerate(closure_gold) if c}
-        ok = got_sh == want_sh and got_cl == want_cl
-        reports.append(
-            CheckReport(
-                "tab:calcs",
-                params,
-                f"{_zpoly_str(want_sh)} | {_zpoly_str(want_cl)}",
-                f"{_zpoly_str(got_sh)} | {_zpoly_str(got_cl)}",
-                "pass" if ok else "fail",
-                provenance=PROVENANCE_PUBLISHED,
-                note="" if ok else _first_diff(want_sh, got_sh, want_cl, got_cl),
-            )
+    def check(key, params):
+        want = golden_row(key)
+        if want is None:
+            return _skip("tab:calcs", params, "no golden row for this group")
+        table = ctx.table(key)
+        closure = harmonics.derivative_closure(build_group(*key), budget=ctx.budget)
+        got = table.z_coefficients_at_q1(), closure.z_coefficients_at_q1()
+        ok = got == want
+        return CheckReport(
+            "tab:calcs",
+            params,
+            " | ".join(qseries.format_poly(col, var="z") for col in want),
+            " | ".join(qseries.format_poly(col, var="z") for col in got),
+            "pass" if ok else "fail",
+            provenance=PROVENANCE_PUBLISHED,
+            note="" if ok else _first_diff(want, got),
         )
-    return reports
+
+    return _each("tab:calcs", _groups(m, p, n, DESK_SCALE_GROUPS), check)
 
 
-def _first_diff(want_sh, got_sh, want_cl=None, got_cl=None) -> str:
-    for k in sorted(set(want_sh) | set(got_sh)):
-        if want_sh.get(k, 0) != got_sh.get(k, 0):
-            return (
-                f"first differing entry: harmonic z^{k} expected "
-                f"{want_sh.get(k, 0)}, got {got_sh.get(k, 0)}"
-            )
-    if want_cl is not None:
-        for k in sorted(set(want_cl) | set(got_cl)):
-            if want_cl.get(k, 0) != got_cl.get(k, 0):
+def _first_diff(want, got) -> str:
+    for column, w, g in zip(("harmonic", "closure"), want, got):
+        for k in sorted(set(w) | set(g)):
+            if w.get(k, 0) != g.get(k, 0):
                 return (
-                    f"first differing entry: closure z^{k} expected "
-                    f"{want_cl.get(k, 0)}, got {got_cl.get(k, 0)}"
+                    f"first differing entry: {column} z^{k} expected "
+                    f"{w.get(k, 0)}, got {g.get(k, 0)}"
                 )
     return ""
 
 
 def _suite_artin(ctx, m=None, p=None, n=None, **_) -> list[CheckReport]:
-    reports = []
-    for key in _group_keys(m, p, n, GRID):
-        mm, pp, nn = key
-        gb = groebner.buchberger(groebner.groebner_generators(mm, pp, nn))
+    def check(key, params):
+        gb = groebner.buchberger(groebner.groebner_generators(*key))
         std = groebner.standard_monomials(gb)
-        art = artin.enumerate_artin(mm, pp, nn)
-        count_ok = len(art) == artin.artin_count(mm, pp, nn)
+        art = artin.enumerate_artin(*key)
+        count = artin.artin_count(*key)
         same = sorted(std) == sorted(art)
-        hilb = artin.artin_hilbert(mm, pp, nn)
+        hilb = artin.artin_hilbert(*key)
         gen = artin.generating_polynomial(art)
-        ok = count_ok and same and hilb == gen
-        reports.append(
-            CheckReport(
-                "thm:Artin_mpn",
-                _params(key),
-                f"{artin.artin_count(mm, pp, nn)} standard monomials, "
-                f"Hilb = {hilb}",
-                f"{len(std)} standard monomials, Hilb = {gen}"
-                + ("" if same else "; sets differ"),
-                "pass" if ok else "fail",
-                provenance=PROVENANCE_FORMULA,
-            )
+        ok = len(art) == count and same and hilb == gen
+        return CheckReport(
+            "thm:Artin_mpn",
+            params,
+            f"{count} standard monomials, Hilb = {hilb}",
+            f"{len(std)} standard monomials, Hilb = {gen}"
+            + ("" if same else "; sets differ"),
+            "pass" if ok else "fail",
+            provenance=PROVENANCE_FORMULA,
         )
-    return reports
+
+    return _each("thm:Artin_mpn", _groups(m, p, n, GRID), check)
 
 
 def closed_form_basis_check(key, gb: groebner.GroebnerBasis) -> tuple[bool, bool, bool]:
@@ -249,225 +247,175 @@ def closed_form_basis_check(key, gb: groebner.GroebnerBasis) -> tuple[bool, bool
 
 
 def _suite_groebner(ctx, m=None, p=None, n=None, **_) -> list[CheckReport]:
-    reports = []
-    for key in _group_keys(m, p, n, GRID):
+    def check(key, params):
         gb = groebner.buchberger(groebner.groebner_generators(*key))
         stable, lm_ok, reduced_ok = closed_form_basis_check(key, gb)
-        ok = stable and lm_ok and reduced_ok
-        reports.append(
-            CheckReport(
-                "thm:grobner_mpn",
-                _params(key),
-                "closed-form family is its own reduced basis",
-                f"stable={stable} leading-monomials={lm_ok} reduced={reduced_ok}",
-                "pass" if ok else "fail",
-                provenance=PROVENANCE_FORMULA,
-            )
+        return CheckReport(
+            "thm:grobner_mpn",
+            params,
+            "closed-form family is its own reduced basis",
+            f"stable={stable} leading-monomials={lm_ok} reduced={reduced_ok}",
+            "pass" if stable and lm_ok and reduced_ok else "fail",
+            provenance=PROVENANCE_FORMULA,
         )
-    return reports
+
+    return _each("thm:grobner_mpn", _groups(m, p, n, GRID), check)
 
 
 def _suite_exactness(ctx: _Context, m=None, p=None, n=None, **_) -> list[CheckReport]:
-    reports = []
-    for key in _group_keys(m, p, n, DESK_SCALE_GROUPS):
-        params = _params(key)
-        try:
-            cells = ctx.cells(key)
-            rep = harmonics.exactness_check(build_group(*key), cells)
-        except FeasibilityError as exc:
-            reports.append(_skip("thm:exact", params, str(exc)))
-            continue
-        reports.append(
-            CheckReport(
-                "thm:exact",
-                params,
-                "exact complex, Hodge split, Hilb(q,-q) = 1",
-                rep.first_failure or "all balances hold",
-                "pass" if rep.passed else "fail",
-                provenance=PROVENANCE_DERIVED,
-            )
+    def check(key, params):
+        cells = ctx.cells(key)
+        rep = harmonics.exactness_check(build_group(*key), cells)
+        return CheckReport(
+            "thm:exact",
+            params,
+            "exact complex, Hodge split, Hilb(q,-q) = 1",
+            rep.first_failure or "all balances hold",
+            "pass" if rep.passed else "fail",
+            provenance=PROVENANCE_DERIVED,
         )
-    return reports
+
+    return _each("thm:exact", _groups(m, p, n, DESK_SCALE_GROUPS), check)
 
 
 def _suite_support_b(ctx: _Context, m=None, p=None, n=None, **_) -> list[CheckReport]:
-    reports = []
-    for key in _group_keys(m, p, n, DESK_SCALE_GROUPS):
-        params = _params(key)
+    def check(key, params):
         spec = GroupSpec.create(*key)
         if spec.p != 1:
-            reports.append(_skip("thm:B", params, "stated for G(m, 1, n) only"))
-            continue
-        try:
-            cells = ctx.cells(key)
-            rep = harmonics.support_check(build_group(*key), cells)
-        except FeasibilityError as exc:
-            reports.append(_skip("thm:B", params, str(exc)))
-            continue
+            return _skip("thm:B", params, "stated for G(m, 1, n) only")
+        cells = ctx.cells(key)
+        rep = harmonics.support_check(build_group(*key), cells)
         region = harmonics.bidegree_support_region(spec)
-        reports.append(
-            CheckReport(
-                "thm:B",
-                params,
-                f"{len(region)} nonzero bidegrees from the inequality",
-                f"{len(rep.observed_support)} observed"
-                + ("" if rep.bidegree_bound_matches else "; sets differ"),
-                "pass" if rep.bidegree_bound_matches else "fail",
-                provenance=PROVENANCE_FORMULA,
-            )
+        return CheckReport(
+            "thm:B",
+            params,
+            f"{len(region)} nonzero bidegrees from the inequality",
+            f"{len(rep.observed_support)} observed"
+            + ("" if rep.bidegree_bound_matches else "; sets differ"),
+            "pass" if rep.bidegree_bound_matches else "fail",
+            provenance=PROVENANCE_FORMULA,
         )
-    return reports
+
+    return _each("thm:B", _groups(m, p, n, DESK_SCALE_GROUPS), check)
 
 
 def _suite_support_c(ctx: _Context, m=None, p=None, n=None, **_) -> list[CheckReport]:
-    reports = []
-    for key in _group_keys(m, p, n, DESK_SCALE_GROUPS + [(2, 2, 2)]):
-        params = _params(key)
+    def check(key, params):
         spec = GroupSpec.create(*key)
-        try:
-            cells = ctx.cells(key)
-            rep = harmonics.support_check(build_group(*key), cells)
-        except FeasibilityError as exc:
-            reports.append(_skip("thm:C", params, str(exc)))
-            continue
-        if not rep.total_degree_asserted:
-            verdict = "pass" if rep.top_slice_in_det_isotypic else "fail"
-            reports.append(
-                CheckReport(
-                    "thm:C",
-                    params,
-                    "observed only (p = m is outside the theorem); top slice "
-                    "must be det-isotypic",
-                    f"support {sorted(rep.total_degree_support)}; top slice "
-                    f"dimension {rep.top_slice_dimension}, det-isotypic: "
-                    f"{rep.top_slice_in_det_isotypic}",
-                    verdict,
-                    provenance=PROVENANCE_DERIVED,
-                )
-            )
-            continue
+        cells = ctx.cells(key)
         gd = build_group(*key)
+        rep = harmonics.support_check(gd, cells)
+        if not rep.total_degree_asserted:
+            return CheckReport(
+                "thm:C",
+                params,
+                "observed only (p = m is outside the theorem); top slice "
+                "must be det-isotypic",
+                f"support {sorted(rep.total_degree_support)}; top slice "
+                f"dimension {rep.top_slice_dimension}, det-isotypic: "
+                f"{rep.top_slice_in_det_isotypic}",
+                "pass" if rep.top_slice_in_det_isotypic else "fail",
+                provenance=PROVENANCE_DERIVED,
+            )
         expected_top = 1 if gd.exterior_d.apply(gd.vandermondian).is_zero() else 2
         ok = (
             rep.total_degree_matches
             and rep.top_slice_is_vandermondian_pair
             and rep.top_slice_dimension == expected_top
         )
-        reports.append(
-            CheckReport(
-                "thm:C",
-                params,
-                f"total degrees 0..{spec.degree_of_vandermondian}, top slice "
-                "= span of Delta and d Delta",
-                f"support {sorted(rep.total_degree_support)}, top dimension "
-                f"{rep.top_slice_dimension}, span match "
-                f"{rep.top_slice_is_vandermondian_pair}",
-                "pass" if ok else "fail",
-                provenance=PROVENANCE_FORMULA,
-            )
+        return CheckReport(
+            "thm:C",
+            params,
+            f"total degrees 0..{spec.degree_of_vandermondian}, top slice "
+            "= span of Delta and d Delta",
+            f"support {sorted(rep.total_degree_support)}, top dimension "
+            f"{rep.top_slice_dimension}, span match "
+            f"{rep.top_slice_is_vandermondian_pair}",
+            "pass" if ok else "fail",
+            provenance=PROVENANCE_FORMULA,
         )
-    return reports
+
+    return _each("thm:C", _groups(m, p, n, DESK_SCALE_GROUPS), check)
+
+
+def _theorem_a_holds(spec: GroupSpec) -> bool:
+    """Whether Ann(Gamma) = I' holds: it is a theorem for G(m, 1, n) and real
+    groups, and the dihedral / cyclic leftovers are covered by the same
+    closed forms."""
+    return (
+        spec.p == 1
+        or spec.is_real
+        or spec.n == 1
+        or (spec.p == spec.m and spec.n == 2)
+    )
 
 
 def _suite_operator_top(ctx: _Context, m=None, p=None, n=None, **_) -> list[CheckReport]:
     """thm:A2 via Ann(Gamma) = I'; expected to hold iff G = G(m,1,n) or real."""
-    reports = []
-    for key in _group_keys(m, p, n, [(2, 1, 2), (2, 1, 3), (2, 2, 3), (3, 1, 2), (4, 2, 2)]):
-        params = _params(key)
+
+    def check(key, params):
         spec = GroupSpec.create(*key)
         if spec.m == 1:
-            reports.append(
-                _skip(
-                    "thm:A2",
-                    params,
-                    "rank n-1 case: the invariant-partials ideal is the unit "
-                    "ideal in these coordinates",
-                )
-            )
-            continue
-        try:
-            fit = harmonics.fitting_structures(build_group(*key), budget=ctx.budget)
-        except FeasibilityError as exc:
-            reports.append(_skip("thm:A2", params, str(exc)))
-            continue
-        # Ann(Gamma) = I' holds exactly off the excluded list: it is a theorem
-        # for G(m, 1, n) and real groups, and the dihedral / cyclic leftovers
-        # are covered by the same closed forms.
-        expected = (
-            spec.p == 1
-            or spec.is_real
-            or spec.n == 1
-            or (spec.p == spec.m and spec.n == 2)
-        )
-        ok = fit.ann_gamma_equals_iprime == expected and fit.top_harmonics_match
-        reports.append(
-            CheckReport(
+            return _skip(
                 "thm:A2",
                 params,
-                f"Ann(Gamma) = I' expected {expected} "
-                "(holds iff G(m,1,n) or real); top harmonics = H' always",
-                f"Ann(Gamma) = I': {fit.ann_gamma_equals_iprime}; top "
-                f"harmonics match: {fit.top_harmonics_match}; top x-degree "
-                f"{fit.observed_top_xdeg} (predicted {fit.predicted_top_xdeg})",
-                "pass" if ok and fit.top_xdeg_matches else "fail",
-                provenance=PROVENANCE_FORMULA,
+                "rank n-1 case: the invariant-partials ideal is the unit "
+                "ideal in these coordinates",
             )
+        fit = harmonics.fitting_structures(build_group(*key), budget=ctx.budget)
+        expected = _theorem_a_holds(spec)
+        ok = fit.ann_gamma_equals_iprime == expected and fit.top_harmonics_match
+        return CheckReport(
+            "thm:A2",
+            params,
+            f"Ann(Gamma) = I' expected {expected} "
+            "(holds iff G(m,1,n) or real); top harmonics = H' always",
+            f"Ann(Gamma) = I': {fit.ann_gamma_equals_iprime}; top "
+            f"harmonics match: {fit.top_harmonics_match}; top x-degree "
+            f"{fit.observed_top_xdeg} (predicted {fit.predicted_top_xdeg})",
+            "pass" if ok and fit.top_xdeg_matches else "fail",
+            provenance=PROVENANCE_FORMULA,
         )
-    return reports
+
+    default = [(2, 1, 2), (2, 1, 3), (2, 2, 3), (3, 1, 2), (4, 2, 2)]
+    return _each("thm:A2", _groups(m, p, n, default), check)
 
 
 def _suite_no_dice(ctx: _Context, m=None, p=None, n=None, **_) -> list[CheckReport]:
     """Strictness witnesses: for the excluded groups the top theta-degree
     harmonics strictly exceed their det-isotypic part."""
-    reports = []
-    for key in _group_keys(m, p, n, [(4, 2, 2)]):
-        params = _params(key)
+
+    def check(key, params):
         spec = GroupSpec.create(*key)
         if spec.m == 1:
-            reports.append(_skip("lem:no_dice", params, "needs m > 1"))
-            continue
-        try:
-            fit = harmonics.fitting_structures(build_group(*key), budget=ctx.budget)
-        except FeasibilityError as exc:
-            reports.append(_skip("lem:no_dice", params, str(exc)))
-            continue
+            return _skip("lem:no_dice", params, "needs m > 1")
+        fit = harmonics.fitting_structures(build_group(*key), budget=ctx.budget)
         sh_total = sum(fit.sh_top_dims.values())
         det_part = 1  # exactly one det-isotypic element at theta-degree r
-        excluded = not (
-            spec.p == 1
-            or spec.is_real
-            or (spec.p == spec.m and spec.n == 2)
-            or spec.n == 1
-        )
+        excluded = not _theorem_a_holds(spec)
         strict = sh_total > det_part
         ok = strict == excluded and fit.ann_gamma_equals_iprime == (not excluded)
-        reports.append(
-            CheckReport(
-                "lem:no_dice",
-                params,
-                f"strict containment expected: {excluded}",
-                f"dim SH^r = {sh_total} vs det part {det_part}; "
-                f"Ann(Gamma) = I': {fit.ann_gamma_equals_iprime}",
-                "pass" if ok else "fail",
-                provenance=PROVENANCE_DERIVED,
-            )
+        return CheckReport(
+            "lem:no_dice",
+            params,
+            f"strict containment expected: {excluded}",
+            f"dim SH^r = {sh_total} vs det part {det_part}; "
+            f"Ann(Gamma) = I': {fit.ann_gamma_equals_iprime}",
+            "pass" if ok else "fail",
+            provenance=PROVENANCE_DERIVED,
         )
-    return reports
+
+    return _each("lem:no_dice", _groups(m, p, n, [(4, 2, 2)]), check)
 
 
 def _suite_closure(ctx: _Context, m=None, p=None, n=None, **_) -> list[CheckReport]:
     """Derivative-closure dimensions vs harmonic dimensions (conjectured equal
     for G(m, 1, n); known for rank <= 2 with G(m,1,n) or real)."""
-    reports = []
-    for key in _group_keys(m, p, n, DESK_SCALE_GROUPS):
-        params = _params(key)
+
+    def check(key, params):
         spec = GroupSpec.create(*key)
-        try:
-            table = ctx.table(key)
-            closure = harmonics.derivative_closure(build_group(*key), budget=ctx.budget)
-        except FeasibilityError as exc:
-            reports.append(_skip("eq:thm:A", params, str(exc)))
-            continue
+        table = ctx.table(key)
+        closure = harmonics.derivative_closure(build_group(*key), budget=ctx.budget)
         equal = table.entries == closure.entries
         contained = all(
             closure.dim(i, k) <= table.dim(i, k) for (i, k) in closure.entries
@@ -483,38 +431,28 @@ def _suite_closure(ctx: _Context, m=None, p=None, n=None, **_) -> list[CheckRepo
                     "consistent" if equal and contained else "inconsistent"
                 )
             claim = "conj:A" if spec.p == 1 else "eq:thm:A"
-        reports.append(
-            CheckReport(
-                claim,
-                params,
-                "closure dims = harmonic dims"
-                if (theorem_scope or spec.p == 1)
-                else "closure dims <= harmonic dims",
-                f"equal={equal} contained={contained}",
-                verdict,
-                provenance=PROVENANCE_DERIVED,
-            )
+        return CheckReport(
+            claim,
+            params,
+            "closure dims = harmonic dims"
+            if (theorem_scope or spec.p == 1)
+            else "closure dims <= harmonic dims",
+            f"equal={equal} contained={contained}",
+            verdict,
+            provenance=PROVENANCE_DERIVED,
         )
-    return reports
+
+    return _each("eq:thm:A", _groups(m, p, n, DESK_SCALE_GROUPS), check)
 
 
 def _suite_zabrocki(ctx: _Context, m=None, p=None, n=None, family="A", **_) -> list[CheckReport]:
-    reports = []
-    if family == "A":
-        keys = [(1, 1, n)] if n else [(1, 1, 2), (1, 1, 3), (1, 1, 4)]
-    else:
-        keys = [(2, 1, n)] if n else [(2, 1, 2), (2, 1, 3)]
     claim = "conj:Hilb_type_A" if family == "A" else "conj:Hilb_type_B"
-    for key in keys:
-        params = {**_params(key), "family": family}
+    mm, ns = (1, [2, 3, 4]) if family == "A" else (2, [2, 3])
+
+    def check(key, params):
         spec = GroupSpec.create(*key)
-        try:
-            table = ctx.table(key)
-        except FeasibilityError as exc:
-            reports.append(_skip(claim, params, str(exc)))
-            continue
+        table = ctx.table(key)
         top = spec.n - 1 if family == "A" else spec.n
-        ok = True
         diffs = []
         cols = []
         for k in range(top + 1):
@@ -522,46 +460,42 @@ def _suite_zabrocki(ctx: _Context, m=None, p=None, n=None, family="A", **_) -> l
             got = table.column(k)
             cols.append(f"k={k}: {got}")
             if predicted != got:
-                ok = False
                 diffs.append(f"k={k}: predicted {predicted}, computed {got}")
-        reports.append(
-            CheckReport(
-                claim,
-                params,
-                "every theta-degree column matches the q-Stirling product",
-                "; ".join(diffs) if diffs else "; ".join(cols),
-                "consistent" if ok else "inconsistent",
-                provenance=PROVENANCE_FORMULA,
-            )
+        return CheckReport(
+            claim,
+            params,
+            "every theta-degree column matches the q-Stirling product",
+            "; ".join(diffs) if diffs else "; ".join(cols),
+            "inconsistent" if diffs else "consistent",
+            provenance=PROVENANCE_FORMULA,
         )
-    return reports
+
+    cases = [
+        c for nn in ([n] if n else ns) for c in _groups(mm, 1, nn, (), family=family)
+    ]
+    return _each(claim, cases, check)
 
 
 def _suite_hilb_alt(ctx: _Context, m=None, p=None, n=None, j=None, **_) -> list[CheckReport]:
-    reports = []
-    ns = [n] if n else [2, 3, 4]
-    for nn in ns:
-        js = [j] if j else list(range(1, nn))
-        for jj in js:
-            params = {"m": 1, "p": 1, "n": nn, "j": jj}
-            try:
-                table = ctx.table((1, 1, nn))
-            except FeasibilityError as exc:
-                reports.append(_skip("conj:Hilb_alt", params, str(exc)))
-                continue
-            lhs = table.hilbert_qz().z_substitute_signed_power(jj)
-            rhs = qseries.alternating_sum(nn, "A", jj)
-            reports.append(
-                CheckReport(
-                    "conj:Hilb_alt",
-                    params,
-                    str(rhs),
-                    str(lhs),
-                    "consistent" if lhs == rhs else "inconsistent",
-                    provenance=PROVENANCE_FORMULA,
-                )
-            )
-    return reports
+    def check(key, params):
+        lhs = ctx.table(key).hilbert_qz().z_substitute_signed_power(params["j"])
+        rhs = qseries.alternating_sum(key[2], "A", params["j"])
+        return CheckReport(
+            "conj:Hilb_alt",
+            params,
+            str(rhs),
+            str(lhs),
+            "consistent" if lhs == rhs else "inconsistent",
+            provenance=PROVENANCE_FORMULA,
+        )
+
+    cases = [
+        c
+        for nn in ([n] if n else [2, 3, 4])
+        for jj in ([j] if j else range(1, nn))
+        for c in _groups(1, 1, nn, (), j=jj)
+    ]
+    return _each("conj:Hilb_alt", cases, check)
 
 
 def _suite_laplacian(ctx, N=None, n=None, degree=None, **_) -> list[CheckReport]:
@@ -620,10 +554,6 @@ SUITES = {
     "laplacian": _suite_laplacian,
     "qseries": _suite_qseries,
 }
-
-
-def _params(key) -> dict:
-    return {"m": key[0], "p": key[1], "n": key[2]}
 
 
 def run_suite(

@@ -6,7 +6,8 @@ d_{Delta*} theta_1...theta_n), the group elements of the real groups as
 signed permutations and their action on forms, literal span equality
 of canonical RREF bases, the SuperPoly substitution that the integer
 reduced presentation of S_n is pinned to, the whole-cell harmonic
-dimension and kernel that the H_i (x) Lambda^k route is pinned to, and the
+dimension and kernel that the H_i (x) Lambda^k route is pinned to, the
+rational coefficient vector of a SuperPoly over a cell index, and the
 Diagram record with the three-clause pivot condition for G(m, p, n)
 diagrams.
 """
@@ -221,6 +222,11 @@ def reference_reduced_images(gd: GroupData) -> list[SuperPoly]:
             out = out + (term * theta_image if has_last else term)
         images.append(out)
     return images
+
+
+def poly_to_vector(f: SuperPoly, index: dict[Monomial, int]) -> dict[int, Fraction]:
+    """{column: coefficient} of f over the monomial columns of index."""
+    return {index[mon]: c for mon, c in f.terms.items()}
 
 
 def full_cell_dimension(gd: GroupData, i: int, k: int, budget: int) -> int:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -340,3 +341,16 @@ class TestStartUp:
         spec = "cli.GroupSpec(1, 1, 2)"
         assert self.loaded_after(f"{cache}.store('k', {spec}, [1])") == "['hashlib']"
         assert self.loaded_after(f"print({cache}.load('k', {spec}))") == "['hashlib']"
+
+    @pytest.mark.skipif(
+        sys.version_info >= (3, 12),
+        reason="from 3.12 the tokenizer splits f-strings into several tokens",
+    )
+    def test_no_module_passes_8192_tokens(self):
+        # CPython's parser doubles its token buffer past 8192 tokens, which
+        # raises the peak memory of compiling the module.
+        skip = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+        for path in sorted(Path(self.SRC, "supercoinv").glob("*.py")):
+            with path.open("rb") as fh:
+                count = sum(t.type not in skip for t in tokenize.tokenize(fh.readline))
+            assert count <= 8192, path.name

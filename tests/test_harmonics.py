@@ -25,7 +25,6 @@ from supercoinv.harmonics import (
     harmonic_cells,
     kernel_intersection,
     laplacian_spectrum_check,
-    poly_to_vector,
     sh_dim_table,
     support_check,
 )
@@ -38,7 +37,12 @@ from supercoinv.superpoly import (
     x_monomials,
 )
 from supercoinv.verify import GOLDEN_TABLE
-from helpers import full_cell_dimension, full_cell_kernel, reference_reduced_images
+from helpers import (
+    full_cell_dimension,
+    full_cell_kernel,
+    poly_to_vector,
+    reference_reduced_images,
+)
 from test_linalg import reference_rank
 
 

@@ -116,6 +116,21 @@ class TestApply:
             assert d.apply(d.apply(mon)).is_zero()
         assert (d @ d).is_zero()
 
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("power", [0, 1, 3])
+    def test_exterior_derivatives_are_theta_weighted_sums(self, n, power):
+        # sum_j (d/dx_j)^power theta_j term by term, in the order j = 1..n
+        terms = {
+            ((0,) * n, (j,), tuple(power * (l == j) for l in range(1, n + 1)), ()): 1
+            for j in range(1, n + 1)
+        }
+        d = Operator.power_exterior_derivative(n, power)
+        assert list(d.terms.items()) == list(terms.items())
+        if power == 1:
+            assert list(Operator.exterior_derivative(n).terms.items()) == list(
+                terms.items()
+            )
+
 
 class TestAdjoint:
     def test_x_partial_adjoint_is_multiplication(self):

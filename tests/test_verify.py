@@ -1,5 +1,9 @@
 """Named check suites: determinism, verdict semantics, golden comparisons."""
 
+import json
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from supercoinv import groebner, harmonics
@@ -111,6 +115,16 @@ def test_closure_suite_scopes():
     assert s3.claim_id == "thm:A1" and s3.verdict == "pass"
     s4 = reports[(1, 1, 4)]
     assert s4.claim_id == "conj:A" and s4.verdict == "consistent"
+
+
+def test_pinned_reports_have_no_duplicate_case():
+    # the pinned output of scripts/run_all_checks.py --json reports each
+    # (claim, params) pair once
+    lines = (Path(__file__).parent / "data" / "all_checks.jsonl").read_text().splitlines()
+    cases = Counter(
+        (r["claim_id"], json.dumps(r["params"], sort_keys=True)) for r in map(json.loads, lines)
+    )
+    assert [case for case, count in cases.items() if count > 1] == []
 
 
 def test_summary_lines_counts():

@@ -25,12 +25,14 @@ from .harmonics import (  # noqa: F401
     Subspace,
     derivative_closure,
     det_isotypic_basis,
-    exactness_check,
-    fitting_structures,
     harmonic_cells,
     kernel_intersection,
-    laplacian_spectrum_check,
     sh_dim_table,
+)
+from .checks import (  # noqa: F401
+    exactness_check,
+    fitting_structures,
+    laplacian_spectrum_check,
     support_check,
 )
 from .verify import CheckReport, run_suite  # noqa: F401

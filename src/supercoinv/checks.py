@@ -1,0 +1,460 @@
+"""Named structural checks on the super harmonics, built on the cell engine
+of ``harmonics``.
+
+* ``exactness_check``: rank-nullity of the exterior derivative d on the
+  harmonic cells, the Hodge splitting and Hilb(q, -q) = 1; images and
+  targets are read off the checked generator cell matrices.
+* ``laplacian_spectrum_check``: the Laplacian of the power-sum exterior
+  derivative is diagonal on monomials with the predicted eigenvalues.
+* ``fitting_structures``: the ideal of invariant partials I', its harmonic
+  complement, the double-det harmonic Gamma and the top theta-degree row.
+* ``support_check``: the bidegree and total-degree support of the harmonics
+  against the predicted bounds, and the top total-degree slice.
+
+They are also importable from ``harmonics``.
+"""
+
+from __future__ import annotations
+
+from math import comb, lcm
+
+from . import linalg
+from .groups import GroupData, GroupSpec, IntegrityError
+from .harmonics import (
+    DEFAULT_CELL_BUDGET,
+    FeasibilityError,
+    Subspace,
+    _cell_entries,
+    _cell_index,
+    _ideal_rows,
+    _integer_terms,
+    _operator_entries,
+    _poly_row,
+    _reduced_row,
+    _walk,
+    _x_derivative,
+    cell_monomials,
+    det_isotypic_elements,
+    harmonic_cell_dimension,
+    harmonic_cells,
+)
+from .qseries import QPoly, QZPoly
+from .records import Record
+from .superpoly import (
+    Operator,
+    SuperPoly,
+    falling_factorial,
+    partial_operator,
+    x_monomials,
+)
+
+
+# ---------------------------------------------------------------------------
+# Exactness of the exterior-derivative complex
+# ---------------------------------------------------------------------------
+
+
+class ExactnessReport(Record):
+    group: GroupSpec
+    rank_balance_ok: bool
+    hodge_ok: bool
+    images_harmonic_ok: bool
+    alternating_hilbert_is_one: bool
+    first_failure: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return (
+            self.rank_balance_ok
+            and self.hodge_ok
+            and self.images_harmonic_ok
+            and self.alternating_hilbert_is_one
+        )
+
+
+def _image_rank(
+    gd: GroupData,
+    op: Operator,
+    cells: dict[tuple[int, int], Subspace],
+    source: tuple[int, int],
+    targets: dict | None = None,
+) -> tuple[int, bool]:
+    """Rank of op on the harmonic cell at `source`; also whether the image
+    stays inside the harmonics (the generators' target-cell matrix must
+    annihilate it).  Both are read off integer cell matrices; ``targets``
+    keeps the generators' matrix of each target cell across calls."""
+    n = gd.n
+    sub = cells.get(source)
+    if sub is None or sub.dimension == 0:
+        return 0, True
+    dx, dk = op.bidegree_shift()
+    target = (source[0] + dx, source[1] + dk)
+    index = _cell_index(n, *target)
+    op_columns = _columns(_operator_entries([op], n, *source), index)
+    if targets is None:
+        targets = {}
+    if target not in targets:
+        targets[target] = _columns(_cell_entries(gd, *target))
+    gen_columns = targets[target]
+    vectors = []
+    inside = True
+    for row in sub.basis:
+        img = _times_columns(op_columns, linalg.to_int_row(row))
+        if not img:
+            continue
+        if _times_columns(gen_columns, img.items()):
+            inside = False
+        vectors.append(linalg.to_int_row(img))
+    return linalg.rank(vectors, len(index)), inside
+
+
+def _columns(entries, index=None) -> dict[int, list]:
+    """An entry map by source column: [(row key, or target column, value)]."""
+    out: dict[int, list] = {}
+    for key, row in entries.items():
+        r = key if index is None else index[key[1]]
+        for col, v in row.items():
+            out.setdefault(col, []).append((r, v))
+    return out
+
+
+def _times_columns(columns, vec) -> dict:
+    """``_columns`` matrix times a (column, value) vector, zeros dropped."""
+    out: dict = {}
+    for col, a in vec:
+        for r, v in columns.get(col, ()):
+            out[r] = out.get(r, 0) + a * v
+    return {r: v for r, v in out.items() if v}
+
+
+def exactness_check(
+    gd: GroupData,
+    cells: dict[tuple[int, int], Subspace] | None = None,
+    budget: int = DEFAULT_CELL_BUDGET,
+) -> ExactnessReport:
+    """Rank-nullity balance of d on the harmonics, the Hodge splitting
+    dim SH^{i,k} = dim d SH^{i+1,k-1} + dim d* SH^{i-1,k+1}, and the
+    alternating Hilbert identity Hilb(q, -q) = 1."""
+    if cells is None:
+        cells = harmonic_cells(gd, budget)
+    spec = gd.spec
+    d = gd.exterior_d
+    ddag = gd.exterior_d_adjoint
+    dims = {key: sub.dimension for key, sub in cells.items()}
+
+    rank_d: dict[tuple[int, int], int] = {}
+    rank_ddag: dict[tuple[int, int], int] = {}
+    images_ok = True
+    targets: dict = {}
+    for key, sub in sorted(cells.items()):
+        if sub.dimension == 0:
+            continue
+        rank_d[key], ok1 = _image_rank(gd, d, cells, key, targets)
+        rank_ddag[key], ok2 = _image_rank(gd, ddag, cells, key, targets)
+        images_ok = images_ok and ok1 and ok2
+
+    first_failure = ""
+    balance_ok = True
+    hodge_ok = True
+    for (i, k), dim in sorted(dims.items()):
+        ker = dim - rank_d.get((i, k), 0)
+        if k == 0:
+            expected_ker = 1 if i == 0 else 0
+        else:
+            expected_ker = rank_d.get((i + 1, k - 1), 0)
+        if ker != expected_ker:
+            balance_ok = False
+            if not first_failure:
+                first_failure = (
+                    f"bidegree ({i},{k}): kernel of d has dimension {ker}, "
+                    f"expected {expected_ker}"
+                )
+        if dim and (i, k) != (0, 0):
+            hodge = rank_d.get((i + 1, k - 1), 0) + rank_ddag.get((i - 1, k + 1), 0)
+            if dim != hodge:
+                hodge_ok = False
+                if not first_failure:
+                    first_failure = (
+                        f"bidegree ({i},{k}): dimension {dim} != "
+                        f"d-image + d*-image {hodge}"
+                    )
+
+    alt = QZPoly({key: v for key, v in dims.items() if v}).z_substitute_signed_power(1)
+    alt_ok = alt == QPoly.one()
+    if not alt_ok and not first_failure:
+        first_failure = f"Hilb(q,-q) = {alt}, expected 1"
+    return ExactnessReport(
+        spec, balance_ok, hodge_ok, images_ok, alt_ok, first_failure
+    )
+
+
+# ---------------------------------------------------------------------------
+# Power-sum Laplacian spectrum
+# ---------------------------------------------------------------------------
+
+
+def laplacian_spectrum_check(N: int, n: int, degree_bound: int) -> bool:
+    """The Laplacian of d = sum_j d_{x_j^N} theta_j is diagonal on monomials.
+
+    On x^alpha theta_I the eigenvalue is
+        sum_{j not in I} ff(alpha_j, N) + sum_{j in I} ff(alpha_j + N, N)
+    with ff the falling factorial; the kernel is exactly the x^alpha with all
+    alpha_j < N and I empty.  Verified on every monomial with x-degree up to
+    degree_bound: the integer cell matrices of the Laplacian must be
+    diagonal with these eigenvalues.
+    """
+    d = Operator.power_exterior_derivative(n, N)
+    lap = d.adjoint() @ d + d @ d.adjoint()
+    # The cell matrix holds lap scaled by the lcm of its denominators.
+    den = lcm(*(c.denominator for c in lap.terms.values()))
+    for k in range(n + 1):
+        for i in range(degree_bound + 1):
+            diagonal = {}
+            for col, mon in enumerate(cell_monomials(n, i, k)):
+                alpha, thetas = mon
+                eig = sum(
+                    falling_factorial(alpha[j] + N, N)
+                    if (j + 1) in thetas
+                    else falling_factorial(alpha[j], N)
+                    for j in range(n)
+                )
+                if (eig == 0) != (not thetas and all(a < N for a in alpha)):
+                    return False
+                if eig:
+                    diagonal[(0, mon)] = {col: eig * den}
+            matrix = {}
+            for key, row in _operator_entries([lap], n, i, k).items():
+                row = {col: v for col, v in row.items() if v}
+                if row:
+                    matrix[key] = row
+            if matrix != diagonal:
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Top theta-degree structure (Fitting ideal apparatus)
+# ---------------------------------------------------------------------------
+
+
+class FittingData(Record):
+    group: GroupSpec
+    iprime_generators: list[SuperPoly]
+    gamma: SuperPoly
+    hprime_dims: dict[int, int]
+    sh_top_dims: dict[int, int]
+    top_harmonics_match: bool
+    ann_gamma_equals_iprime: bool
+    observed_top_xdeg: int
+    predicted_top_xdeg: int
+
+    @property
+    def top_xdeg_matches(self) -> bool:
+        return self.observed_top_xdeg == self.predicted_top_xdeg
+
+
+def predicted_top_xdeg(spec: GroupSpec) -> int:
+    """Closed form for max{i : SH^{i, r} != 0} (cyclic groups normalized).
+
+    Read off the maximal monomial outside I' = <x_i^{m-1},
+    x_i^{-1}(x_1...x_n)^{m/p}>: for m/p >= 2 it is
+    x_1^{m/p-2}(x_2...x_n)^{m-2}; for m/p = 1 the exponents must avoid the
+    (n-1)-variable products entirely, leaving (x_1...x_{n-2})^{m-2}.
+    """
+    m, p, n = spec.m, spec.p, spec.n
+    mp = m // p
+    if n == 1:
+        return 0 if m <= 2 else m - 2
+    if m <= 2:
+        return 0
+    if mp == 1:
+        return (n - 2) * (m - 2)
+    return mp - 2 + (n - 1) * (m - 2)
+
+
+def fitting_structures(gd: GroupData, budget: int = DEFAULT_CELL_BUDGET) -> FittingData:
+    """The ideal of invariant partials, its harmonic complement, and the
+    double-det harmonic Gamma = d_{Delta*} Delta.
+
+    Requires m > 1 (no invariant vectors, rank n): for S_n the first basic
+    invariant has degree 1 and the apparatus degenerates.
+    """
+    spec = gd.spec
+    if spec.m == 1:
+        raise ValueError("fitting_structures needs m > 1 (rank n)")
+    n = spec.n
+    dmax = spec.degree_of_vandermondian
+
+    gens: list[SuperPoly] = []
+    seen = set()
+    for f in gd.basic_invariants:
+        for j in range(n):
+            beta = tuple(1 if v == j else 0 for v in range(n))
+            g = f.x_derivative(beta)
+            if g and g.to_string() not in seen:
+                seen.add(g.to_string())
+                gens.append(g)
+
+    gamma = partial_operator(gd.covandermondian).apply(gd.vandermondian)
+    if gamma.is_zero():
+        raise IntegrityError(f"Gamma of {spec.label()} vanished")
+
+    hprime_dims: dict[int, int] = {}
+    ann_matches = True
+    for d in range(dmax + 1):
+        mons = x_monomials(n, d)
+        amb = len(mons)
+        if amb * amb > budget:
+            raise FeasibilityError(spec, (d, "x"), amb * amb, budget)
+        iprime_rank = linalg.rank(_ideal_rows(gens, n, d, 0), amb)
+        hprime = amb - iprime_rank
+        if hprime:
+            hprime_dims[d] = hprime
+        # Ann(Gamma) in degree d: kernel of mu -> d_{x^mu} Gamma.  Its
+        # dimension is amb - rank(psi); equality with I' in this degree
+        # means rank(psi) == dim H'.
+        psi_rank = _gamma_map_rank(gamma, mons, n, d)
+        if amb - psi_rank != iprime_rank:
+            ann_matches = False
+
+    # Top theta-degree: only the i-neighbour of a cell lies in the row.
+    top = _walk(gd, [(i, n) for i in range(dmax + 1)], budget, harmonic_cell_dimension)
+    sh_top_dims = {i: dim for (i, _), dim in top.items() if dim}
+
+    observed_top = max(sh_top_dims, default=0)
+    return FittingData(
+        group=spec,
+        iprime_generators=gens,
+        gamma=gamma,
+        hprime_dims=hprime_dims,
+        sh_top_dims=sh_top_dims,
+        top_harmonics_match=(sh_top_dims == hprime_dims),
+        ann_gamma_equals_iprime=ann_matches,
+        observed_top_xdeg=observed_top,
+        predicted_top_xdeg=predicted_top_xdeg(spec),
+    )
+
+
+def _gamma_map_rank(gamma: SuperPoly, mons, n: int, d: int) -> int:
+    """Rank of the map (degree-d monomial mu) -> d_{x^mu} Gamma."""
+    gdeg = gamma.bidegree()[0]
+    if d > gdeg:
+        return 0
+    target = _cell_index(n, gdeg - d, 0)
+    terms = _integer_terms(gamma.terms)
+    # Rank of the column family equals rank of the matrix.
+    rows = (
+        _reduced_row((target[mon], c) for mon, c in _x_derivative(terms, mu))
+        for mu in mons
+    )
+    return linalg.rank(rows, len(target))
+
+
+# ---------------------------------------------------------------------------
+# Support theorems
+# ---------------------------------------------------------------------------
+
+
+class SupportReport(Record):
+    group: GroupSpec
+    observed_support: set[tuple[int, int]]
+    bidegree_bound_applies: bool
+    bidegree_bound_matches: bool
+    total_degree_support: set[int]
+    total_degree_expected: set[int]
+    total_degree_asserted: bool
+    top_slice_dims: dict[tuple[int, int], int]
+    top_slice_dimension: int
+    top_slice_is_vandermondian_pair: bool
+    top_slice_in_det_isotypic: bool
+
+    @property
+    def total_degree_matches(self) -> bool:
+        return self.total_degree_support == self.total_degree_expected
+
+
+def bidegree_support_region(spec: GroupSpec) -> set[tuple[int, int]]:
+    """Predicted nonzero bidegrees for G(m, 1, n):
+    i + k + m*C(k,2) <= m*C(n,2) + (m-1)n."""
+    m, n = spec.m, spec.n
+    bound = m * comb(n, 2) + (m - 1) * n
+    out = set()
+    for k in range(n + 1):
+        for i in range(bound + 1):
+            if i + k + m * comb(k, 2) <= bound:
+                out.add((i, k))
+    return out
+
+
+def support_check(
+    gd: GroupData,
+    cells: dict[tuple[int, int], Subspace] | None = None,
+    budget: int = DEFAULT_CELL_BUDGET,
+) -> SupportReport:
+    """Observed bidegree/total-degree support against the predicted bounds.
+
+    The bidegree inequality is asserted only for p = 1; the top total-degree
+    slice is asserted to be the two-dimensional span of Delta and d Delta
+    when p != m or p = 1 (for p = m the observed data is reported, and the
+    det-isotypic containment of the top slice is checked instead).
+    """
+    if cells is None:
+        cells = harmonic_cells(gd, budget)
+    spec = gd.spec
+    n = gd.n
+    observed = {key for key, sub in cells.items() if sub.dimension}
+
+    applies = spec.p == 1
+    matches = observed == bidegree_support_region(spec) if applies else False
+
+    dmax = spec.degree_of_vandermondian
+    total_support = {i + k for (i, k) in observed}
+    total_expected = set(range(dmax + 1))
+
+    top_cells = {key: sub for key, sub in cells.items() if sum(key) == dmax}
+    top_dims = {key: sub.dimension for key, sub in top_cells.items() if sub.dimension}
+    top_total = sum(top_dims.values())
+
+    # Is the top slice exactly K Delta + K dDelta?
+    delta = gd.vandermondian
+    ddelta = gd.exterior_d.apply(delta)
+    pair_ok = True
+    for key, sub in sorted(top_cells.items()):
+        expected: list[SuperPoly] = []
+        if key == (dmax, 0):
+            expected = [delta]
+        elif key == (dmax - 1, 1) and ddelta:
+            expected = [ddelta]
+        index = _cell_index(n, *key)
+        span = Subspace.from_vectors(
+            cell_monomials(n, *key), [_poly_row(f, index) for f in expected]
+        )
+        if (sub.dimension != span.dimension) or (sub.basis != span.basis):
+            pair_ok = False
+
+    det_elems = det_isotypic_elements(gd)
+    in_det = True
+    for key, sub in sorted(top_cells.items()):
+        if sub.dimension == 0:
+            continue
+        index = _cell_index(n, *key)
+        det_here = [
+            _poly_row(e, index) for e in det_elems.values() if e.bidegree() == key
+        ]
+        det_span = Subspace.from_vectors(cell_monomials(n, *key), det_here)
+        if sub.basis != det_span.basis:
+            in_det = False
+
+    return SupportReport(
+        group=spec,
+        observed_support=observed,
+        bidegree_bound_applies=applies,
+        bidegree_bound_matches=matches,
+        total_degree_support=total_support,
+        total_degree_expected=total_expected,
+        total_degree_asserted=(spec.p != spec.m or spec.p == 1),
+        top_slice_dims=top_dims,
+        top_slice_dimension=top_total,
+        top_slice_is_vandermondian_pair=pair_ok,
+        top_slice_in_det_isotypic=in_det,
+    )

@@ -15,21 +15,30 @@ Everything is exact rational linear algebra on sparse integer matrices.  Cell
 matrices are assembled directly as content-reduced integer rows: the
 generators have integer coefficients (rational ones are first scaled by the
 lcm of their denominators, which leaves every reduced row unchanged), and
-each entry is a falling factorial times a Koszul sign.  The rows are streamed
-into the incremental Gauss-Jordan eliminator of ``linalg``, which stops
-pulling rows once the rank reaches the cell dimension; ranks, reduced
-echelon bases and nullspaces all come from that one path.  The generator
-operators become a cell matrix only in ``_cell_entries``, which checks every
-entry against the ideal products mu * g (the f_i entries in the (i, 0) cell,
-the d f_i entries in the (i, k) cell), so dimensions, bases and exactness
-targets all pass the same check: under the pairing <x^a theta_I, x^a
-theta_I> = a! the two matrices agree up to diagonal scaling, so they have
-the same rank and the harmonic count equals the quotient-side count; a
-mismatch raises IntegrityError.  The check proves equal ranks, not that the
-one elimination is right (the reference-rank tests and the golden table rows
-cover that), but every table's theta-degree 0 row must equal Chevalley's
-prod_i [d_i]_q.  ``coinvariant_cell_dimension`` keeps the full quotient-side
-route.
+each entry is a falling factorial times a Koszul sign, read from per-degree
+tables (``_derivative_sources``).  The rows are streamed into the
+incremental Gauss-Jordan eliminator of ``linalg``, which stops pulling rows
+once the rank reaches the cell dimension; ranks, reduced echelon bases and
+nullspaces all come from that one path.
+
+Every eliminated entry is first checked against the ideal products mu * g
+(``_check_against_products``): under the pairing <x^a theta_I, x^a theta_I>
+= a! the operator-side and ideal-side matrices agree up to diagonal scaling,
+so they have the same rank and the harmonic count equals the quotient-side
+count; a mismatch raises IntegrityError.  The f_i entries are checked in the
+(i, 0) cell (``_cell_entries``, also read by the exactness targets).  The
+d f_i are checked one factor at a time: d_{d f_i} = sum_l (d f_i / d x_l)(d)
+d/dtheta_l, so each d f_i and its operator are split by theta-index into
+x-only pieces (``_theta_pieces``, which refuses any other shape), the pieces
+are assembled and checked once per x-degree at theta-degree 0 and multiplied
+into the H_i basis (``_theta_products``), and a cell (i, k >= 1) builds its
+rows from those products and the contractions d/dtheta_l theta_I =
++-theta_J, whose signs are checked once per k against the products
+theta_J theta_l and the pairing's sign (``_contractions``).  The check proves
+equal ranks, not that the one elimination is right (the reference-rank tests
+and the golden table rows cover that), but every table's theta-degree 0 row
+must equal Chevalley's prod_i [d_i]_q.  ``coinvariant_cell_dimension`` keeps
+the full quotient-side route.
 
 For S_n (n >= 2) the dimension cells are computed in the reduced presentation
 of ``GroupData.cell_presentation``: the ideal contains f_1 = x_1 + ... + x_n
@@ -45,16 +54,20 @@ because they are the harmonics themselves.
 The support of the harmonics is a down-set: SH is closed under every d/dx_j
 and d/dtheta_j, so a zero at (i-1, k) or (i, k-1) certifies SH^{i,k} = 0.
 One walker, ``_walk``, serves the whole-table entry points (``sh_dim_table``,
-``harmonic_cells``, the top row of ``fitting_structures``): it records such
-cells as zero without building them, and hands the H_i of each (i, 0) cell
-to the cells (i, k) of the same walk, never beyond it.  Cells whose matrices
-would exceed the cell budget (rows x columns entries) are refused with a size
-estimate; the walker checks every cell, skipped or not, before it computes
-the first one.
+``harmonic_cells``, the top row of ``checks.fitting_structures``): it records
+such cells as zero without building them, and hands the per-x-degree data
+(H_i, and the d f_i products on it) of each cell to the later cells of the
+same walk, never beyond it, until no later cell of that x-degree is left.
+Cells whose matrices would exceed the cell budget (rows x columns entries)
+are refused with a size estimate; the walker checks every cell, skipped or
+not, before it computes the first one.
 
 The derivative closure of the det-isotypic elements d_{i_1}...d_{i_k} Delta
 is computed one x-degree at a time, top down: only the rows found
 independent one x-degree higher are differentiated, by one x_j at a time.
+
+The named checks (exactness, the Laplacian spectrum, the Fitting apparatus,
+support) live in ``checks`` and are importable from here too.
 """
 
 from __future__ import annotations
@@ -63,23 +76,23 @@ from collections import Counter
 from contextlib import ExitStack
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, lcm, perm, prod
 from itertools import chain, combinations, product, repeat
 from operator import add, sub
 
 from . import linalg
 from .dimtable import DimTable
 from .groups import GroupData, GroupSpec, IntegrityError, ReducedPresentation
-from .qseries import QPoly, QZPoly, q_integer
-from .records import Record, Value
+from .qseries import QPoly, q_integer
+from .records import Value
 from .superpoly import (
     Monomial,
     Operator,
     SuperPoly,
     falling_factorial,
     merge_thetas,
-    partial_operator,
     theta_action,
+    unchecked,
     x_monomials,
 )
 
@@ -230,36 +243,58 @@ def _x_positions(n: int, i: int) -> dict[tuple[int, ...], int]:
     return {xexp: xi for xi, xexp in enumerate(x_monomials(n, i))}
 
 
+@lru_cache(maxsize=None)
+def _x_factorials(n: int, i: int) -> tuple[int, ...]:
+    """a! of every degree-i x-monomial x^a, by position."""
+    return tuple(prod(map(factorial, xexp)) for xexp in x_monomials(n, i))
+
+
+@lru_cache(maxsize=1)
+def _degree_tables(n: int, i: int) -> dict:
+    """The ``_derivative_sources`` tables of x-degree i, filled on first use.
+    A cell's assembly builds them and its check, which comes next, reads
+    them; only the latest x-degree is kept."""
+    return {}
+
+
+def _derivative_sources(n: int, i: int, beta) -> tuple[tuple[int, ...], ...]:
+    """(positions, weights), aligned with ``x_monomials(n, i - |beta|)``: for
+    each x^rest there, the position of x^a = x^beta * x^rest among the
+    degree-i x-monomials, and the product of the falling factorials
+    perm(a_j, beta_j) that d_x^beta multiplies x^a by."""
+    tables = _degree_tables(n, i)
+    if beta not in tables:
+        positions = _x_positions(n, i)
+        sources = [tuple(map(add, rest, beta)) for rest in x_monomials(n, i - sum(beta))]
+        tables[beta] = (tuple(positions[a] for a in sources),
+                        tuple(prod(map(perm, a, beta)) for a in sources))
+    return tables[beta]
+
+
 def _operator_entries(ops, n: int, i: int, k: int):
     """Entries of the stacked operators on the (i, k) cell, unreduced.
 
     Maps (operator index, target monomial) to {source column: int}; the
     integers are those of the operators scaled by the lcm of their
-    denominators.  An operator given as None is left out (the others keep
-    their list index).  A term with x-derivative derx kills every x-monomial
-    that x^derx does not divide, so it visits only the sources
-    x^derx * x^rest, rest of degree i - |derx|.
+    denominators.  A term with x-derivative derx kills every x-monomial that
+    x^derx does not divide, so it visits only the sources x^derx * x^rest,
+    rest of degree i - |derx| (``_derivative_sources``).
     """
     words = [t for _, t in cell_monomials(n, 0, k)]
     width = len(words)
-    positions = _x_positions(n, i)
     rows: dict[tuple[int, Monomial], dict[int, int]] = {}
     for oi, op in enumerate(ops):
-        if op is None:
-            continue
         for (mulx, multheta, derx, dertheta), c in _integer_terms(op.terms):
             acts = (theta_action(multheta, dertheta, w) for w in words)
             actions = [(ti, act) for ti, act in enumerate(acts) if act is not None]
             if not actions:
                 continue
-            xders = [(j, b) for j, b in enumerate(derx) if b]
-            for rest in x_monomials(n, i - sum(derx)):
-                xexp = tuple(map(add, rest, derx))
-                v = c
-                for j, b in xders:
-                    v *= falling_factorial(xexp[j], b)
-                base = positions[xexp] * width
-                tx = tuple(map(add, rest, mulx))
+            shift = any(mulx)
+            rests = x_monomials(n, i - sum(derx))
+            for rest, xi, weight in zip(rests, *_derivative_sources(n, i, derx)):
+                v = c * weight
+                base = xi * width
+                tx = tuple(map(add, rest, mulx)) if shift else rest
                 for ti, (sign, tw) in actions:
                     row = rows.setdefault((oi, (tx, tw)), {})
                     row[base + ti] = row.get(base + ti, 0) + sign * v
@@ -274,43 +309,35 @@ def _reduced_rows(entries):
             yield row
 
 
-def _x_factorial(xexp) -> int:
-    return prod(map(factorial, xexp))
-
-
 def _check_against_products(
-    pres: GroupData | ReducedPresentation, entries, i: int, k: int,
-    theta_only: bool = False,
+    pres: GroupData | ReducedPresentation, entries, i: int, k: int, gens=None
 ):
     """Prove entrywise that the operator-side matrix of the (i, k) cell is
     the ideal-side one up to diagonal scaling, or raise IntegrityError.
 
     ``pres`` is a presentation (``GroupData.cell_presentation``, or a
     GroupData): its ``n`` variables, ideal generators and their operators.
-    ``entries`` is ``_operator_entries`` of the harmonic generator operators
-    (with ``theta_only``, of the d f_j alone: a row of an f_j is then extra).
-    Under the pairing <x^a theta_I, x^a theta_I> = a!, for a generator g and
-    monomials mu, nu
+    ``entries`` is ``_operator_entries`` of the operators of ``gens``, by
+    default the presentation's generators.  Under the pairing
+    <x^a theta_I, x^a theta_I> = a!, for a generator g and monomials mu, nu
         coeff_nu(mu g) nu_x! = eps coeff_mu(d_g nu) mu_x!,
     where eps = (-1)^(theta-degree of g * theta-degree of mu): -1 exactly when
     g is a d f_i and mu has odd theta-degree.  Each side has one term per
     entry, so the generator terms are walked once, every product entry is
     compared and the counts of nonzero entries must agree.  The two matrices
     then have the same rank, so the kernel count is also the quotient count.
+    The factorials nu_x! and mu_x! are those of ``_x_factorials``; only the
+    positions of ``_derivative_sources`` are shared with the assembly.
     """
     n = pres.n
     words = [t for _, t in cell_monomials(n, 0, k)]
     word_index = {w: ti for ti, w in enumerate(words)}
-    # column offset and x-factorial of every target x-monomial
-    x_data = {
-        x: (xi * len(words), _x_factorial(x)) for xi, x in enumerate(x_monomials(n, i))
-    }
+    width = len(words)
+    nu_facts = _x_factorials(n, i)
     degrees = {}
     walked = 0  # rows of ``entries`` met; each (oi, mu) is met at most once
-    for oi, g in enumerate(pres.ideal_generators()):
+    for oi, g in enumerate(pres.ideal_generators() if gens is None else gens):
         gi, gk = g.bidegree()
-        if theta_only and not gk:
-            continue
         degrees[oi] = gi, gk
         terms = _integer_terms(g.terms)
         # For each theta word of mu: (term, sign, theta offset) of every term
@@ -323,12 +350,17 @@ def _check_against_products(
                 if merged is not None:
                     hits.append((tj, merged[0], word_index[merged[1]]))
             merges.append((mt, hits))
-        for mx in x_monomials(n, i - gi) if merges else ():
+        if not merges:
+            continue
+        # the position of mu_x * x^gx for every term, by the position of mu_x
+        targets = [_derivative_sources(n, i, gx)[0] for (gx, _), _ in terms]
+        mu_facts = _x_factorials(n, i - gi)
+        for mi, mx in enumerate(x_monomials(n, i - gi)):
             products = []
-            for (gx, _), c in terms:
-                base, nu_fact = x_data[tuple(map(add, mx, gx))]
-                products.append((base, c * nu_fact))
-            mu_fact = _x_factorial(mx)
+            for xis, (_, c) in zip(targets, terms):
+                xi = xis[mi]
+                products.append((xi * width, c * nu_facts[xi]))
+            mu_fact = mu_facts[mi]
             for mt, hits in merges:
                 mu = (mx, mt)
                 row = entries.get((oi, mu), {})
@@ -421,9 +453,9 @@ def harmonic_cell_dimension(
     Computed in ``gd.cell_presentation()`` (for S_n the reduced presentation
     in n - 1 variables, whose (i, k) part has the same dimension): dim H_i
     for k = 0, else the corank of ``_theta_rows``.  Every eliminated entry is
-    first checked against the ideal products (``_cell_entries``).  The budget
-    is always that of the x-presentation, so refusals do not depend on the
-    route.
+    first checked against the ideal products (``_cell_entries`` and
+    ``_theta_products``).  The budget is always that of the x-presentation,
+    so refusals do not depend on the route.
     """
     if cell_dimension(gd.n, i, k) == 0:
         return 0
@@ -431,75 +463,150 @@ def harmonic_cell_dimension(
     pres = gd.cell_presentation()
     if cell_dimension(pres.n, i, k) == 0:
         return 0
-    classical = _classical_harmonics(pres, i)
+    classical, products = _degree_data(pres, i, k)
     if k == 0:
         return len(classical)
     cols = len(classical) * comb(pres.n, k)
-    return cols - linalg.rank(_theta_rows(pres, i, k, classical), cols)
+    return cols - linalg.rank(_theta_rows(pres.n, k, products), cols)
 
 
-def _cell_entries(
-    pres: GroupData | ReducedPresentation, i: int, k: int, theta_only: bool = False
-):
+def _cell_entries(pres: GroupData | ReducedPresentation, i: int, k: int):
     """``_operator_entries`` of the presentation's generator operators on the
     (i, k) cell, every entry checked against the ideal products: the one
-    generator cell matrix, read by dimensions, bases and exactness targets.
-
-    With ``theta_only``, of the d f_j alone.  The f_j rows are then those of
-    the (i, 0) cell times the identity on the theta words, because f_j (its
-    bidegree is checked) and d_{f_j} (checked here) have no theta.
-    """
-    ops = pres.harmonic_generator_operators()
-    if theta_only:
-        gens = pres.ideal_generators()
-        if any(mt or dt for g, op in zip(gens, ops) if not g.bidegree()[1]
-               for _, mt, _, dt in op.terms):
-            raise IntegrityError(f"{pres.spec.label()}: an f_j operator acts on theta")
-        ops = [op if g.bidegree()[1] else None for g, op in zip(gens, ops)]
-    entries = _operator_entries(ops, pres.n, i, k)
-    _check_against_products(pres, entries, i, k, theta_only)
+    generator cell matrix, read by the (i, 0) cells and exactness targets."""
+    entries = _operator_entries(pres.harmonic_generator_operators(), pres.n, i, k)
+    _check_against_products(pres, entries, i, k)
     return entries
 
 
-# H_i held by ``_walk_cell`` for one cell call and reset when it returns or
-# raises; None outside a walk.  Walks run cells one at a time per process.
-_walk_classical: dict | None = None
+# The x-degree data of ``_degree_data`` held by ``_walk_cell`` for one cell
+# call and reset when it returns or raises; None outside a walk.  Walks run
+# cells one at a time per process.
+_walk_held: dict | None = None
 
 
-def _classical_harmonics(pres: GroupData | ReducedPresentation, i: int):
-    """H_i, the kernel of the (checked) f_j rows that make up the (i, 0)
-    cell, as integer rows over the degree-i x-monomials; inside a walk it is
-    taken from, or left for, ``_walk_cell``."""
-    held = _walk_classical
-    if held is not None and i in held:
-        return held[i]
-    rows = _reduced_rows(_cell_entries(pres, i, 0))
-    kernel = linalg.nullspace(rows, cell_dimension(pres.n, i, 0))
-    if held is not None:
-        held[i] = kernel
-    return kernel
+def _degree_data(pres: GroupData | ReducedPresentation, i: int, k: int):
+    """(H_i, products): H_i is the kernel of the (checked) f_j rows that make
+    up the (i, 0) cell, as integer rows over the degree-i x-monomials; for
+    k >= 1 and H_i != 0, products are ``_theta_products`` on it, else None.
+    Inside a walk both are taken from, or left for, ``_walk_cell``."""
+    held = {} if _walk_held is None else _walk_held
+    data = held.get(i)
+    if data is None:
+        rows = _reduced_rows(_cell_entries(pres, i, 0))
+        data = held[i] = linalg.nullspace(rows, cell_dimension(pres.n, i, 0)), None
+    if k and data[0] and data[1] is None:
+        data = held[i] = data[0], _theta_products(pres, i, data[0])
+    return data
 
 
-def _theta_rows(pres: GroupData | ReducedPresentation, i: int, k: int, classical):
-    """Content-reduced rows of the d f_j on H_i (x) Lambda^k, where the forms
-    of the cell killed by every f_j lie.  Column h * C(n, k) + t is vector h
-    of ``classical`` times theta word t.  The first pull assembles and checks
-    every entry; with no columns, none is pulled."""
-    entries = _cell_entries(pres, i, k, theta_only=True)
-    width = comb(pres.n, k)
+def _theta_pieces(pres: GroupData | ReducedPresentation):
+    """Every d f_j and its operator split by theta-index: (generator index,
+    [l], [the x-part of the theta_l terms of d f_j], [that of its operator]),
+    the l-th pieces d f_j / d theta_l = d f_j / d x_l and (d f_j / d x_l)(d_x)
+    in increasing l.
+
+    Both are x-only, with the integers of the whole generator and operator
+    (each scaled by the lcm of its denominators), so the pieces give the
+    content-reduced rows of the whole.  Raises IntegrityError unless every
+    f_j operator acts on x alone, every d f_j term has one theta and every
+    term of its operator is x-derivatives times one d/dtheta_l, and the
+    generator and the operator carry the same theta-indices.
+    """
+    n, label = pres.n, pres.spec.label()
+    pairs = zip(pres.ideal_generators(), pres.harmonic_generator_operators())
+    out = []
+    for oi, (g, op) in enumerate(pairs):
+        op_terms = _integer_terms(op.terms)
+        if not g.bidegree()[1]:
+            if any(mt or dt for (_, mt, _, dt), _ in op_terms):
+                raise IntegrityError(f"{label}: an f_j operator acts on theta")
+            continue
+        gens, ops = {}, {}
+        for (gx, gt), c in _integer_terms(g.terms):
+            gens.setdefault(gt, {})[gx, ()] = c
+        for (mx, mt, dx, dt), c in op_terms:
+            # a multiplication term is put under (), which is refused below
+            ops.setdefault(() if any(mx) or mt else dt, {})[mx, (), dx, ()] = c
+        if any(len(t) != 1 for t in chain(gens, ops)) or gens.keys() != ops.keys():
+            raise IntegrityError(
+                f"{label}: operator {oi} is not its generator's x-derivatives "
+                "times one d/dtheta_l each"
+            )
+        thetas = sorted(gens)
+        out.append((oi, [l for (l,) in thetas], [unchecked(SuperPoly, n, gens[t]) for t in thetas],
+                    [unchecked(Operator, n, ops[t]) for t in thetas]))
+    return out
+
+
+def _theta_products(pres: GroupData | ReducedPresentation, i: int, classical):
+    """The d f_j pieces (``_theta_pieces``) on the (i, 0) cell, checked there
+    entrywise, times the H_i basis ``classical``: {(generator index, target
+    x-monomial): {l: [(h, value)]}}, h the index of an H_i vector.  The
+    pieces are x-only, so the check runs at theta-degree 0 (eps = 1).  The
+    pieces of one d f_j are assembled at a time, so only their entries are
+    held."""
     by_x = {}
     for h, vec in enumerate(classical):
         for xi, b in vec:
-            by_x.setdefault(xi, []).append((h * width, b))
-    for key in sorted(entries):
-        out = {}
-        for col, v in entries[key].items():
-            xi, t = divmod(col, width)
-            for base, b in by_x.get(xi, ()):
-                out[base + t] = out.get(base + t, 0) + v * b
-        row = _reduced_row(out.items())
-        if row:
-            yield row
+            by_x.setdefault(xi, []).append((h, b))
+    out = {}
+    for oi, ls, gens, ops in _theta_pieces(pres):
+        entries = _operator_entries(ops, pres.n, i, 0)
+        try:
+            _check_against_products(pres, entries, i, 0, gens)
+        except IntegrityError as exc:
+            raise IntegrityError(
+                f"{exc} (the pieces of operator {oi}, by theta-index {ls})"
+            ) from None
+        for (pi, (tx, _)), row in entries.items():
+            acc = {}
+            for xi, v in row.items():
+                for h, b in by_x.get(xi, ()):
+                    acc[h] = acc.get(h, 0) + v * b
+            acc = sorted((h, v) for h, v in acc.items() if v)
+            if acc:
+                out.setdefault((oi, tx), {})[ls[pi]] = acc
+    return out
+
+
+@lru_cache(maxsize=None)
+def _contractions(n: int, k: int) -> tuple:
+    """(theta word J of degree k - 1, [(l, sign, t)]) for every J in order:
+    d/dtheta_l theta_I = sign theta_J, I the word of column t of degree k.
+
+    Each sign is checked against the product theta_J theta_l =
+    eps sign theta_I, eps = (-1)^(k - 1) of the pairing, so that with the
+    x-only check of the pieces the entries of the d f_j on the (i, k) cell
+    equal the ideal products up to the same diagonal scaling."""
+    eps = -1 if (k - 1) & 1 else 1
+    out = {t: [] for _, t in cell_monomials(n, 0, k - 1)}
+    for t, (_, word) in enumerate(cell_monomials(n, 0, k)):
+        for l in word:
+            sign, short = theta_action((), (l,), word)
+            if merge_thetas(short, (l,)) != (eps * sign, word):
+                raise IntegrityError(
+                    f"d/dtheta_{l} on theta word {word} disagrees with the product"
+                )
+            out[short].append((l, sign, t))
+    return tuple((short, tuple(hits)) for short, hits in out.items())
+
+
+def _theta_rows(n: int, k: int, products):
+    """Content-reduced rows of the d f_j on H_i (x) Lambda^k, where the forms
+    of the cell killed by every f_j lie, built from ``_theta_products`` by
+    ``_contractions``.  Column h * C(n, k) + t is vector h of H_i times theta
+    word t; the rows come in (generator, target monomial) order.  With no
+    columns, none is pulled."""
+    width = comb(n, k)
+    contractions = _contractions(n, k)
+    for key in sorted(products):
+        by_l = products[key]
+        for _, hits in contractions:
+            row = [(h * width + t, sign * v)
+                   for l, sign, t in hits for h, v in by_l.get(l, ())]
+            if row:
+                yield linalg._content_reduce(sorted(row))
 
 
 def coinvariant_cell_dimension(
@@ -520,11 +627,12 @@ def kernel_intersection(
 ) -> Subspace:
     """Reduced-echelon basis of the (i, k) harmonics of a presentation: H_i
     for k = 0, else the kernel of ``_theta_rows`` taken back to the cell."""
-    vectors = classical = _classical_harmonics(pres, i)
+    classical, products = _degree_data(pres, i, k)
+    vectors = classical
     if k:
         width = comb(pres.n, k)
         vectors = []
-        for vec in linalg.nullspace(_theta_rows(pres, i, k, classical), len(classical) * width):
+        for vec in linalg.nullspace(_theta_rows(pres.n, k, products), len(classical) * width):
             lifted = {}
             for col, a in vec:
                 h, t = divmod(col, width)
@@ -564,42 +672,52 @@ def _walk(gd: GroupData, cells, budget: int, compute, mapper=map) -> dict:
     Every cell's budget, skipped or not, is checked before the first one is
     computed.  The cells are then walked in waves of equal i + k, each wave
     through one ``mapper`` call (``pool.map`` or the builtin ``map``) of
-    ``_walk_cell``, which hands the H_i of each (i, 0) cell to the later
-    cells (i, k); a cell next to a zero of the previous wave is zero by
-    ``_implied_zero`` and is skipped.  A computed value is zero when it is
-    falsy (a dimension 0, the zero Subspace).  Returns the computed values in
-    the order of ``cells``; the skipped cells, all zero, are left out.
+    ``_walk_cell``, which hands the x-degree data of ``_degree_data`` to the
+    later cells of the same x-degree: H_i from the (i, 0) cell, and the d f_j
+    products on it from the first cell (i, k >= 1) that builds them, so each
+    is computed once per walk; the data of x-degree i is dropped after the
+    last wave that may compute a cell (i, k).  A cell next to a zero of the
+    previous wave is zero by ``_implied_zero`` and is skipped.  A computed
+    value is zero when it is falsy (a dimension 0, the zero Subspace).
+    Returns the computed values in the order of ``cells``; the skipped
+    cells, all zero, are left out.
     """
     for i, k in cells:
         check_cell_budget(gd, i, k, budget)
-    found, zeros, classical = {}, set(), {}
+    found, zeros, held = {}, set(), {}
     for s in sorted({i + k for i, k in cells}):
         wave = [(i, k) for i, k in cells if i + k == s]
         zeros.update([cell for cell in wave if _implied_zero(zeros, *cell)])
         todo = [cell for cell in wave if cell not in zeros]
         results = mapper(
             _walk_cell, repeat(compute), repeat(gd), [i for i, _ in todo],
-            [k for _, k in todo], repeat(budget), [classical.get(i) for i, _ in todo],
+            [k for _, k in todo], repeat(budget), [held.get(i) for i, _ in todo],
         )
-        for (i, k), (value, kernel) in zip(todo, results):
+        for (i, k), (value, data) in zip(todo, results):
             found[i, k] = value
-            if kernel is not None:
-                classical[i] = kernel
+            if data is not None:
+                held[i] = data
             if not value:
                 zeros.add((i, k))
+        # keep the data of the x-degrees that a later wave may still compute:
+        # past a zero (i, k), every (i, k + 1), ... is zero
+        later = {i for i, k in cells if i + k > s} - {i for i, _ in zeros}
+        held = {i: data for i, data in held.items() if i in later}
     return {cell: found[cell] for cell in cells if cell in found}
 
 
-def _walk_cell(compute, gd: GroupData, i: int, k: int, budget: int, classical):
-    """``compute(gd, i, k, budget)`` given the H_i of the walk's (i, 0) cell,
-    or None; returns the value and, for an (i, 0) cell, the H_i it found
-    (which comes back from a worker process with the value)."""
-    global _walk_classical
-    held = _walk_classical = {} if classical is None else {i: classical}
+def _walk_cell(compute, gd: GroupData, i: int, k: int, budget: int, data):
+    """``compute(gd, i, k, budget)`` given the x-degree data of
+    ``_degree_data`` that the walk holds for i, or None; returns the value and
+    the data for i if the call computed any (it comes back from a worker
+    process with the value), else None."""
+    global _walk_held
+    held = _walk_held = {} if data is None else {i: data}
     try:
-        return compute(gd, i, k, budget), None if k else held.get(i)
+        value = compute(gd, i, k, budget)
+        return value, None if held.get(i) is data else held[i]
     finally:
-        _walk_classical = None
+        _walk_held = None
 
 
 def sh_dim_table(
@@ -791,412 +909,10 @@ def derivative_closure(gd: GroupData, budget: int = DEFAULT_CELL_BUDGET) -> DimT
     return table
 
 
-# ---------------------------------------------------------------------------
-# Exactness of the exterior-derivative complex
-# ---------------------------------------------------------------------------
-
-
-class ExactnessReport(Record):
-    group: GroupSpec
-    rank_balance_ok: bool
-    hodge_ok: bool
-    images_harmonic_ok: bool
-    alternating_hilbert_is_one: bool
-    first_failure: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.rank_balance_ok
-            and self.hodge_ok
-            and self.images_harmonic_ok
-            and self.alternating_hilbert_is_one
-        )
-
-
-def _image_rank(
-    gd: GroupData,
-    op: Operator,
-    cells: dict[tuple[int, int], Subspace],
-    source: tuple[int, int],
-    targets: dict | None = None,
-) -> tuple[int, bool]:
-    """Rank of op on the harmonic cell at `source`; also whether the image
-    stays inside the harmonics (the generators' target-cell matrix must
-    annihilate it).  Both are read off integer cell matrices; ``targets``
-    keeps the generators' matrix of each target cell across calls."""
-    n = gd.n
-    sub = cells.get(source)
-    if sub is None or sub.dimension == 0:
-        return 0, True
-    dx, dk = op.bidegree_shift()
-    target = (source[0] + dx, source[1] + dk)
-    index = _cell_index(n, *target)
-    op_columns = _columns(_operator_entries([op], n, *source), index)
-    if targets is None:
-        targets = {}
-    if target not in targets:
-        targets[target] = _columns(_cell_entries(gd, *target))
-    gen_columns = targets[target]
-    vectors = []
-    inside = True
-    for row in sub.basis:
-        img = _times_columns(op_columns, linalg.to_int_row(row))
-        if not img:
-            continue
-        if _times_columns(gen_columns, img.items()):
-            inside = False
-        vectors.append(linalg.to_int_row(img))
-    return linalg.rank(vectors, len(index)), inside
-
-
-def _columns(entries, index=None) -> dict[int, list]:
-    """An entry map by source column: [(row key, or target column, value)]."""
-    out: dict[int, list] = {}
-    for key, row in entries.items():
-        r = key if index is None else index[key[1]]
-        for col, v in row.items():
-            out.setdefault(col, []).append((r, v))
-    return out
-
-
-def _times_columns(columns, vec) -> dict:
-    """``_columns`` matrix times a (column, value) vector, zeros dropped."""
-    out: dict = {}
-    for col, a in vec:
-        for r, v in columns.get(col, ()):
-            out[r] = out.get(r, 0) + a * v
-    return {r: v for r, v in out.items() if v}
-
-
-def exactness_check(
-    gd: GroupData,
-    cells: dict[tuple[int, int], Subspace] | None = None,
-    budget: int = DEFAULT_CELL_BUDGET,
-) -> ExactnessReport:
-    """Rank-nullity balance of d on the harmonics, the Hodge splitting
-    dim SH^{i,k} = dim d SH^{i+1,k-1} + dim d* SH^{i-1,k+1}, and the
-    alternating Hilbert identity Hilb(q, -q) = 1."""
-    if cells is None:
-        cells = harmonic_cells(gd, budget)
-    spec = gd.spec
-    d = gd.exterior_d
-    ddag = gd.exterior_d_adjoint
-    dims = {key: sub.dimension for key, sub in cells.items()}
-
-    rank_d: dict[tuple[int, int], int] = {}
-    rank_ddag: dict[tuple[int, int], int] = {}
-    images_ok = True
-    targets: dict = {}
-    for key, sub in sorted(cells.items()):
-        if sub.dimension == 0:
-            continue
-        rank_d[key], ok1 = _image_rank(gd, d, cells, key, targets)
-        rank_ddag[key], ok2 = _image_rank(gd, ddag, cells, key, targets)
-        images_ok = images_ok and ok1 and ok2
-
-    first_failure = ""
-    balance_ok = True
-    hodge_ok = True
-    for (i, k), dim in sorted(dims.items()):
-        ker = dim - rank_d.get((i, k), 0)
-        if k == 0:
-            expected_ker = 1 if i == 0 else 0
-        else:
-            expected_ker = rank_d.get((i + 1, k - 1), 0)
-        if ker != expected_ker:
-            balance_ok = False
-            if not first_failure:
-                first_failure = (
-                    f"bidegree ({i},{k}): kernel of d has dimension {ker}, "
-                    f"expected {expected_ker}"
-                )
-        if dim and (i, k) != (0, 0):
-            hodge = rank_d.get((i + 1, k - 1), 0) + rank_ddag.get((i - 1, k + 1), 0)
-            if dim != hodge:
-                hodge_ok = False
-                if not first_failure:
-                    first_failure = (
-                        f"bidegree ({i},{k}): dimension {dim} != "
-                        f"d-image + d*-image {hodge}"
-                    )
-
-    alt = QZPoly({key: v for key, v in dims.items() if v}).z_substitute_signed_power(1)
-    alt_ok = alt == QPoly.one()
-    if not alt_ok and not first_failure:
-        first_failure = f"Hilb(q,-q) = {alt}, expected 1"
-    return ExactnessReport(
-        spec, balance_ok, hodge_ok, images_ok, alt_ok, first_failure
-    )
-
-
-# ---------------------------------------------------------------------------
-# Power-sum Laplacian spectrum
-# ---------------------------------------------------------------------------
-
-
-def laplacian_spectrum_check(N: int, n: int, degree_bound: int) -> bool:
-    """The Laplacian of d = sum_j d_{x_j^N} theta_j is diagonal on monomials.
-
-    On x^alpha theta_I the eigenvalue is
-        sum_{j not in I} ff(alpha_j, N) + sum_{j in I} ff(alpha_j + N, N)
-    with ff the falling factorial; the kernel is exactly the x^alpha with all
-    alpha_j < N and I empty.  Verified on every monomial with x-degree up to
-    degree_bound: the integer cell matrices of the Laplacian must be
-    diagonal with these eigenvalues.
-    """
-    d = Operator.power_exterior_derivative(n, N)
-    lap = d.adjoint() @ d + d @ d.adjoint()
-    # The cell matrix holds lap scaled by the lcm of its denominators.
-    den = lcm(*(c.denominator for c in lap.terms.values()))
-    for k in range(n + 1):
-        for i in range(degree_bound + 1):
-            diagonal = {}
-            for col, mon in enumerate(cell_monomials(n, i, k)):
-                alpha, thetas = mon
-                eig = sum(
-                    falling_factorial(alpha[j] + N, N)
-                    if (j + 1) in thetas
-                    else falling_factorial(alpha[j], N)
-                    for j in range(n)
-                )
-                if (eig == 0) != (not thetas and all(a < N for a in alpha)):
-                    return False
-                if eig:
-                    diagonal[(0, mon)] = {col: eig * den}
-            matrix = {}
-            for key, row in _operator_entries([lap], n, i, k).items():
-                row = {col: v for col, v in row.items() if v}
-                if row:
-                    matrix[key] = row
-            if matrix != diagonal:
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Top theta-degree structure (Fitting ideal apparatus)
-# ---------------------------------------------------------------------------
-
-
-class FittingData(Record):
-    group: GroupSpec
-    iprime_generators: list[SuperPoly]
-    gamma: SuperPoly
-    hprime_dims: dict[int, int]
-    sh_top_dims: dict[int, int]
-    top_harmonics_match: bool
-    ann_gamma_equals_iprime: bool
-    observed_top_xdeg: int
-    predicted_top_xdeg: int
-
-    @property
-    def top_xdeg_matches(self) -> bool:
-        return self.observed_top_xdeg == self.predicted_top_xdeg
-
-
-def predicted_top_xdeg(spec: GroupSpec) -> int:
-    """Closed form for max{i : SH^{i, r} != 0} (cyclic groups normalized).
-
-    Read off the maximal monomial outside I' = <x_i^{m-1},
-    x_i^{-1}(x_1...x_n)^{m/p}>: for m/p >= 2 it is
-    x_1^{m/p-2}(x_2...x_n)^{m-2}; for m/p = 1 the exponents must avoid the
-    (n-1)-variable products entirely, leaving (x_1...x_{n-2})^{m-2}.
-    """
-    m, p, n = spec.m, spec.p, spec.n
-    mp = m // p
-    if n == 1:
-        return 0 if m <= 2 else m - 2
-    if m <= 2:
-        return 0
-    if mp == 1:
-        return (n - 2) * (m - 2)
-    return mp - 2 + (n - 1) * (m - 2)
-
-
-def fitting_structures(gd: GroupData, budget: int = DEFAULT_CELL_BUDGET) -> FittingData:
-    """The ideal of invariant partials, its harmonic complement, and the
-    double-det harmonic Gamma = d_{Delta*} Delta.
-
-    Requires m > 1 (no invariant vectors, rank n): for S_n the first basic
-    invariant has degree 1 and the apparatus degenerates.
-    """
-    spec = gd.spec
-    if spec.m == 1:
-        raise ValueError("fitting_structures needs m > 1 (rank n)")
-    n = spec.n
-    dmax = spec.degree_of_vandermondian
-
-    gens: list[SuperPoly] = []
-    seen = set()
-    for f in gd.basic_invariants:
-        for j in range(n):
-            beta = tuple(1 if v == j else 0 for v in range(n))
-            g = f.x_derivative(beta)
-            if g and g.to_string() not in seen:
-                seen.add(g.to_string())
-                gens.append(g)
-
-    gamma = partial_operator(gd.covandermondian).apply(gd.vandermondian)
-    if gamma.is_zero():
-        raise IntegrityError(f"Gamma of {spec.label()} vanished")
-
-    hprime_dims: dict[int, int] = {}
-    ann_matches = True
-    for d in range(dmax + 1):
-        mons = x_monomials(n, d)
-        amb = len(mons)
-        if amb * amb > budget:
-            raise FeasibilityError(spec, (d, "x"), amb * amb, budget)
-        iprime_rank = linalg.rank(_ideal_rows(gens, n, d, 0), amb)
-        hprime = amb - iprime_rank
-        if hprime:
-            hprime_dims[d] = hprime
-        # Ann(Gamma) in degree d: kernel of mu -> d_{x^mu} Gamma.  Its
-        # dimension is amb - rank(psi); equality with I' in this degree
-        # means rank(psi) == dim H'.
-        psi_rank = _gamma_map_rank(gamma, mons, n, d)
-        if amb - psi_rank != iprime_rank:
-            ann_matches = False
-
-    # Top theta-degree: only the i-neighbour of a cell lies in the row.
-    top = _walk(gd, [(i, n) for i in range(dmax + 1)], budget, harmonic_cell_dimension)
-    sh_top_dims = {i: dim for (i, _), dim in top.items() if dim}
-
-    observed_top = max(sh_top_dims, default=0)
-    return FittingData(
-        group=spec,
-        iprime_generators=gens,
-        gamma=gamma,
-        hprime_dims=hprime_dims,
-        sh_top_dims=sh_top_dims,
-        top_harmonics_match=(sh_top_dims == hprime_dims),
-        ann_gamma_equals_iprime=ann_matches,
-        observed_top_xdeg=observed_top,
-        predicted_top_xdeg=predicted_top_xdeg(spec),
-    )
-
-
-def _gamma_map_rank(gamma: SuperPoly, mons, n: int, d: int) -> int:
-    """Rank of the map (degree-d monomial mu) -> d_{x^mu} Gamma."""
-    gdeg = gamma.bidegree()[0]
-    if d > gdeg:
-        return 0
-    target = _cell_index(n, gdeg - d, 0)
-    terms = _integer_terms(gamma.terms)
-    # Rank of the column family equals rank of the matrix.
-    rows = (
-        _reduced_row((target[mon], c) for mon, c in _x_derivative(terms, mu))
-        for mu in mons
-    )
-    return linalg.rank(rows, len(target))
-
-
-# ---------------------------------------------------------------------------
-# Support theorems
-# ---------------------------------------------------------------------------
-
-
-class SupportReport(Record):
-    group: GroupSpec
-    observed_support: set[tuple[int, int]]
-    bidegree_bound_applies: bool
-    bidegree_bound_matches: bool
-    total_degree_support: set[int]
-    total_degree_expected: set[int]
-    total_degree_asserted: bool
-    top_slice_dims: dict[tuple[int, int], int]
-    top_slice_dimension: int
-    top_slice_is_vandermondian_pair: bool
-    top_slice_in_det_isotypic: bool
-
-    @property
-    def total_degree_matches(self) -> bool:
-        return self.total_degree_support == self.total_degree_expected
-
-
-def bidegree_support_region(spec: GroupSpec) -> set[tuple[int, int]]:
-    """Predicted nonzero bidegrees for G(m, 1, n):
-    i + k + m*C(k,2) <= m*C(n,2) + (m-1)n."""
-    m, n = spec.m, spec.n
-    bound = m * comb(n, 2) + (m - 1) * n
-    out = set()
-    for k in range(n + 1):
-        for i in range(bound + 1):
-            if i + k + m * comb(k, 2) <= bound:
-                out.add((i, k))
-    return out
-
-
-def support_check(
-    gd: GroupData,
-    cells: dict[tuple[int, int], Subspace] | None = None,
-    budget: int = DEFAULT_CELL_BUDGET,
-) -> SupportReport:
-    """Observed bidegree/total-degree support against the predicted bounds.
-
-    The bidegree inequality is asserted only for p = 1; the top total-degree
-    slice is asserted to be the two-dimensional span of Delta and d Delta
-    when p != m or p = 1 (for p = m the observed data is reported, and the
-    det-isotypic containment of the top slice is checked instead).
-    """
-    if cells is None:
-        cells = harmonic_cells(gd, budget)
-    spec = gd.spec
-    n = gd.n
-    observed = {key for key, sub in cells.items() if sub.dimension}
-
-    applies = spec.p == 1
-    matches = observed == bidegree_support_region(spec) if applies else False
-
-    dmax = spec.degree_of_vandermondian
-    total_support = {i + k for (i, k) in observed}
-    total_expected = set(range(dmax + 1))
-
-    top_cells = {key: sub for key, sub in cells.items() if sum(key) == dmax}
-    top_dims = {key: sub.dimension for key, sub in top_cells.items() if sub.dimension}
-    top_total = sum(top_dims.values())
-
-    # Is the top slice exactly K Delta + K dDelta?
-    delta = gd.vandermondian
-    ddelta = gd.exterior_d.apply(delta)
-    pair_ok = True
-    for key, sub in sorted(top_cells.items()):
-        expected: list[SuperPoly] = []
-        if key == (dmax, 0):
-            expected = [delta]
-        elif key == (dmax - 1, 1) and ddelta:
-            expected = [ddelta]
-        index = _cell_index(n, *key)
-        span = Subspace.from_vectors(
-            cell_monomials(n, *key), [_poly_row(f, index) for f in expected]
-        )
-        if (sub.dimension != span.dimension) or (sub.basis != span.basis):
-            pair_ok = False
-
-    det_elems = det_isotypic_elements(gd)
-    in_det = True
-    for key, sub in sorted(top_cells.items()):
-        if sub.dimension == 0:
-            continue
-        index = _cell_index(n, *key)
-        det_here = [
-            _poly_row(e, index) for e in det_elems.values() if e.bidegree() == key
-        ]
-        det_span = Subspace.from_vectors(cell_monomials(n, *key), det_here)
-        if sub.basis != det_span.basis:
-            in_det = False
-
-    return SupportReport(
-        group=spec,
-        observed_support=observed,
-        bidegree_bound_applies=applies,
-        bidegree_bound_matches=matches,
-        total_degree_support=total_support,
-        total_degree_expected=total_expected,
-        total_degree_asserted=(spec.p != spec.m or spec.p == 1),
-        top_slice_dims=top_dims,
-        top_slice_dimension=top_total,
-        top_slice_is_vandermondian_pair=pair_ok,
-        top_slice_in_det_isotypic=in_det,
-    )
+# The named checks live in ``checks``, which reads the cell engine above.
+from .checks import (  # noqa: E402
+    exactness_check,
+    fitting_structures,
+    laplacian_spectrum_check,
+    support_check,
+)

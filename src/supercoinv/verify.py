@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 
-from . import artin, groebner, harmonics, qseries
+from . import artin, checks, groebner, harmonics, qseries
 from .groups import GroupSpec, build_group
 from .harmonics import DEFAULT_CELL_BUDGET, FeasibilityError
 from .qseries import QPoly
@@ -159,13 +159,14 @@ def _groups(m, p, n, default, **extra) -> list[tuple[tuple[int, int, int], dict]
 
 def _each(claim, cases, check) -> list[CheckReport]:
     """check(key, params) -> CheckReport for every case; a case the cell
-    budget refuses is reported skipped with the refusal."""
+    budget refuses is reported skipped with the refusal, under ``claim`` or,
+    when it is a function, under ``claim(key)``."""
     reports = []
     for key, params in cases:
         try:
             reports.append(check(key, params))
         except FeasibilityError as exc:
-            reports.append(_skip(claim, params, str(exc)))
+            reports.append(_skip(claim(key) if callable(claim) else claim, params, str(exc)))
     return reports
 
 
@@ -265,7 +266,7 @@ def _suite_groebner(ctx, m=None, p=None, n=None, **_) -> list[CheckReport]:
 def _suite_exactness(ctx: _Context, m=None, p=None, n=None, **_) -> list[CheckReport]:
     def check(key, params):
         cells = ctx.cells(key)
-        rep = harmonics.exactness_check(build_group(*key), cells)
+        rep = checks.exactness_check(build_group(*key), cells)
         return CheckReport(
             "thm:exact",
             params,
@@ -284,8 +285,8 @@ def _suite_support_b(ctx: _Context, m=None, p=None, n=None, **_) -> list[CheckRe
         if spec.p != 1:
             return _skip("thm:B", params, "stated for G(m, 1, n) only")
         cells = ctx.cells(key)
-        rep = harmonics.support_check(build_group(*key), cells)
-        region = harmonics.bidegree_support_region(spec)
+        rep = checks.support_check(build_group(*key), cells)
+        region = checks.bidegree_support_region(spec)
         return CheckReport(
             "thm:B",
             params,
@@ -304,7 +305,7 @@ def _suite_support_c(ctx: _Context, m=None, p=None, n=None, **_) -> list[CheckRe
         spec = GroupSpec.create(*key)
         cells = ctx.cells(key)
         gd = build_group(*key)
-        rep = harmonics.support_check(gd, cells)
+        rep = checks.support_check(gd, cells)
         if not rep.total_degree_asserted:
             return CheckReport(
                 "thm:C",
@@ -362,7 +363,7 @@ def _suite_operator_top(ctx: _Context, m=None, p=None, n=None, **_) -> list[Chec
                 "rank n-1 case: the invariant-partials ideal is the unit "
                 "ideal in these coordinates",
             )
-        fit = harmonics.fitting_structures(build_group(*key), budget=ctx.budget)
+        fit = checks.fitting_structures(build_group(*key), budget=ctx.budget)
         expected = _theorem_a_holds(spec)
         ok = fit.ann_gamma_equals_iprime == expected and fit.top_harmonics_match
         return CheckReport(
@@ -389,7 +390,7 @@ def _suite_no_dice(ctx: _Context, m=None, p=None, n=None, **_) -> list[CheckRepo
         spec = GroupSpec.create(*key)
         if spec.m == 1:
             return _skip("lem:no_dice", params, "needs m > 1")
-        fit = harmonics.fitting_structures(build_group(*key), budget=ctx.budget)
+        fit = checks.fitting_structures(build_group(*key), budget=ctx.budget)
         sh_total = sum(fit.sh_top_dims.values())
         det_part = 1  # exactly one det-isotypic element at theta-degree r
         excluded = not _theorem_a_holds(spec)
@@ -410,39 +411,42 @@ def _suite_no_dice(ctx: _Context, m=None, p=None, n=None, **_) -> list[CheckRepo
 
 def _suite_closure(ctx: _Context, m=None, p=None, n=None, **_) -> list[CheckReport]:
     """Derivative-closure dimensions vs harmonic dimensions (conjectured equal
-    for G(m, 1, n); known for rank <= 2 with G(m,1,n) or real)."""
+    for G(m, 1, n); known for rank <= 2 with G(m,1,n) or real).  The claim
+    of a case follows from p and the rank alone, so a refused case carries
+    the claim a computed one would."""
+
+    def claim(key):
+        spec = GroupSpec.create(*key)
+        if spec.rank <= 2 and (spec.p == 1 or spec.is_real):
+            return "thm:A1"
+        return "conj:A" if spec.p == 1 else "eq:thm:A"
 
     def check(key, params):
-        spec = GroupSpec.create(*key)
         table = ctx.table(key)
         closure = harmonics.derivative_closure(build_group(*key), budget=ctx.budget)
         equal = table.entries == closure.entries
         contained = all(
             closure.dim(i, k) <= table.dim(i, k) for (i, k) in closure.entries
         )
-        theorem_scope = spec.rank <= 2 and (spec.p == 1 or spec.is_real)
-        if theorem_scope:
+        claim_id = claim(key)
+        if claim_id == "thm:A1":
             verdict = "pass" if equal and contained else "fail"
-            claim = "thm:A1"
+        elif claim_id == "conj:A":
+            verdict = "consistent" if equal and contained else "inconsistent"
         else:
             verdict = "consistent" if contained else "inconsistent"
-            if spec.p == 1:
-                verdict = (
-                    "consistent" if equal and contained else "inconsistent"
-                )
-            claim = "conj:A" if spec.p == 1 else "eq:thm:A"
         return CheckReport(
-            claim,
+            claim_id,
             params,
-            "closure dims = harmonic dims"
-            if (theorem_scope or spec.p == 1)
-            else "closure dims <= harmonic dims",
+            "closure dims <= harmonic dims"
+            if claim_id == "eq:thm:A"
+            else "closure dims = harmonic dims",
             f"equal={equal} contained={contained}",
             verdict,
             provenance=PROVENANCE_DERIVED,
         )
 
-    return _each("eq:thm:A", _groups(m, p, n, DESK_SCALE_GROUPS), check)
+    return _each(claim, _groups(m, p, n, DESK_SCALE_GROUPS), check)
 
 
 def _suite_zabrocki(ctx: _Context, m=None, p=None, n=None, family="A", **_) -> list[CheckReport]:
@@ -505,7 +509,7 @@ def _suite_laplacian(ctx, N=None, n=None, degree=None, **_) -> list[CheckReport]
     bound = degree if degree else 6
     for NN in Ns:
         for nn in ns:
-            ok = harmonics.laplacian_spectrum_check(NN, nn, bound)
+            ok = checks.laplacian_spectrum_check(NN, nn, bound)
             reports.append(
                 CheckReport(
                     "lem:power_sum_Laplacian",

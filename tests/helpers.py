@@ -6,7 +6,9 @@ d_{Delta*} theta_1...theta_n), the group elements of the real groups as
 signed permutations and their action on forms, literal span equality
 of canonical RREF bases, the SuperPoly substitution that the integer
 reduced presentation of S_n is pinned to, the whole-cell harmonic
-dimension and kernel that the H_i (x) Lambda^k route is pinned to, the
+dimension, kernel and d f_j rows on H_i (x) Lambda^k that the
+H_i (x) Lambda^k route and its split of the d f_j by theta-index are
+pinned to, the
 rational coefficient vector of a SuperPoly over a cell index, and the
 Diagram record with the three-clause pivot condition for G(m, p, n)
 diagrams.
@@ -17,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
+from math import comb
 
 from supercoinv import harmonics, linalg
 from supercoinv.artin import is_substaircase
@@ -251,6 +254,35 @@ def full_cell_kernel(pres, i: int, k: int) -> harmonics.Subspace:
     ambient = harmonics.cell_monomials(pres.n, i, k)
     rows = harmonics._reduced_rows(harmonics._cell_entries(pres, i, k))
     return harmonics.Subspace.from_vectors(ambient, linalg.nullspace(rows, len(ambient)))
+
+
+def full_cell_theta_rows(pres, i: int, k: int, classical) -> list:
+    """Content-reduced rows of the d f_j on H_i (x) Lambda^k through the
+    whole (i, k) cell: every generator operator assembled and checked on all
+    C(i+n-1, n-1) C(n, k) columns, the d f_j rows kept in key order and
+    projected onto ``classical`` (H_i as integer rows).  Column
+    h * C(n, k) + t is vector h of ``classical`` times theta word t; zero
+    rows are skipped.  The route before the d f_j were split by theta-index."""
+    gens = pres.ideal_generators()
+    entries = harmonics._cell_entries(pres, i, k)
+    width = comb(pres.n, k)
+    by_x = {}
+    for h, vec in enumerate(classical):
+        for xi, b in vec:
+            by_x.setdefault(xi, []).append((h * width, b))
+    rows = []
+    for key in sorted(entries):
+        if not gens[key[0]].bidegree()[1]:
+            continue
+        out = {}
+        for col, v in entries[key].items():
+            xi, t = divmod(col, width)
+            for base, b in by_x.get(xi, ()):
+                out[base + t] = out.get(base + t, 0) + v * b
+        row = harmonics._reduced_row(out.items())
+        if row:
+            rows.append(row)
+    return rows
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from math import comb
 
 import pytest
 
-from supercoinv import artin, groebner, harmonics, qseries
+from supercoinv import artin, checks, groebner, harmonics, qseries
 from supercoinv.groups import build_group
 from supercoinv.harmonics import (
     DEFAULT_CELL_BUDGET,
@@ -99,7 +99,7 @@ def test_criterion_2_derivative_closure_column_2():
         )
         d4_ran = True
     except FeasibilityError:
-        fit = harmonics.fitting_structures(build_group(4, 2, 2))
+        fit = checks.fitting_structures(build_group(4, 2, 2))
         sh_top = sum(fit.sh_top_dims.values())
         assert sh_top == 6
         assert not fit.ann_gamma_equals_iprime
@@ -146,7 +146,7 @@ def test_criterion_3_groebner_artin_agreement():
 def test_criterion_4_exactness():
     for key in sorted(CRITERION_GROUPS):
         gd = build_group(*key)
-        rep = harmonics.exactness_check(gd, cells_for(key))
+        rep = checks.exactness_check(gd, cells_for(key))
         assert rep.passed, (key, rep.first_failure)
         alt = table_for(key).hilbert_qz().z_substitute_signed_power(1)
         assert alt == QPoly.one(), key
@@ -177,7 +177,7 @@ def test_criterion_5_conjectured_hilbert_series():
 def test_criterion_6_support_theorems():
     for key in sorted(CRITERION_GROUPS):
         gd = build_group(*key)
-        rep = harmonics.support_check(gd, cells_for(key))
+        rep = checks.support_check(gd, cells_for(key))
         if gd.spec.p == 1:
             assert rep.bidegree_bound_applies and rep.bidegree_bound_matches, key
         assert rep.total_degree_matches, key
@@ -185,7 +185,7 @@ def test_criterion_6_support_theorems():
             assert rep.top_slice_dimension == 2, key
             assert rep.top_slice_is_vandermondian_pair, key
     # the one exceptional top slice
-    rep = harmonics.support_check(build_group(2, 2, 2), cells_for((2, 2, 2)))
+    rep = checks.support_check(build_group(2, 2, 2), cells_for((2, 2, 2)))
     assert rep.top_slice_dimension == 4
     assert rep.top_slice_in_det_isotypic
     print("\nACCEPTANCE 6 PASS: bidegree and total-degree supports, "
@@ -235,7 +235,7 @@ def test_criterion_7_property_suites():
     # Laplacian eigenvalue formula
     for N in (1, 2, 3):
         for nn in (1, 2, 3):
-            assert harmonics.laplacian_spectrum_check(N, nn, 6), (N, nn)
+            assert checks.laplacian_spectrum_check(N, nn, 6), (N, nn)
 
     # p-contraction fibers all have cardinality p
     for m, p, nn in GRID:

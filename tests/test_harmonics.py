@@ -7,26 +7,28 @@ from operator import add, sub
 
 import pytest
 
-from supercoinv import groups, harmonics, linalg
+from supercoinv import checks, groups, harmonics, linalg
+from supercoinv.checks import (
+    bidegree_support_region,
+    exactness_check,
+    fitting_structures,
+    laplacian_spectrum_check,
+    support_check,
+)
 from supercoinv.groups import GroupSpec, build_group
 from supercoinv.harmonics import (
     DimTable,
     FeasibilityError,
     IntegrityError,
     Subspace,
-    bidegree_support_region,
     cell_monomials,
     derivative_closure,
     det_isotypic_basis,
     det_isotypic_elements,
-    exactness_check,
-    fitting_structures,
     harmonic_cell,
     harmonic_cells,
     kernel_intersection,
-    laplacian_spectrum_check,
     sh_dim_table,
-    support_check,
 )
 from supercoinv.qseries import QPoly, q_integer
 from supercoinv.superpoly import (
@@ -40,6 +42,7 @@ from supercoinv.verify import GOLDEN_TABLE
 from helpers import (
     full_cell_dimension,
     full_cell_kernel,
+    full_cell_theta_rows,
     poly_to_vector,
     reference_reduced_images,
 )
@@ -675,7 +678,7 @@ class TestLaplacian:
             return entries
 
         assert laplacian_spectrum_check(2, 2, 3)
-        monkeypatch.setattr(harmonics, "_operator_entries", skewed)
+        monkeypatch.setattr(checks, "_operator_entries", skewed)
         assert not laplacian_spectrum_check(2, 2, 3)
 
     @pytest.mark.parametrize("factor", [2, Fraction(1, 2), -1])
@@ -713,7 +716,7 @@ class TestImageRank:
         cells = harmonic_cells(gd)
         for source in cells:
             for op in (gd.exterior_d, gd.exterior_d_adjoint):
-                got = harmonics._image_rank(gd, op, cells, source)
+                got = checks._image_rank(gd, op, cells, source)
                 assert got == _reference_image_rank(gd, op, cells, source), source
 
     def test_non_harmonic_image_is_reported(self):
@@ -722,14 +725,14 @@ class TestImageRank:
         # d x_1 = theta_1, which d_{theta_1 + theta_2 + theta_3} does not kill.
         x1 = ambient.index(((1, 0, 0), ()))
         cells = {(1, 0): Subspace.from_vectors(ambient, [{x1: Fraction(1)}])}
-        for route in (harmonics._image_rank, _reference_image_rank):
+        for route in (checks._image_rank, _reference_image_rank):
             assert route(gd, gd.exterior_d, cells, (1, 0)) == (1, False)
         assert not exactness_check(gd, cells).images_harmonic_ok
 
     def test_harmonic_cells_map_inside(self, d2_cells):
         gd = build_group(2, 2, 2)
         for source in d2_cells:
-            assert harmonics._image_rank(gd, gd.exterior_d, d2_cells, source)[1]
+            assert checks._image_rank(gd, gd.exterior_d, d2_cells, source)[1]
 
 
 class TestFitting:
@@ -1012,6 +1015,7 @@ class TestDownSet:
             return real(gd, i, k, budget)
 
         monkeypatch.setattr(harmonics, "harmonic_cell_dimension", counted)
+        monkeypatch.setattr(checks, "harmonic_cell_dimension", counted)
         table = sh_dim_table(gd)
         assert {key: table.dim(*key) for key in reference} == reference
         # exactly the cells whose neighbours are not zero were computed
@@ -1073,7 +1077,7 @@ class TestDownSet:
         dmax = gd.spec.degree_of_vandermondian
         estimate = harmonics._estimate_kernel_entries(gd, dmax, 3)
         with pytest.raises(FeasibilityError) as err:
-            harmonics.fitting_structures(gd, budget=estimate - 1)
+            checks.fitting_structures(gd, budget=estimate - 1)
         assert err.value.bidegree == (dmax, 3)
 
     @staticmethod
@@ -1173,16 +1177,40 @@ class TestThetaCells:
         with pytest.raises(IntegrityError, match=r"B_3: an f_j operator acts on theta"):
             getattr(harmonics, entry)(gd, 6, 1)
 
+    @pytest.mark.parametrize(
+        "spec", DOWN_SET_GROUPS, ids=lambda spec: f"{spec.m}-{spec.p}-{spec.n}"
+    )
+    def test_rows_equal_the_full_cell_route(self, spec):
+        # the same content-reduced rows in the same order, in both
+        # presentations of S_n
+        gd = build_group(spec.m, spec.p, spec.n)
+        reduced = gd.cell_presentation()
+        for pres in [gd] if reduced is gd else [gd, reduced]:
+            for i, k in harmonics._cell_range(gd):
+                if k == 0 or harmonics.cell_dimension(pres.n, i, k) == 0:
+                    continue
+                classical, products = harmonics._degree_data(pres, i, k)
+                rows = list(harmonics._theta_rows(pres.n, k, products))
+                assert rows == full_cell_theta_rows(pres, i, k, classical), (i, k)
+
     @staticmethod
     def _record_assemblies(monkeypatch, log):
-        real = harmonics._cell_entries
+        real_cell, real_products = harmonics._cell_entries, harmonics._theta_products
 
-        def recorded(pres, i, k, theta_only=False):
+        def record(line):
             with open(log, "a") as out:
-                out.write(f"{i} {k} {int(theta_only)}\n")
-            return real(pres, i, k, theta_only)
+                out.write(line + "\n")
 
-        monkeypatch.setattr(harmonics, "_cell_entries", recorded)
+        def cell(pres, i, k):
+            record(f"cell {i} {k}")
+            return real_cell(pres, i, k)
+
+        def products(pres, i, classical):
+            record(f"pieces {i}")
+            return real_products(pres, i, classical)
+
+        monkeypatch.setattr(harmonics, "_cell_entries", cell)
+        monkeypatch.setattr(harmonics, "_theta_products", products)
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -1196,13 +1224,88 @@ class TestThetaCells:
         log = tmp_path / "assemblies"
         self._record_assemblies(monkeypatch, log)
         assert sh_dim_table(gd, threads=threads).entries == reference.entries
-        seen = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        seen = log.read_text().splitlines()
         assert len(seen) == len(set(seen))
+        cells = [tuple(map(int, line.split()[1:])) for line in seen if line.startswith("cell")]
+        pieces = [int(line.split()[1]) for line in seen if line.startswith("pieces")]
         # the (i, 0) cells the down-set leaves open, and no whole k >= 1 cell
         open_rows = {
             i for i, k in harmonics._cell_range(gd)
             if k == 0 and (i == 0 or reference.dim(i - 1, 0))
         }
-        assert {i for i, k, theta in seen if not theta} == open_rows
-        assert all(k == 0 for _, k, theta in seen if not theta)
-        assert all(k >= 1 for _, k, theta in seen if theta)
+        assert {i for i, _ in cells} == open_rows
+        assert all(k == 0 for _, k in cells)
+        # the d f_j pieces of each x-degree that has a computed k >= 1 cell,
+        # assembled once per walk
+        n = gd.cell_presentation().n
+        theta_rows = {
+            i for i, k in harmonics._cell_range(gd)
+            if 1 <= k <= n and (i == 0 or reference.dim(i - 1, k))
+            and reference.dim(i, k - 1)
+        }
+        assert set(pieces) == theta_rows
+
+
+def _negate_theta_1(op):
+    return Operator(op.n, {key: -c if key[3] == (1,) else c for key, c in op.terms.items()})
+
+
+def _move_a_term_to_theta_2(op):
+    key = min(key for key in op.terms if key[3] == (1,))
+    terms = dict(op.terms)
+    moved = (*key[:3], (2,))
+    terms[moved] = terms.get(moved, 0) + terms.pop(key)
+    return Operator(op.n, terms)
+
+
+def _add_a_theta_multiplication(op):
+    _, _, derx, _ = min(op.terms)
+    return op + Operator.term(op.n, multheta=(1,), derx=derx, dertheta=(1, 2))
+
+
+class TestThetaPieces:
+    """Corruptions of one d f_j operator that leave its (i, 0) cells alone,
+    caught at a cell of theta-degree k >= 1 by the split of the d f_j by
+    theta-index (``harmonics._theta_pieces``, ``_theta_products``)."""
+
+    # group label, key, and an x-degree i with H_i != 0 on whose (i, 0)
+    # cell every d f_j piece has entries
+    GROUPS = {"B_3": ((2, 1, 3), 6), "S_4": ((1, 1, 4), 3)}
+    CORRUPTIONS = {
+        "negate-theta-1": _negate_theta_1,
+        "move-to-theta-2": _move_a_term_to_theta_2,
+        "multiply-by-theta": _add_a_theta_multiplication,
+    }
+    # entry point, the cell function it walks, and whether it reads the
+    # x-presentation (bases) or ``cell_presentation`` (dimensions, which for
+    # S_4 is the reduced one)
+    ENTRY_POINTS = {
+        "sh_dim_table": (lambda gd, i: sh_dim_table(gd), "harmonic_cell_dimension", False),
+        "harmonic_cells": (lambda gd, i: harmonic_cells(gd), "harmonic_cell", True),
+        "harmonic_cell_dimension": (
+            lambda gd, i: harmonics.harmonic_cell_dimension(gd, i, 1),
+            "harmonic_cell_dimension", False,
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("corruption", CORRUPTIONS)
+    @pytest.mark.parametrize("label", GROUPS)
+    def test_corrupted_piece_is_caught_at_a_theta_cell(
+        self, monkeypatch, label, corruption, entry
+    ):
+        key, i = self.GROUPS[label]
+        run, cell, in_x = self.ENTRY_POINTS[entry]
+        gd = build_group(*key)
+        pres = gd if in_x else gd.cell_presentation()
+        theta_gens = [j for j, g in enumerate(pres.ideal_generators()) if g.bidegree()[1]]
+        assert theta_gens
+        for j in theta_gens:
+            ops = list(pres.harmonic_generator_operators())
+            ops[j] = self.CORRUPTIONS[corruption](ops[j])
+            with monkeypatch.context() as patch:
+                patch.setattr(pres, "_generator_ops", ops)
+                # the (i, 0) cell does not read the d f_j
+                assert getattr(harmonics, cell)(gd, i, 0)
+                with pytest.raises(IntegrityError, match=rf"^{label}"):
+                    run(gd, i)

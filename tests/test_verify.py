@@ -117,6 +117,19 @@ def test_closure_suite_scopes():
     assert s4.claim_id == "conj:A" and s4.verdict == "consistent"
 
 
+@pytest.mark.parametrize(
+    "key, budget, claim",
+    [((1, 1, 4), 1000, "conj:A"), ((2, 1, 2), 1, "thm:A1"), ((2, 2, 3), 1, "eq:thm:A")],
+)
+def test_refused_closure_case_keeps_its_claim(key, budget, claim):
+    # the claim follows from p and the rank, not from whether the case fits
+    m, p, n = key
+    (computed,) = run_suite("closure", m=m, p=p, n=n)
+    (refused,) = run_suite("closure", m=m, p=p, n=n, budget=budget)
+    assert refused.verdict == "skipped" and "budget" in refused.note
+    assert refused.claim_id == computed.claim_id == claim
+
+
 def test_pinned_reports_have_no_duplicate_case():
     # the pinned output of scripts/run_all_checks.py --json reports each
     # (claim, params) pair once

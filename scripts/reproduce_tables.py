@@ -3,8 +3,9 @@
 published values.
 
 By default runs the desk-scale groups (under a second in total).  --stretch
-adds the rows of S_5, B_4 and D_4 (about 6 s in total on a 2-core machine,
-S_5 the slowest); --group m p n runs a single group.  Exit status 0 iff every
+adds the rows of S_5, B_4 and D_4 (about 3 s in total on a 2-core machine,
+S_5 the slowest); --group m p n runs a single group.  Each row ends with the
+seconds of its table and of its derivative closure.  Exit status 0 iff every
 computed row matches its golden row.
 """
 
@@ -29,12 +30,13 @@ def z_string(coeffs):
 
 
 def run_group(key, budget):
+    """The table and the closure of a group, and the seconds each took."""
     gd = build_group(*key)
     t0 = time.time()
     table = harmonics.sh_dim_table(gd, budget=budget)
+    t1 = time.time()
     closure = harmonics.derivative_closure(gd, budget=budget)
-    elapsed = time.time() - t0
-    return table, closure, elapsed
+    return table, closure, (t1 - t0, time.time() - t1)
 
 
 def main():
@@ -57,7 +59,7 @@ def main():
     rows = []
     all_ok = True
     for key in keys:
-        table, closure, elapsed = run_group(key, args.cell_budget)
+        table, closure, (table_s, closure_s) = run_group(key, args.cell_budget)
         label = table.group.label()
         sh = table.z_coefficients_at_q1()
         cl = closure.z_coefficients_at_q1()
@@ -71,7 +73,7 @@ def main():
             status = "ok" if ok else "MISMATCH"
         closure_txt = "(same)" if cl == sh else z_string(cl)
         print(f"{label:>10}  {z_string(sh):<55} {closure_txt:<45} "
-              f"[{status}, {elapsed:.1f}s]")
+              f"[{status}, {table_s:.2f}s + {closure_s:.2f}s]")
 
     if args.latex:
         print()

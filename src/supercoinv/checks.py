@@ -27,12 +27,12 @@ from .harmonics import (
     _cell_entries,
     _cell_index,
     _ideal_rows,
-    _integer_terms,
     _operator_entries,
     _poly_row,
-    _reduced_row,
+    _lower_row,
     _walk,
-    _x_derivative,
+    _x_lowering,
+    cell_dimension,
     cell_monomials,
     det_isotypic_elements,
     harmonic_cell_dimension,
@@ -288,9 +288,8 @@ def fitting_structures(gd: GroupData, budget: int = DEFAULT_CELL_BUDGET) -> Fitt
     gens: list[SuperPoly] = []
     seen = set()
     for f in gd.basic_invariants:
-        for j in range(n):
-            beta = tuple(1 if v == j else 0 for v in range(n))
-            g = f.x_derivative(beta)
+        for j in range(1, n + 1):
+            g = Operator.x_partial(n, j).apply(f)
             if g and g.to_string() not in seen:
                 seen.add(g.to_string())
                 gens.append(g)
@@ -336,18 +335,23 @@ def fitting_structures(gd: GroupData, budget: int = DEFAULT_CELL_BUDGET) -> Fitt
 
 
 def _gamma_map_rank(gamma: SuperPoly, mons, n: int, d: int) -> int:
-    """Rank of the map (degree-d monomial mu) -> d_{x^mu} Gamma."""
+    """Rank of the map (degree-d monomial mu) -> d_{x^mu} Gamma: Gamma's
+    (i, 0) row lowered mu_j times by each x_j (``_lower_row``)."""
     gdeg = gamma.bidegree()[0]
     if d > gdeg:
         return 0
-    target = _cell_index(n, gdeg - d, 0)
-    terms = _integer_terms(gamma.terms)
+    top = _poly_row(gamma, _cell_index(n, gdeg, 0))
+
+    def derivative(mu):
+        row, i = top, gdeg
+        for j, b in enumerate(mu):
+            for _ in range(b):
+                row = _lower_row(row, _x_lowering(n, i)[j], 1)
+                i -= 1
+        return row
+
     # Rank of the column family equals rank of the matrix.
-    rows = (
-        _reduced_row((target[mon], c) for mon, c in _x_derivative(terms, mu))
-        for mu in mons
-    )
-    return linalg.rank(rows, len(target))
+    return linalg.rank(map(derivative, mons), cell_dimension(n, gdeg - d, 0))
 
 
 # ---------------------------------------------------------------------------

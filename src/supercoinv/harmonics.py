@@ -65,6 +65,9 @@ not, before it computes the first one.
 The derivative closure of the det-isotypic elements d_{i_1}...d_{i_k} Delta
 is computed one x-degree at a time, top down: only the rows found
 independent one x-degree higher are differentiated, by one x_j at a time.
+Its rows are content-reduced integer rows over the cell columns, and d/dx_j
+maps each column through a cached table of its x-degree (``_x_lowering``:
+the position of x^(a - e_j) and the weight a_j), which keeps rows sorted.
 
 The named checks (exactness, the Laplacian spectrum, the Fitting apparatus,
 support) live in ``checks`` and are importable from here too.
@@ -78,7 +81,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, perm, prod
 from itertools import chain, combinations, product, repeat
-from operator import add, sub
+from operator import add
 
 from . import linalg
 from .dimtable import DimTable
@@ -89,7 +92,6 @@ from .superpoly import (
     Monomial,
     Operator,
     SuperPoly,
-    falling_factorial,
     merge_thetas,
     theta_action,
     unchecked,
@@ -222,18 +224,6 @@ def _poly_row(f: SuperPoly, index: dict[Monomial, int]) -> linalg.IntRow:
     return _reduced_row((index[mon], c) for mon, c in _integer_terms(f.terms))
 
 
-def _x_derivative(terms, beta) -> list[tuple[Monomial, int]]:
-    """d_x^beta of integer terms ((xexp, thetas), c); zero terms dropped."""
-    out = []
-    for (xexp, thetas), c in terms:
-        for a, b in zip(xexp, beta):
-            if b:
-                c *= falling_factorial(a, b)
-        if c:
-            out.append(((tuple(map(sub, xexp, beta)), thetas), c))
-    return out
-
-
 def _cell_index(n: int, i: int, k: int) -> dict[Monomial, int]:
     return {mon: col for col, mon in enumerate(cell_monomials(n, i, k))}
 
@@ -241,6 +231,33 @@ def _cell_index(n: int, i: int, k: int) -> dict[Monomial, int]:
 @lru_cache(maxsize=None)
 def _x_positions(n: int, i: int) -> dict[tuple[int, ...], int]:
     return {xexp: xi for xi, xexp in enumerate(x_monomials(n, i))}
+
+
+@lru_cache(maxsize=None)
+def _x_lowering(n: int, i: int) -> tuple[tuple, ...]:
+    """d/dx_j on the degree-i x-monomials, for j = 0..n-1: aligned with
+    ``x_monomials(n, i)``, the position of x^(a - e_j) among the
+    degree-(i - 1) x-monomials and the weight a_j, or None when a_j = 0."""
+    lower = _x_positions(n, i - 1)
+    return tuple(
+        tuple((lower[(*a[:j], a[j] - 1, *a[j + 1:])], a[j]) if a[j] else None
+              for a in x_monomials(n, i))
+        for j in range(n)
+    )
+
+
+def _lower_row(row: linalg.IntRow, lowering, width: int) -> linalg.IntRow:
+    """d/dx_j of an IntRow over the columns x-position * width + theta-word of
+    one x-degree, through the entry for j of that degree's ``_x_lowering``;
+    content-reduced.  Subtracting e_j keeps the lex order of the
+    x-monomials, so the result is sorted as built."""
+    out = []
+    for col, v in row:
+        xi, t = divmod(col, width)
+        hit = lowering[xi]
+        if hit:
+            out.append((hit[0] * width + t, hit[1] * v))
+    return linalg._content_reduce(out)
 
 
 @lru_cache(maxsize=None)
@@ -500,11 +517,12 @@ def _degree_data(pres: GroupData | ReducedPresentation, i: int, k: int):
     return data
 
 
-def _theta_pieces(pres: GroupData | ReducedPresentation):
+@lru_cache(maxsize=1)
+def _theta_pieces(spec: GroupSpec, n: int, generators: tuple, operators: tuple):
     """Every d f_j and its operator split by theta-index: (generator index,
     [l], [the x-part of the theta_l terms of d f_j], [that of its operator]),
     the l-th pieces d f_j / d theta_l = d f_j / d x_l and (d f_j / d x_l)(d_x)
-    in increasing l.
+    in increasing l; kept for the latest generators and operators.
 
     Both are x-only, with the integers of the whole generator and operator
     (each scaled by the lcm of its denominators), so the pieces give the
@@ -513,10 +531,8 @@ def _theta_pieces(pres: GroupData | ReducedPresentation):
     term of its operator is x-derivatives times one d/dtheta_l, and the
     generator and the operator carry the same theta-indices.
     """
-    n, label = pres.n, pres.spec.label()
-    pairs = zip(pres.ideal_generators(), pres.harmonic_generator_operators())
-    out = []
-    for oi, (g, op) in enumerate(pairs):
+    label, out = spec.label(), []
+    for oi, (g, op) in enumerate(zip(generators, operators)):
         op_terms = _integer_terms(op.terms)
         if not g.bidegree()[1]:
             if any(mt or dt for (_, mt, _, dt), _ in op_terms):
@@ -551,7 +567,9 @@ def _theta_products(pres: GroupData | ReducedPresentation, i: int, classical):
         for xi, b in vec:
             by_x.setdefault(xi, []).append((h, b))
     out = {}
-    for oi, ls, gens, ops in _theta_pieces(pres):
+    pieces = _theta_pieces(pres.spec, pres.n, tuple(pres.ideal_generators()),
+                           tuple(pres.harmonic_generator_operators()))
+    for oi, ls, gens, ops in pieces:
         entries = _operator_entries(ops, pres.n, i, 0)
         try:
             _check_against_products(pres, entries, i, 0, gens)
@@ -874,37 +892,37 @@ def derivative_closure(gd: GroupData, budget: int = DEFAULT_CELL_BUDGET) -> DimT
     of bidegree (i, k) is spanned by the elements of that bidegree and
     d/dx_j W_{i+1,k}, j = 1..n.  Each theta-degree is walked down from its top
     x-degree; the rows that raise a cell's rank are a basis of W_{i,k}, and
-    only they are differentiated for the next cell.  Every cell's budget is
-    checked first: cols x (number of nonzero d^beta e in the cell), which
-    are the beta under some x-exponent of e (d^beta is injective on the
-    monomials it does not kill).
+    only they are differentiated for the next cell.  Rows are IntRows over
+    the columns x-position * C(n, k) + theta-word, the elements mapped once;
+    d/dx_j reads each column's target and weight from ``_x_lowering``.
+    Every cell's budget is checked first: cols x (number of nonzero d^beta e
+    in the cell), which are the beta under some distinct x-exponent of e
+    (d^beta is injective on the monomials it does not kill).
     """
     n = gd.n
-    seeds: dict[tuple[int, int], list[list[tuple[Monomial, int]]]] = {}
+    seeds: dict[tuple[int, int], list[linalg.IntRow]] = {}
     counts: Counter[tuple[int, int]] = Counter()
     for _, elem in sorted(det_isotypic_elements(gd).items()):
         i0, k = elem.bidegree()
-        seeds.setdefault((i0, k), []).append(_integer_terms(elem.terms))
-        boxes = (product(*(range(a + 1) for a in xexp)) for xexp, _ in elem.terms)
+        seeds.setdefault((i0, k), []).append(_poly_row(elem, _cell_index(n, i0, k)))
+        xexps = {xexp for xexp, _ in elem.terms}
+        boxes = (product(*(range(a + 1) for a in xexp)) for xexp in xexps)
         counts.update((i0 - sum(beta), k) for beta in set(chain.from_iterable(boxes)))
     for (i, k), count in sorted(counts.items()):
         estimate = cell_dimension(n, i, k) * count
         if estimate > budget:
             raise FeasibilityError(gd.spec, (i, k), estimate, budget)
-    units = [tuple(int(j == l) for l in range(n)) for j in range(n)]
     table = DimTable(gd.spec)
     for k in sorted({k for _, k in seeds}):
-        basis: list[list[tuple[Monomial, int]]] = []
+        width = comb(n, k)
+        basis: list[linalg.IntRow] = []
         for i in range(max(i for i, kk in seeds if kk == k), -1, -1):
             rows = seeds.get((i, k), []) + [
-                _x_derivative(terms, unit) for terms in basis for unit in units
+                _lower_row(row, lowering, width)
+                for row in basis for lowering in _x_lowering(n, i + 1)
             ]
-            index = _cell_index(n, i, k)
-            el = linalg.IntEliminator(len(index))
-            basis = []
-            for terms in rows:
-                if terms and el.add(_reduced_row((index[mon], c) for mon, c in terms)):
-                    basis.append(terms)
+            el = linalg.IntEliminator(cell_dimension(n, i, k))
+            basis = [row for row in rows if row and el.add(row)]
             table.set(i, k, el.rank)
     return table
 

@@ -190,7 +190,8 @@ class SuperPoly:
         return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        # equal polys have equal monomials; a Fraction hashes in Python code
+        return hash((self.n, frozenset(self.terms)))
 
     def bidegree(self) -> tuple[int, int] | None:
         """(x-degree, theta-degree) of a bi-homogeneous element; None if zero."""
@@ -287,30 +288,6 @@ class SuperPoly:
                 out[key] = s
             else:
                 del out[key]
-        return unchecked(SuperPoly, self.n, out)
-
-    def x_derivative(self, beta) -> "SuperPoly":
-        """Apply prod_j (d/dx_j)^beta_j."""
-        beta = tuple(beta)
-        out: dict[Monomial, Fraction] = {}
-        for (xexp, thetas), c in self.terms.items():
-            coeff = c
-            new = list(xexp)
-            for j, b in enumerate(beta):
-                if b:
-                    a = new[j]
-                    if a < b:
-                        coeff = Fraction(0)
-                        break
-                    coeff *= falling_factorial(a, b)
-                    new[j] = a - b
-            if coeff:
-                key = (tuple(new), thetas)
-                s = out.get(key, Fraction(0)) + coeff
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
         return unchecked(SuperPoly, self.n, out)
 
     def scalar_ratio(self, other: "SuperPoly") -> Fraction | None:
@@ -560,7 +537,7 @@ class Operator:
         return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, frozenset(self.terms)))
 
     def is_zero(self) -> bool:
         return not self.terms

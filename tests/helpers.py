@@ -8,7 +8,8 @@ of canonical RREF bases, the SuperPoly substitution that the integer
 reduced presentation of S_n is pinned to, the whole-cell harmonic
 dimension, kernel and d f_j rows on H_i (x) Lambda^k that the
 H_i (x) Lambda^k route and its split of the d f_j by theta-index are
-pinned to, the
+pinned to, the x-derivative by exponent subtraction that the derivative
+closure and its lowering tables are pinned to, the
 rational coefficient vector of a SuperPoly over a cell index, and the
 Diagram record with the three-clause pivot condition for G(m, p, n)
 diagrams.
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb
+from operator import sub
 
 from supercoinv import harmonics, linalg
 from supercoinv.artin import is_substaircase
@@ -28,6 +30,7 @@ from supercoinv.superpoly import (
     Monomial,
     Operator,
     SuperPoly,
+    falling_factorial,
     partial_operator,
     x_monomials,
 )
@@ -56,7 +59,7 @@ def validate_jacobian(gd: GroupData) -> bool:
     """Saito criterion: det(d f_i / d x_j) is a nonzero multiple of Delta."""
     n = gd.n
     grid = [
-        [f.x_derivative(tuple(1 if v == j else 0 for v in range(n))) for j in range(n)]
+        [x_derivative(f, tuple(1 if v == j else 0 for v in range(n))) for j in range(n)]
         for f in gd.basic_invariants
     ]
     det = SuperPoly.zero(n)
@@ -225,6 +228,24 @@ def reference_reduced_images(gd: GroupData) -> list[SuperPoly]:
             out = out + (term * theta_image if has_last else term)
         images.append(out)
     return images
+
+
+def x_derivative(f: SuperPoly, beta) -> SuperPoly:
+    """prod_j (d/dx_j)^beta_j f by exponent subtraction (``_x_derivative``)."""
+    return SuperPoly(f.n, dict(_x_derivative(f.terms.items(), beta)))
+
+
+def _x_derivative(terms, beta) -> list[tuple[Monomial, int]]:
+    """d_x^beta of integer terms ((xexp, thetas), c) by exponent subtraction
+    and falling factorials; zero terms dropped."""
+    out = []
+    for (xexp, thetas), c in terms:
+        for a, b in zip(xexp, beta):
+            if b:
+                c *= falling_factorial(a, b)
+        if c:
+            out.append(((tuple(map(sub, xexp, beta)), thetas), c))
+    return out
 
 
 def poly_to_vector(f: SuperPoly, index: dict[Monomial, int]) -> dict[int, Fraction]:

@@ -2,8 +2,11 @@
 
 import multiprocessing
 import pickle
+import random
 from fractions import Fraction
+from math import comb
 from operator import add, sub
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +43,7 @@ from supercoinv.superpoly import (
 )
 from supercoinv.verify import GOLDEN_TABLE
 from helpers import (
+    _x_derivative,
     full_cell_dimension,
     full_cell_kernel,
     full_cell_theta_rows,
@@ -478,8 +482,6 @@ class TestDetIsotypic:
             by_k = det_isotypic_basis(gd)
             total = sum(s.dimension for s in by_k.values())
             assert total == 2**spec.rank
-            from math import comb
-
             for k, sub in by_k.items():
                 assert sub.dimension == comb(spec.rank, k)
 
@@ -518,7 +520,7 @@ def _reference_derivative_closure(gd, budget=harmonics.DEFAULT_CELL_BUDGET):
         terms = harmonics._integer_terms(elem.terms)
         for drop in range(i0 + 1):
             for beta in x_monomials(n, drop):
-                de = harmonics._x_derivative(terms, beta)
+                de = _x_derivative(terms, beta)
                 if de:
                     by_cell.setdefault((i0 - drop, k), []).append(de)
     table = DimTable(gd.spec)
@@ -533,6 +535,46 @@ def _reference_derivative_closure(gd, budget=harmonics.DEFAULT_CELL_BUDGET):
         )
         table.set(i, k, reference_rank(rows, cols))
     return table
+
+
+class TestXLowering:
+    """The per-degree d/dx_j tables and the row lowering of the derivative
+    closure, against exponent subtraction (``helpers._x_derivative``)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_table_is_exponent_subtraction(self, n):
+        for i in range(7):
+            lower = list(x_monomials(n, i - 1))
+            table = harmonics._x_lowering(n, i)
+            assert len(table) == n
+            for j, entries in enumerate(table):
+                assert len(entries) == len(x_monomials(n, i))
+                for a, entry in zip(x_monomials(n, i), entries):
+                    if a[j]:
+                        beta = tuple(int(l == j) for l in range(n))
+                        want = tuple(map(sub, a, beta))
+                        assert entry == (lower.index(want), a[j])
+                    else:
+                        assert entry is None
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_lowered_rows_equal_the_reference_derivative(self, n):
+        rng = random.Random(n)
+        for i in range(1, 5):
+            for k in range(n + 1):
+                source = cell_monomials(n, i, k)
+                target = harmonics._cell_index(n, i - 1, k)
+                width = comb(n, k)
+                for _ in range(5):
+                    cols = sorted(rng.sample(range(len(source)), min(len(source), 6)))
+                    row = [(c, rng.choice([-1, 1]) * rng.randint(1, 9)) for c in cols]
+                    terms = [(source[c], v) for c, v in row]
+                    for j, lowering in enumerate(harmonics._x_lowering(n, i)):
+                        beta = tuple(int(l == j) for l in range(n))
+                        want = harmonics._reduced_row(
+                            (target[mon], c) for mon, c in _x_derivative(terms, beta)
+                        )
+                        assert harmonics._lower_row(row, lowering, width) == want
 
 
 CLOSURE_GROUPS = [
@@ -554,6 +596,9 @@ class TestDerivativeClosure:
     @pytest.mark.parametrize("key, budget", [
         ((2, 1, 3), 1), ((2, 1, 3), 10), ((2, 1, 3), 100), ((2, 1, 3), 1000),
         ((2, 2, 3), 1), ((2, 2, 3), 10), ((2, 2, 3), 100), ((2, 2, 3), 200),
+        ((1, 1, 4), 1), ((1, 1, 4), 100), ((1, 1, 4), 1000), ((1, 1, 4), 1359),
+        ((3, 1, 3), 1), ((3, 1, 3), 10), ((3, 1, 3), 1000), ((3, 1, 3), 3000),
+        ((3, 1, 3), 5000),
     ])
     def test_refusal_comes_before_any_elimination(self, monkeypatch, key, budget):
         gd = build_group(*key)
@@ -569,6 +614,14 @@ class TestDerivativeClosure:
         assert adds == []
         assert (got.value.group, got.value.bidegree) == (gd.spec, want.value.bidegree)
         assert (got.value.estimate, got.value.budget) == (want.value.estimate, budget)
+
+    @pytest.mark.parametrize("key", [(1, 1, 5), (2, 1, 4), (2, 2, 4)])
+    def test_full_table_is_pinned(self, key):
+        # the bi-graded tables of the all-derivatives route, one JSON line each
+        path = Path(__file__).parent / "data" / "closure_tables.jsonl"
+        pinned = [DimTable.from_json(line) for line in path.read_text().splitlines()]
+        (want,) = [t for t in pinned if t.group == GroupSpec.create(*key)]
+        assert derivative_closure(build_group(*key), budget=10**9).entries == want.entries
 
     def test_matches_harmonics_for_s3(self, s3_table):
         closure = derivative_closure(build_group(1, 1, 3))
@@ -1309,3 +1362,14 @@ class TestThetaPieces:
                 assert getattr(harmonics, cell)(gd, i, 0)
                 with pytest.raises(IntegrityError, match=rf"^{label}"):
                     run(gd, i)
+
+
+def test_theta_pieces_are_split_once_per_presentation():
+    # a table and the bases of B_3 read the pieces at every x-degree with a
+    # theta cell; the split is made once and kept for the same generators
+    gd = build_group(2, 1, 3)
+    harmonics._theta_pieces.cache_clear()
+    sh_dim_table(gd)
+    harmonic_cells(gd)
+    info = harmonics._theta_pieces.cache_info()
+    assert (info.misses, info.hits > 1) == (1, True)

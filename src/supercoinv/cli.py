@@ -6,9 +6,10 @@ Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error,
 The cache directory is taken from --cache-dir, else the SUPERCOINV_CACHE
 environment variable, else ~/.cache/supercoinv.  Entries are JSON files
 keyed by (computation kind, m, p, n, engine version) and carry a sha256
-checksum; corrupted or version-mismatched entries are recomputed, never
-silently used.  Writers hold a lock file; reads are lock-free.  hashlib,
-fcntl and tempfile are imported only by the cache code that uses them.
+checksum; corrupted, malformed or version-mismatched entries are
+recomputed, never silently used.  Writers hold a lock file; reads are
+lock-free.  hashlib, fcntl and tempfile are imported only by the cache code
+that uses them.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from . import ENGINE_VERSION, artin, groebner, harmonics, verify
 from .groups import GroupSpec, build_group, group_info
 from .harmonics import DEFAULT_CELL_BUDGET, DimTable, FeasibilityError
 from .qseries import format_poly
+from .superpoly import SuperPoly
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -49,9 +51,10 @@ class ResultCache:
             wrapper = json.loads(path.read_text())
         except (OSError, ValueError):
             return None
+        if not isinstance(wrapper, dict):
+            return None
         payload = wrapper.get("payload")
-        checksum = wrapper.get("checksum")
-        if payload is None or checksum != _checksum(payload):
+        if payload is None or wrapper.get("checksum") != _checksum(payload):
             return None
         return payload
 
@@ -75,37 +78,31 @@ class ResultCache:
             finally:
                 fcntl.flock(lock, fcntl.LOCK_UN)
 
-    def get_dim_table(self, kind: str, spec: GroupSpec, compute) -> DimTable:
+    def _get(self, kind: str, spec: GroupSpec, decode, compute, encode):
         payload = self.load(kind, spec)
         if payload is not None:
             try:
-                return DimTable.from_json_dict(payload)
-            except (KeyError, ValueError):
-                pass
-        table = compute()
-        self.store(kind, spec, table.to_json_dict())
-        return table
+                return decode(payload)
+            except (AttributeError, KeyError, TypeError, ValueError):
+                pass  # a payload of the wrong shape is a miss
+        value = compute()
+        self.store(kind, spec, encode(value))
+        return value
 
-    def get_groebner_basis(self, spec: GroupSpec, compute):
-        from .groebner import CommPoly, GroebnerBasis
+    def get_dim_table(self, kind: str, spec: GroupSpec, compute) -> DimTable:
+        return self._get(kind, spec, DimTable.from_json_dict, compute, DimTable.to_json_dict)
 
-        payload = self.load("groebner", spec)
-        if payload is not None:
-            try:
-                gens = tuple(
-                    CommPoly.parse(text, payload["n"])
-                    for text in payload["generators"]
-                )
-                return GroebnerBasis(payload["n"], gens)
-            except (KeyError, ValueError):
-                pass
-        gb = compute()
-        self.store(
-            "groebner",
-            spec,
-            {"n": gb.n, "generators": [g.to_string() for g in gb.generators]},
-        )
-        return gb
+    def get_groebner_basis(self, spec: GroupSpec, compute) -> groebner.GroebnerBasis:
+        return self._get("groebner", spec, _decode_basis, compute, lambda gb: {
+            "n": gb.n, "generators": gb.to_strings(),
+        })
+
+
+def _decode_basis(payload) -> groebner.GroebnerBasis:
+    gens = tuple(SuperPoly.parse(text, payload["n"]) for text in payload["generators"])
+    if any(thetas for g in gens for _, thetas in g.terms):
+        raise ValueError("theta variables in a cached Groebner basis")
+    return groebner.GroebnerBasis(payload["n"], gens)
 
 
 def _checksum(payload) -> str:
@@ -333,15 +330,9 @@ def _cmd_hilbert(args, cache: ResultCache) -> int:
     if args.q_at is not None and args.z_at is not None:
         print(qz(args.q_at, args.z_at))
     elif args.q_at is not None:
-        coeffs = {}
-        for (qe, ze), c in qz.coeffs.items():
-            coeffs[ze] = coeffs.get(ze, 0) + c * args.q_at**qe
-        print(format_poly(coeffs, var="z"))
+        print(format_poly(qz.specialize("q", args.q_at), var="z"))
     elif args.z_at is not None:
-        coeffs = {}
-        for (qe, ze), c in qz.coeffs.items():
-            coeffs[qe] = coeffs.get(qe, 0) + c * args.z_at**ze
-        print(format_poly(coeffs, var="q"))
+        print(format_poly(qz.specialize("z", args.z_at), var="q"))
     else:
         print(qz)
     return EXIT_OK

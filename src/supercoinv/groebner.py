@@ -1,4 +1,6 @@
-"""Lex-order Buchberger engine over Q for ordinary (commuting) polynomials.
+"""Lex-order Buchberger engine over Q on theta-free SuperPolys.
+
+Every polynomial here is a `SuperPoly` whose terms are all (exponent, ()).
 
 Term order is fixed: lexicographic with x_1 > x_2 > ... > x_n, i.e. plain
 tuple comparison on exponent vectors.  The engine is deterministic: S-pairs
@@ -17,9 +19,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from operator import add, sub
 
 from .records import Value
-from .superpoly import unchecked
+from .superpoly import SuperPoly, unchecked
 
 Exp = tuple[int, ...]
 
@@ -28,127 +31,24 @@ class QuotientNotFiniteError(ValueError):
     """The leading-term ideal misses a pure power of some variable."""
 
 
-class CommPoly:
-    """Sparse polynomial in Q[x_1..x_n] with tuple exponent keys."""
+def leading_monomial(f: SuperPoly) -> Exp:
+    """The lex-largest x-exponent of a nonzero theta-free polynomial."""
+    return max(f.terms)[0]
 
-    __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: dict[Exp, Fraction] | None = None):
-        self.n = n
-        data: dict[Exp, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                c = Fraction(c)
-                if not c:
-                    continue
-                e = tuple(int(v) for v in e)
-                if len(e) != n or any(v < 0 for v in e):
-                    raise ValueError("bad exponent vector")
-                data[e] = data.get(e, Fraction(0)) + c
-        self.terms = {k: v for k, v in data.items() if v}
+def monic(f: SuperPoly) -> SuperPoly:
+    """f divided by its leading coefficient; zero stays zero."""
+    if not f.terms:
+        return f
+    inv = 1 / f.terms[max(f.terms)]
+    return unchecked(SuperPoly, f.n, {k: c * inv for k, c in f.terms.items()})
 
-    @classmethod
-    def zero(cls, n: int) -> "CommPoly":
-        return cls(n)
 
-    @classmethod
-    def one(cls, n: int) -> "CommPoly":
-        return cls(n, {(0,) * n: Fraction(1)})
-
-    @classmethod
-    def monomial(cls, n: int, exp, coeff=1) -> "CommPoly":
-        return cls(n, {tuple(exp): Fraction(coeff)})
-
-    @classmethod
-    def x(cls, n: int, i: int, power: int = 1) -> "CommPoly":
-        exp = [0] * n
-        exp[i - 1] = power
-        return cls.monomial(n, exp)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, CommPoly):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __add__(self, other: "CommPoly") -> "CommPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return unchecked(CommPoly, self.n, out)
-
-    def __neg__(self) -> "CommPoly":
-        return unchecked(CommPoly, self.n, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "CommPoly") -> "CommPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "CommPoly":
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            terms = {e: v * c for e, v in self.terms.items()} if c else {}
-            return unchecked(CommPoly, self.n, terms)
-        out: dict[Exp, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return unchecked(CommPoly, self.n, out)
-
-    __rmul__ = __mul__
-
-    def term_mul(self, exp: Exp, coeff: Fraction) -> "CommPoly":
-        return unchecked(CommPoly, self.n, {
-            tuple(a + b for a, b in zip(e, exp)): c * coeff
-            for e, c in self.terms.items()
-        })
-
-    def leading_monomial(self) -> Exp:
-        return max(self.terms)
-
-    def leading_coefficient(self) -> Fraction:
-        return self.terms[max(self.terms)]
-
-    def monic(self) -> "CommPoly":
-        if not self.terms:
-            return self
-        inv = 1 / self.leading_coefficient()
-        return unchecked(CommPoly, self.n, {e: c * inv for e, c in self.terms.items()})
-
-    def to_string(self) -> str:
-        from .superpoly import SuperPoly
-
-        return SuperPoly(self.n, {(e, ()): c for e, c in self.terms.items()}).to_string()
-
-    __str__ = to_string
-
-    def __repr__(self):
-        return f"CommPoly({self.n}, {self.to_string()})"
-
-    @classmethod
-    def parse(cls, text: str, n: int) -> "CommPoly":
-        from .superpoly import SuperPoly
-
-        sp = SuperPoly.parse(text, n)
-        if any(thetas for (_, thetas) in sp.terms):
-            raise ValueError("theta variables not allowed in CommPoly")
-        return cls(n, {xexp: c for (xexp, _), c in sp.terms.items()})
+def _shift(f: SuperPoly, exp: Exp, coeff=1) -> SuperPoly:
+    """coeff * x^exp * f, by adding exp to every x-exponent."""
+    return unchecked(SuperPoly, f.n, {
+        (tuple(map(add, e, exp)), t): c * coeff for (e, t), c in f.terms.items()
+    })
 
 
 def _divides(a: Exp, b: Exp) -> bool:
@@ -159,7 +59,7 @@ def _lcm(a: Exp, b: Exp) -> Exp:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def normal_form(f: CommPoly, basis, lms=None) -> CommPoly:
+def normal_form(f: SuperPoly, basis, lms=None) -> SuperPoly:
     """Remainder of multivariate division by the (monic) basis polynomials.
 
     No monomial of the result is divisible by any basis leading monomial; the
@@ -168,17 +68,17 @@ def normal_form(f: CommPoly, basis, lms=None) -> CommPoly:
     """
     gens = basis.generators if isinstance(basis, GroebnerBasis) else basis
     if lms is None:
-        lms = [g.leading_monomial() for g in gens]
-    work = dict(f.terms)
-    remainder: dict[Exp, Fraction] = {}
+        lms = [leading_monomial(g) for g in gens]
+    work = {e: c for (e, _), c in f.terms.items()}
+    remainder = {}
     while work:
         e = max(work)
         c = work.pop(e)
         for lm, g in zip(lms, gens):
             if _divides(lm, e):
                 shift = tuple(a - b for a, b in zip(e, lm))
-                factor = c / g.terms[lm]
-                for ge, gc in g.terms.items():
+                factor = c / g.terms[(lm, ())]
+                for (ge, _), gc in g.terms.items():
                     key = tuple(a + b for a, b in zip(ge, shift))
                     if key == e:
                         continue
@@ -189,17 +89,15 @@ def normal_form(f: CommPoly, basis, lms=None) -> CommPoly:
                         work.pop(key, None)
                 break
         else:
-            remainder[e] = remainder.get(e, Fraction(0)) + c
-    return unchecked(CommPoly, f.n, remainder)
+            remainder[(e, ())] = c  # e leaves work for good: later keys are smaller
+    return unchecked(SuperPoly, f.n, remainder)
 
 
-def s_polynomial(f: CommPoly, g: CommPoly) -> CommPoly:
-    lf, lg = f.leading_monomial(), g.leading_monomial()
+def s_polynomial(f: SuperPoly, g: SuperPoly) -> SuperPoly:
+    lf, lg = leading_monomial(f), leading_monomial(g)
     lcm = _lcm(lf, lg)
-    mf = tuple(a - b for a, b in zip(lcm, lf))
-    mg = tuple(a - b for a, b in zip(lcm, lg))
-    return f.term_mul(mf, 1 / f.leading_coefficient()) - g.term_mul(
-        mg, 1 / g.leading_coefficient()
+    return _shift(f, tuple(map(sub, lcm, lf)), 1 / f.terms[(lf, ())]) - _shift(
+        g, tuple(map(sub, lcm, lg)), 1 / g.terms[(lg, ())]
     )
 
 
@@ -207,17 +105,17 @@ class GroebnerBasis(Value):
     """Reduced lex Groebner basis: monic, mutually reduced, sorted by LM."""
 
     n: int
-    generators: tuple[CommPoly, ...]
+    generators: tuple[SuperPoly, ...]
 
     def leading_monomials(self) -> list[Exp]:
-        return [g.leading_monomial() for g in self.generators]
+        return [leading_monomial(g) for g in self.generators]
 
     def is_reduced(self) -> bool:
         lms = self.leading_monomials()
         for i, g in enumerate(self.generators):
-            if g.leading_coefficient() != 1:
+            if g.terms[(lms[i], ())] != 1:
                 return False
-            for e in g.terms:
+            for e, _ in g.terms:
                 if any(j != i and _divides(lms[j], e) for j in range(len(lms))):
                     return False
         return True
@@ -230,11 +128,11 @@ def buchberger(gens) -> GroebnerBasis:
     """Deterministic Buchberger with the product and chain criteria."""
     import heapq
 
-    basis = [g.monic() for g in gens if not g.is_zero()]
+    basis = [monic(g) for g in gens if not g.is_zero()]
     if not basis:
         raise ValueError("empty generating set")
     n = basis[0].n
-    lms = [g.leading_monomial() for g in basis]
+    lms = [leading_monomial(g) for g in basis]
 
     def pair(i, j):
         lcm = _lcm(lms[i], lms[j])
@@ -258,8 +156,8 @@ def buchberger(gens) -> GroebnerBasis:
             continue
         r = normal_form(s_polynomial(basis[i], basis[j]), basis, lms)
         if not r.is_zero():
-            basis.append(r.monic())
-            lms.append(r.leading_monomial())
+            basis.append(monic(r))
+            lms.append(leading_monomial(r))
             new = len(basis) - 1
             for k in range(new):
                 heapq.heappush(pairs, pair(k, new))
@@ -277,7 +175,7 @@ def buchberger(gens) -> GroebnerBasis:
                 lms.pop(i)
                 changed = True
                 break
-            r = r.monic()
+            r = monic(r)
             if r != basis[i]:
                 basis[i] = r
                 changed = True
@@ -286,7 +184,7 @@ def buchberger(gens) -> GroebnerBasis:
     return GroebnerBasis(n, tuple(basis[i] for i in order))
 
 
-def complete_homogeneous(degree: int, variables, n: int, power: int = 1) -> CommPoly:
+def complete_homogeneous(degree: int, variables, n: int, power: int = 1) -> SuperPoly:
     """h_degree over the given 1-indexed variables, each raised to `power`.
 
     h_j(x_{v1}^power, ..., x_{vk}^power): the sum over multisets of size j.
@@ -294,16 +192,17 @@ def complete_homogeneous(degree: int, variables, n: int, power: int = 1) -> Comm
     if degree < 0:
         raise ValueError("degree must be >= 0")
     variables = list(variables)
-    terms: dict[Exp, Fraction] = {}
+    terms: dict = {}
     for combo in combinations_with_replacement(variables, degree):
         exp = [0] * n
         for v in combo:
             exp[v - 1] += power
-        terms[tuple(exp)] = terms.get(tuple(exp), Fraction(0)) + 1
-    return CommPoly(n, terms)
+        key = (tuple(exp), ())
+        terms[key] = terms.get(key, 0) + 1
+    return SuperPoly(n, terms)
 
 
-def groebner_generators(m: int, p: int, n: int) -> list[CommPoly]:
+def groebner_generators(m: int, p: int, n: int) -> list[SuperPoly]:
     """Closed-form reduced Groebner basis of the G(m, p, n) coinvariant ideal.
 
     p = 1:  h_j(x_j^m, ..., x_n^m) for j in [n].
@@ -321,13 +220,8 @@ def groebner_generators(m: int, p: int, n: int) -> list[CommPoly]:
         gens.append(complete_homogeneous(j, range(j, n + 1), n, power=m))
     mp = m // p
     for j in range(1, n + 1):
-        tail = [0] * n
-        for v in range(j, n + 1):
-            tail[v - 1] = mp
-        gens.append(
-            complete_homogeneous(j - 1, range(j, n + 1), n, power=m)
-            * CommPoly.monomial(n, tail)
-        )
+        tail = (0,) * (j - 1) + (mp,) * (n - j + 1)
+        gens.append(_shift(complete_homogeneous(j - 1, range(j, n + 1), n, power=m), tail))
     return gens
 
 

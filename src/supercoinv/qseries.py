@@ -213,19 +213,15 @@ class QZPoly:
                 del out[e]
         return QPoly(out)
 
-    def q_at_one(self) -> dict[int, int]:
-        """Collapse q -> 1; returns {z-exponent: coefficient}."""
+    def specialize(self, var: str, value: int) -> dict[int, int]:
+        """Set var ("q" or "z") to an integer; returns {exponent of the other
+        variable: coefficient}, without zeros."""
+        at = 0 if var == "q" else 1
         out: dict[int, int] = {}
-        for (qe, ze), c in self.coeffs.items():
-            s = out.get(ze, 0) + c
-            if s:
-                out[ze] = s
-            else:
-                del out[ze]
-        return out
-
-    def z_coefficient(self, ze: int) -> QPoly:
-        return QPoly({qe: c for (qe, z), c in self.coeffs.items() if z == ze})
+        for key, c in self.coeffs.items():
+            e = key[1 - at]
+            out[e] = out.get(e, 0) + c * value ** key[at]
+        return {e: c for e, c in out.items() if c}
 
     def __call__(self, q: int, z: int) -> int:
         return sum(c * q**qe * z**ze for (qe, ze), c in self.coeffs.items())

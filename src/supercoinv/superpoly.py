@@ -113,8 +113,8 @@ def theta_action(
 
 
 def unchecked(cls, n: int, terms: dict):
-    """A SuperPoly, Operator or CommPoly over n variables whose terms are
-    already canonical, without the constructor's checks."""
+    """A SuperPoly or Operator over n variables whose terms are already
+    canonical, without the constructor's checks."""
     res = cls.__new__(cls)
     res.n, res.terms = n, terms
     return res

@@ -241,7 +241,7 @@ def closed_form_basis_check(key, gb: groebner.GroebnerBasis) -> tuple[bool, bool
     monomials are the predicted ones, and it is reduced."""
     gens = groebner.groebner_generators(*key)
     stable = {tuple(sorted(g.terms.items())) for g in gb.generators} == {
-        tuple(sorted(g.monic().terms.items())) for g in gens
+        tuple(sorted(groebner.monic(g).terms.items())) for g in gens
     }
     lm_ok = set(gb.leading_monomials()) == groebner.predicted_leading_monomials(*key)
     return stable, lm_ok, gb.is_reduced()

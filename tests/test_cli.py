@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, and the result cache."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -159,6 +160,18 @@ class TestGroebner:
         assert code == EXIT_OK
         assert out.strip().splitlines() == ["0 0", "0 1", "0 2", "1 0"]
 
+    def test_pinned_outputs_on_the_grid(self, capsys):
+        # sha256 of stdout and the exit code of every mode on the 32 groups
+        # of verify.GRID: a change of the engine's polynomial representation
+        # must not move a byte of any of them
+        path = Path(__file__).parent / "data" / "groebner_cli.jsonl"
+        pinned = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(pinned) == 3 * 32
+        for case in pinned:
+            code, out, _ = run(capsys, "--no-cache", *case["argv"])
+            assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+                case["exit"], case["sha256"]), case["argv"]
+
 
 class TestGroupInfo:
     def test_json(self, capsys, cache_dir):
@@ -299,6 +312,32 @@ class TestCache:
         )
         assert first == second
         assert second.is_reduced()
+
+    @pytest.mark.parametrize("kind, argv", [
+        ("sh-dims", ["hilbert", "--m", "1", "--n", "3"]),
+        ("groebner", ["groebner", "--m", "3", "--n", "3", "--show-basis"]),
+    ])
+    @pytest.mark.parametrize("entry", [
+        "[1, 2]",
+        json.dumps({"payload": [1], "checksum": cli._checksum([1])}),
+    ], ids=["file-not-an-object", "checksummed-payload-not-an-object"])
+    def test_malformed_entry_is_recomputed(self, capsys, cache_dir, kind, argv, entry):
+        spec = GroupSpec.create(int(argv[2]), 1, int(argv[4]))
+        path = ResultCache(cache_dir)._path(kind, spec)
+        cache_dir.mkdir()
+        path.write_text(entry)
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == run(capsys, "--no-cache", *argv)[:2]
+        assert code == EXIT_OK
+        assert json.loads(path.read_text())["payload"] != [1]
+
+    def test_cached_basis_with_theta_is_recomputed(self, capsys, cache_dir):
+        spec = GroupSpec.create(3, 1, 1)
+        ResultCache(cache_dir).store("groebner", spec, {"n": 1, "generators": ["x1^3 + t1"]})
+        code, out, _ = run(capsys, "groebner", "--m", "3", "--n", "1", "--show-basis")
+        assert (code, out) == (EXIT_OK, "x1^3\n")
+        stored = json.loads(ResultCache(cache_dir)._path("groebner", spec).read_text())
+        assert stored["payload"]["generators"] == ["x1^3"]
 
     def test_version_mismatch_recomputes(self, tmp_path):
         cache = ResultCache(tmp_path)

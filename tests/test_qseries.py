@@ -176,6 +176,6 @@ def test_qzpoly_specializations():
     # q^2 z + 3 q - z^2
     f = QZPoly({(2, 1): 1, (1, 0): 3, (0, 2): -1})
     assert f.z_substitute_signed_power(1) == QPoly({3: -1, 1: 3, 2: -1})
-    assert f.q_at_one() == {1: 1, 0: 3, 2: -1}
+    assert f.specialize("q", 1) == {1: 1, 0: 3, 2: -1}
+    assert f.specialize("z", 2) == {2: 2, 1: 3, 0: -4}
     assert f(2, 3) == 4 * 3 + 6 - 9
-    assert f.z_coefficient(1) == QPoly({2: 1})

@@ -14,13 +14,14 @@ import supercoinv
 from supercoinv import groebner
 from supercoinv.groups import GroupSpec
 from supercoinv.harmonics import DimTable, Subspace
+from supercoinv.superpoly import SuperPoly
 from supercoinv.verify import CheckReport
 
 VALUES = [
     (lambda: GroupSpec(2, 1, 3), lambda: GroupSpec(2, 2, 3), "m"),
     (
-        lambda: groebner.GroebnerBasis(1, (groebner.CommPoly.parse("x1^2", 1),)),
-        lambda: groebner.GroebnerBasis(1, (groebner.CommPoly.parse("x1^3", 1),)),
+        lambda: groebner.GroebnerBasis(1, (SuperPoly.parse("x1^2", 1),)),
+        lambda: groebner.GroebnerBasis(1, (SuperPoly.parse("x1^3", 1),)),
         "generators",
     ),
     (

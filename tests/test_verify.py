@@ -8,6 +8,7 @@ import pytest
 
 from supercoinv import groebner, harmonics
 from supercoinv.groups import build_group
+from supercoinv.superpoly import SuperPoly
 from supercoinv.verify import (
     GOLDEN_TABLE,
     SUITES,
@@ -179,7 +180,7 @@ def test_all_suites_are_callable():
 def test_closed_form_basis_check():
     gb = groebner.buchberger(groebner.groebner_generators(1, 1, 2))
     assert closed_form_basis_check((1, 1, 2), gb) == (True, True, True)
-    x = groebner.CommPoly.x
+    x = SuperPoly.x
     # x1 x2^2 is divisible by the leading monomial x2^2 of another element.
     padded = groebner.GroebnerBasis(2, gb.generators + (x(2, 1) * x(2, 2, 2),))
     assert closed_form_basis_check((1, 1, 2), padded) == (False, False, False)

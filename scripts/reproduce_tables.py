@@ -5,11 +5,13 @@ published values.
 By default runs the desk-scale groups (under a second in total).  --stretch
 adds the rows of S_5, B_4 and D_4 (about 3 s in total on a 2-core machine,
 S_5 the slowest); --group m p n runs a single group.  Each row ends with the
-seconds of its table and of its derivative closure.  Exit status 0 iff every
-computed row matches its golden row.
+seconds of its table and of its derivative closure, and the process's peak
+resident memory after the row (the getrusage high-water mark, in MB).  Exit
+status 0 iff every computed row matches its golden row.
 """
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
@@ -72,8 +74,9 @@ def main():
             all_ok = all_ok and ok
             status = "ok" if ok else "MISMATCH"
         closure_txt = "(same)" if cl == sh else z_string(cl)
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(f"{label:>10}  {z_string(sh):<55} {closure_txt:<45} "
-              f"[{status}, {table_s:.2f}s + {closure_s:.2f}s]")
+              f"[{status}, {table_s:.2f}s + {closure_s:.2f}s, {peak_mb:.1f} MB]")
 
     if args.latex:
         print()

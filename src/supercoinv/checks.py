@@ -10,6 +10,8 @@ of ``harmonics``.
   complement, the double-det harmonic Gamma and the top theta-degree row.
 * ``support_check``: the bidegree and total-degree support of the harmonics
   against the predicted bounds, and the top total-degree slice.
+* ``det_isotypic_basis``: the span of the det-isotypic elements, which must
+  be independent.
 
 They are also importable from ``harmonics``.
 """
@@ -24,8 +26,8 @@ from .harmonics import (
     DEFAULT_CELL_BUDGET,
     FeasibilityError,
     Subspace,
-    _cell_entries,
     _cell_index,
+    _check_against_products,
     _ideal_rows,
     _operator_entries,
     _poly_row,
@@ -90,41 +92,27 @@ def _image_rank(
     dx, dk = op.bidegree_shift()
     target = (source[0] + dx, source[1] + dk)
     index = _cell_index(n, *target)
-    op_columns = _columns(_operator_entries([op], n, *source), index)
     if targets is None:
         targets = {}
     if target not in targets:
-        targets[target] = _columns(_cell_entries(gd, *target))
-    gen_columns = targets[target]
-    vectors = []
-    inside = True
-    for row in sub.basis:
-        img = _times_columns(op_columns, linalg.to_int_row(row))
-        if not img:
-            continue
-        if _times_columns(gen_columns, img.items()):
-            inside = False
-        vectors.append(linalg.to_int_row(img))
+        targets[target] = _cell_entries(gd, *target)
+    basis = [linalg.to_int_row(row) for row in sub.basis]
+    images = {}
+    for (_, mon), hits in linalg.products(_operator_entries([op], n, *source), basis).items():
+        for h, v in hits:
+            images.setdefault(h, {})[index[mon]] = v
+    vectors = [linalg.to_int_row(images[h]) for h in sorted(images)]
+    inside = not linalg.products(targets[target], vectors)
     return linalg.rank(vectors, len(index)), inside
 
 
-def _columns(entries, index=None) -> dict[int, list]:
-    """An entry map by source column: [(row key, or target column, value)]."""
-    out: dict[int, list] = {}
-    for key, row in entries.items():
-        r = key if index is None else index[key[1]]
-        for col, v in row.items():
-            out.setdefault(col, []).append((r, v))
-    return out
-
-
-def _times_columns(columns, vec) -> dict:
-    """``_columns`` matrix times a (column, value) vector, zeros dropped."""
-    out: dict = {}
-    for col, a in vec:
-        for r, v in columns.get(col, ()):
-            out[r] = out.get(r, 0) + a * v
-    return {r: v for r, v in out.items() if v}
+def _cell_entries(gd: GroupData, i: int, k: int):
+    """``_operator_entries`` of all the generator operators on the (i, k)
+    cell, every entry checked against the ideal products: the generator
+    matrix of an exactness target."""
+    entries = _operator_entries(gd.harmonic_generator_operators(), gd.n, i, k)
+    _check_against_products(gd, entries, i, k)
+    return entries
 
 
 def exactness_check(
@@ -355,6 +343,42 @@ def _gamma_map_rank(gamma: SuperPoly, mons, n: int, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# det-isotypic elements
+# ---------------------------------------------------------------------------
+
+
+def det_isotypic_basis(gd: GroupData) -> dict[int, Subspace]:
+    """Span of the det-isotypic elements, grouped by theta-degree.
+
+    The 2^r elements must be independent, C(r, k) at each theta-degree k.
+    """
+    elements = det_isotypic_elements(gd)
+    spec = gd.spec
+    by_k: dict[int, list[SuperPoly]] = {}
+    for subset, elem in sorted(elements.items()):
+        by_k.setdefault(len(subset), []).append(elem)
+    out: dict[int, Subspace] = {}
+    total = 0
+    for k, elems in sorted(by_k.items()):
+        mons = sorted({mon for e in elems for mon in e.terms}, reverse=True)
+        index = {mon: c for c, mon in enumerate(mons)}
+        sub = Subspace.from_vectors(tuple(mons), [_poly_row(e, index) for e in elems])
+        if sub.dimension != len(elems):
+            raise IntegrityError(
+                f"det-isotypic elements of {spec.label()} at theta-degree {k} "
+                f"are dependent ({sub.dimension} < {len(elems)})"
+            )
+        total += sub.dimension
+        out[k] = sub
+    if total != 2**spec.rank:
+        raise IntegrityError(
+            f"det-isotypic space of {spec.label()} has dimension {total}, "
+            f"expected {2 ** spec.rank}"
+        )
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Support theorems
 # ---------------------------------------------------------------------------
 
@@ -419,35 +443,18 @@ def support_check(
     top_dims = {key: sub.dimension for key, sub in top_cells.items() if sub.dimension}
     top_total = sum(top_dims.values())
 
+    def span(key, polys) -> Subspace:
+        index = _cell_index(n, *key)
+        return Subspace.from_vectors(cell_monomials(n, *key), [_poly_row(f, index) for f in polys])
+
     # Is the top slice exactly K Delta + K dDelta?
     delta = gd.vandermondian
     ddelta = gd.exterior_d.apply(delta)
-    pair_ok = True
-    for key, sub in sorted(top_cells.items()):
-        expected: list[SuperPoly] = []
-        if key == (dmax, 0):
-            expected = [delta]
-        elif key == (dmax - 1, 1) and ddelta:
-            expected = [ddelta]
-        index = _cell_index(n, *key)
-        span = Subspace.from_vectors(
-            cell_monomials(n, *key), [_poly_row(f, index) for f in expected]
-        )
-        if (sub.dimension != span.dimension) or (sub.basis != span.basis):
-            pair_ok = False
-
-    det_elems = det_isotypic_elements(gd)
-    in_det = True
-    for key, sub in sorted(top_cells.items()):
-        if sub.dimension == 0:
-            continue
-        index = _cell_index(n, *key)
-        det_here = [
-            _poly_row(e, index) for e in det_elems.values() if e.bidegree() == key
-        ]
-        det_span = Subspace.from_vectors(cell_monomials(n, *key), det_here)
-        if sub.basis != det_span.basis:
-            in_det = False
+    pair = {(dmax, 0): [delta], (dmax - 1, 1): [ddelta] if ddelta else []}
+    pair_ok = all(sub == span(key, pair.get(key, [])) for key, sub in top_cells.items())
+    det_elems = det_isotypic_elements(gd).values()
+    in_det = all(sub == span(key, [e for e in det_elems if e.bidegree() == key])
+                 for key, sub in top_cells.items() if sub.dimension)
 
     return SupportReport(
         group=spec,

@@ -78,24 +78,27 @@ class ResultCache:
             finally:
                 fcntl.flock(lock, fcntl.LOCK_UN)
 
-    def _get(self, kind: str, spec: GroupSpec, decode, compute, encode):
+    def _get(self, kind: str, spec: GroupSpec, decode, compute, encode, fits):
         payload = self.load(kind, spec)
         if payload is not None:
             try:
-                return decode(payload)
+                value = decode(payload)
+                if fits(value):
+                    return value
             except (AttributeError, KeyError, TypeError, ValueError):
-                pass  # a payload of the wrong shape is a miss
+                pass  # a payload of the wrong shape is a miss, as is another group's
         value = compute()
         self.store(kind, spec, encode(value))
         return value
 
     def get_dim_table(self, kind: str, spec: GroupSpec, compute) -> DimTable:
-        return self._get(kind, spec, DimTable.from_json_dict, compute, DimTable.to_json_dict)
+        return self._get(kind, spec, DimTable.from_json_dict, compute, DimTable.to_json_dict,
+                         lambda table: table.group == spec)
 
     def get_groebner_basis(self, spec: GroupSpec, compute) -> groebner.GroebnerBasis:
         return self._get("groebner", spec, _decode_basis, compute, lambda gb: {
             "n": gb.n, "generators": gb.to_strings(),
-        })
+        }, lambda gb: gb.n == spec.n)
 
 
 def _decode_basis(payload) -> groebner.GroebnerBasis:
@@ -276,18 +279,9 @@ def _dispatch(args, cache: ResultCache) -> int:
         return EXIT_OK
 
     if args.command == "verify":
-        reports = verify.run_suite(
-            args.suite,
-            m=args.m,
-            p=args.p,
-            n=args.n,
-            family=args.family,
-            j=args.j,
-            N=args.N,
-            degree=args.degree,
-            budget=args.cell_budget,
-            threads=args.threads,
-        )
+        options = {key: getattr(args, key) for key in ("m", "p", "n", "family", "j", "N", "degree")}
+        reports = verify.run_suite(args.suite, **options, budget=args.cell_budget,
+                                   threads=args.threads)
         if args.format == "json":
             for r in reports:
                 print(r.to_json())

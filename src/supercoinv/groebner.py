@@ -12,17 +12,24 @@ The closed-form generating families for the coinvariant ideals of G(m, p, n)
 live here too (`groebner_generators`): complete homogeneous pieces
 h_j(x_j^m, ..., x_n^m), plus h_{j-1}(x_j^m, ..., x_n^m) (x_j...x_n)^{m/p}
 when p > 1.  These are already reduced Groebner bases; the engine is used to
-confirm that, and their standard monomials reproduce the Artin bases.
+confirm that, and their standard monomials reproduce the Artin bases.  The
+classical harmonics are read off them without elimination
+(`apolar_rows`, one normal-form table per degree); `harmonics` certifies
+them against the group's own operators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
+from math import factorial, prod
 from operator import add, sub
 
+from .groups import IntegrityError
+from .linalg import _content_reduce
 from .records import Value
-from .superpoly import SuperPoly, unchecked
+from .superpoly import SuperPoly, unchecked, x_monomials
 
 Exp = tuple[int, ...]
 
@@ -225,26 +232,74 @@ def groebner_generators(m: int, p: int, n: int) -> list[SuperPoly]:
     return gens
 
 
+@lru_cache(maxsize=1)
+def closed_form_basis(m: int, p: int, n: int, variables: int) -> tuple[SuperPoly, ...]:
+    """``groebner_generators(m, p, n)`` in n variables; for S_n in the n - 1
+    of its reduced presentation (x_n -> -(y_1 + ... + y_{n-1})), the lex
+    basis h_j(y_{j-1}, ..., y_{n-1}), j = 2..n, of the image I' of the ideal:
+    h_1(x_1, ..., x_n) and h_j(x_{j-1}, ..., x_{n-1}) are a lex basis of the
+    (symmetric) ideal for x_n > x_1 > ... > x_{n-1}, and h_1 eliminates x_n.
+    Kept for the latest group and presentation.
+    """
+    gens = groebner_generators(m, p, n)
+    if variables == n:
+        return tuple(gens)
+    return tuple(unchecked(SuperPoly, variables, {(e[1:], t): c for (e, t), c in g.terms.items()})
+                 for g in gens[1:])
+
+
+def apolar_rows(basis, n: int, degree: int) -> list[list[tuple[int, int]]]:
+    """One content-reduced integer row over ``x_monomials(n, degree)`` per
+    standard monomial x^s of the degree, in order, for a monic, homogeneous,
+    integer lex Groebner basis of an ideal I: the form
+        h^(s) = sum_a NF(x^a)_s degree!/a! x^a.
+    x^a - NF(x^a) lies in I and <x^a, h> = a! h_a under the pairing
+    <x^a, x^b> = a! [a = b], so each h^(s) is orthogonal to I.  The normal
+    forms are built in increasing lex order: a non-standard x^a is reduced
+    once, by the first basis element whose leading monomial divides it, to
+    lex-smaller monomials of the degree.  Raises IntegrityError unless each
+    row's only standard column is its own, which makes the rows independent.
+    """
+    position = {a: col for col, a in enumerate(x_monomials(n, degree))}
+    steps = []
+    for g in basis:
+        lm = leading_monomial(g)
+        steps.append((lm, [(tuple(map(sub, e, lm)), -int(c))
+                           for (e, _), c in g.terms.items() if e != lm]))
+    nf, forms = {}, {}  # NF(x^a) and h^(s) by the column of s
+    for a in reversed(position):
+        for lm, tail in steps:
+            if _divides(lm, a):
+                out = {}
+                for shift, c in tail:
+                    for s, v in nf[tuple(map(add, a, shift))].items():
+                        out[s] = out.get(s, 0) + c * v
+                nf[a] = {s: v for s, v in out.items() if v}
+                break
+        else:
+            nf[a] = {position[a]: 1}
+            forms[position[a]] = {}
+    top = factorial(degree)
+    for a, row in nf.items():
+        weight = top // prod(map(factorial, a))
+        for s, v in row.items():
+            forms[s][position[a]] = v * weight
+    rows = []
+    for s in sorted(forms):
+        rows.append(_content_reduce(sorted(forms[s].items())))
+        if [col for col, _ in rows[-1] if col in forms] != [s]:
+            raise IntegrityError(f"degree-{degree} standard form {s} is not unitriangular")
+    return rows
+
+
 def predicted_leading_monomials(m: int, p: int, n: int) -> set[Exp]:
-    """Leading monomials of groebner_generators under lex, in closed form."""
-    out: set[Exp] = set()
-    if p == 1:
-        for j in range(1, n + 1):
-            exp = [0] * n
-            exp[j - 1] = j * m
-            out.add(tuple(exp))
-        return out
+    """Leading monomials of groebner_generators under lex, in closed form:
+    x_j^{jm} (j < n if p > 1) and, if p > 1, x_j^{(j-1)m+m/p} (x_{j+1}...x_n)^{m/p}."""
     mp = m // p
-    for j in range(1, n):
-        exp = [0] * n
-        exp[j - 1] = j * m
-        out.add(tuple(exp))
-    for j in range(1, n + 1):
-        exp = [0] * n
-        exp[j - 1] = (j - 1) * m + mp
-        for v in range(j + 1, n + 1):
-            exp[v - 1] = mp
-        out.add(tuple(exp))
+    out = {tuple(j * m * (v == j) for v in range(1, n + 1)) for j in range(1, n + (p == 1))}
+    if p > 1:
+        out |= {tuple((j - 1) * m + mp if v == j else mp * (v > j) for v in range(1, n + 1))
+                for j in range(1, n + 1)}
     return out
 
 

@@ -36,19 +36,9 @@ def to_int_row(vec) -> IntRow:
     Rational values are cleared to integers by the denominator lcm; the row
     is then content-reduced with positive leading value.
     """
-    items = sorted(vec.items() if isinstance(vec, dict) else vec)
-    items = [(c, v) for c, v in items if v]
-    if not items:
-        return []
-    den = 1
-    for _, v in items:
-        if isinstance(v, Fraction) and v.denominator != 1:
-            den = den * v.denominator // gcd(den, v.denominator)
-    if den != 1:
-        items = [(c, int(v * den)) for c, v in items]
-    else:
-        items = [(c, int(v)) for c, v in items]
-    return _content_reduce(items)
+    items = [(c, v) for c, v in sorted(vec.items() if isinstance(vec, dict) else vec) if v]
+    den = lcm(*(v.denominator for _, v in items))
+    return _content_reduce([(c, int(v * den)) for c, v in items])
 
 
 def _content_reduce(items: IntRow) -> IntRow:
@@ -240,3 +230,30 @@ def residual(rref_rows: list[FracVec], vec: FracVec) -> FracVec:
                 else:
                     work.pop(k, None)
     return work
+
+
+def by_column(rows: list[IntRow]) -> dict[int, list]:
+    """{column: [(h, value)]} over the IntRows rows[h]."""
+    out = {}
+    for h, vec in enumerate(rows):
+        for c, b in vec:
+            out.setdefault(c, []).append((h, b))
+    return out
+
+
+def products(matrix: dict, rows: list[IntRow]) -> dict:
+    """{key: [(h, value)]}: every row {column: value} of a sparse matrix
+    {key: row} dotted with every IntRow rows[h], zero products left out.
+    Only the columns some rows[h] holds are visited (``by_column``).
+    """
+    by_col = by_column(rows)
+    out = {}
+    for key, row in matrix.items():
+        acc = {}
+        for c, v in row.items():
+            for h, b in by_col.get(c, ()):
+                acc[h] = acc.get(h, 0) + v * b
+        acc = sorted((h, v) for h, v in acc.items() if v)
+        if acc:
+            out[key] = acc
+    return out

@@ -36,6 +36,8 @@ from functools import lru_cache
 from math import comb, lcm
 from operator import add, sub
 
+from .qseries import _power, add_terms, power, signed_sum
+
 XExp = tuple[int, ...]
 Thetas = tuple[int, ...]
 Monomial = tuple[XExp, Thetas]
@@ -215,14 +217,7 @@ class SuperPoly:
         if isinstance(other, (int, Fraction)):
             other = SuperPoly.constant(self.n, other)
         self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, Fraction(0)) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return unchecked(SuperPoly, self.n, out)
+        return unchecked(SuperPoly, self.n, add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -246,29 +241,14 @@ class SuperPoly:
                 merged = merge_thetas(t1, t2)
                 if merged is None:
                     continue
-                sign, thetas = merged
-                xexp = tuple(a + b for a, b in zip(x1, x2))
-                key = (xexp, thetas)
-                s = out.get(key, Fraction(0)) + sign * c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return unchecked(SuperPoly, self.n, out)
+                key = (tuple(map(add, x1, x2)), merged[1])
+                out[key] = out.get(key, 0) + merged[0] * c1 * c2
+        return unchecked(SuperPoly, self.n, {k: v for k, v in out.items() if v})
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "SuperPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        result = SuperPoly.one(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, SuperPoly.one(self.n))
 
     # -- calculus --------------------------------------------------------
 
@@ -281,14 +261,8 @@ class SuperPoly:
             hit = theta_interior(i, thetas)
             if hit is None:
                 continue
-            sign, rest = hit
-            key = (xexp, rest)
-            s = out.get(key, Fraction(0)) + sign * c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return unchecked(SuperPoly, self.n, out)
+            out[xexp, hit[1]] = out.get((xexp, hit[1]), 0) + hit[0] * c
+        return unchecked(SuperPoly, self.n, {k: v for k, v in out.items() if v})
 
     def scalar_ratio(self, other: "SuperPoly") -> Fraction | None:
         """c with self == c * other, or None (zero polys never match nonzero)."""
@@ -313,30 +287,11 @@ class SuperPoly:
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
     def to_string(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (xexp, thetas), c in self.sorted_terms():
-            factors = []
-            for j, e in enumerate(xexp):
-                if e == 1:
-                    factors.append(f"x{j + 1}")
-                elif e:
-                    factors.append(f"x{j + 1}^{e}")
-            for t in thetas:
-                factors.append(f"t{t}")
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return signed_sum(
+            (c, [f for j, e in enumerate(xexp) for f in _power(f"x{j + 1}", e)]
+             + [f"t{t}" for t in thetas])
+            for (xexp, thetas), c in self.sorted_terms()
+        )
 
     __str__ = to_string
 
@@ -422,12 +377,8 @@ def _normalize_theta_word(word: tuple) -> tuple[tuple[tuple[Thetas, Thetas], int
             out: dict[tuple[Thetas, Thetas], int] = {}
             for w, c in results.items():
                 for key, c2 in _normalize_theta_word(w):
-                    s = out.get(key, 0) + c * c2
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-            return tuple(sorted(out.items()))
+                    out[key] = out.get(key, 0) + c * c2
+            return tuple(sorted((key, c) for key, c in out.items() if c))
         if k1 == k2 == "m":
             if i1 == i2:
                 return ()
@@ -545,14 +496,7 @@ class Operator:
     def __add__(self, other: "Operator") -> "Operator":
         if self.n != other.n:
             raise ValueError("mismatched variable counts")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, Fraction(0)) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return unchecked(Operator, self.n, out)
+        return unchecked(Operator, self.n, add_terms(self.terms, other.terms))
 
     def __sub__(self, other: "Operator") -> "Operator":
         return self + (-1) * other
@@ -596,13 +540,9 @@ class Operator:
                 for j, b in xders:
                     c *= falling_factorial(xexp[j], b)
                 key = (tuple(map(add, map(sub, xexp, derx), mulx)), act[1])
-                val = out.get(key, 0) + c
-                if val:
-                    out[key] = val
-                else:
-                    del out[key]
+                out[key] = out.get(key, 0) + c
         den = oden * fden
-        return unchecked(SuperPoly, self.n, {k: Fraction(v, den) for k, v in out.items()})
+        return unchecked(SuperPoly, self.n, {k: Fraction(v, den) for k, v in out.items() if v})
 
     __call__ = apply
 
@@ -650,12 +590,8 @@ class Operator:
                     derx = tuple(x + y for x, y in zip(der_mid, d2))
                     for (bt, ct), tsign in theta_terms:
                         key = (mulx, bt, derx, ct)
-                        val = out.get(key, Fraction(0)) + coeff * tsign
-                        if val:
-                            out[key] = val
-                        else:
-                            del out[key]
-        return unchecked(Operator, self.n, out)
+                        out[key] = out.get(key, 0) + coeff * tsign
+        return unchecked(Operator, self.n, {k: v for k, v in out.items() if v})
 
     def bidegree_shift(self) -> tuple[int, int] | None:
         """(x-degree shift, theta-degree shift) if uniform across terms."""

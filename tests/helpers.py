@@ -8,7 +8,8 @@ of canonical RREF bases, the SuperPoly substitution that the integer
 reduced presentation of S_n is pinned to, the whole-cell harmonic
 dimension, kernel and d f_j rows on H_i (x) Lambda^k that the
 H_i (x) Lambda^k route and its split of the d f_j by theta-index are
-pinned to, the x-derivative by exponent subtraction that the derivative
+pinned to, H_i as the nullspace of the (i, 0) cell that the
+closed-form Groebner route to H_i is pinned to, the x-derivative by exponent subtraction that the derivative
 closure and its lowering tables are pinned to, the
 rational coefficient vector of a SuperPoly over a cell index, and the
 Diagram record with the three-clause pivot condition for G(m, p, n)
@@ -23,7 +24,7 @@ from itertools import permutations, product
 from math import comb
 from operator import sub
 
-from supercoinv import harmonics, linalg
+from supercoinv import checks, harmonics, linalg
 from supercoinv.artin import is_substaircase
 from supercoinv.groups import GroupData, GroupSpec, _perm_sign
 from supercoinv.superpoly import (
@@ -253,6 +254,22 @@ def poly_to_vector(f: SuperPoly, index: dict[Monomial, int]) -> dict[int, Fracti
     return {index[mon]: c for mon, c in f.terms.items()}
 
 
+def reduced_rows(entries):
+    """Content-reduced rows of an entry map in key order, zero rows skipped."""
+    for key in sorted(entries):
+        row = harmonics._reduced_row(entries[key].items())
+        if row:
+            yield row
+
+
+def eliminated_harmonics(pres, i: int) -> list:
+    """H_i of a presentation as the nullspace of its checked (i, 0) cell,
+    the f_j rows alone: the route before H_i was read off the closed-form
+    Groebner basis."""
+    rows = reduced_rows(checks._cell_entries(pres, i, 0))
+    return linalg.nullspace(rows, harmonics.cell_dimension(pres.n, i, 0))
+
+
 def full_cell_dimension(gd: GroupData, i: int, k: int, budget: int) -> int:
     """dim SH^{i,k} from one elimination of all 2n generator operators on the
     whole (i, k) cell of ``gd.cell_presentation()``, every entry checked: the
@@ -265,7 +282,7 @@ def full_cell_dimension(gd: GroupData, i: int, k: int, budget: int) -> int:
     cols = harmonics.cell_dimension(pres.n, i, k)
     if cols == 0:
         return 0
-    rows = harmonics._reduced_rows(harmonics._cell_entries(pres, i, k))
+    rows = reduced_rows(checks._cell_entries(pres, i, k))
     return cols - linalg.rank(rows, cols)
 
 
@@ -273,7 +290,7 @@ def full_cell_kernel(pres, i: int, k: int) -> harmonics.Subspace:
     """Reduced-echelon basis of the (i, k) harmonics of a presentation: the
     common kernel of all its generator operators on the whole cell."""
     ambient = harmonics.cell_monomials(pres.n, i, k)
-    rows = harmonics._reduced_rows(harmonics._cell_entries(pres, i, k))
+    rows = reduced_rows(checks._cell_entries(pres, i, k))
     return harmonics.Subspace.from_vectors(ambient, linalg.nullspace(rows, len(ambient)))
 
 
@@ -285,7 +302,7 @@ def full_cell_theta_rows(pres, i: int, k: int, classical) -> list:
     h * C(n, k) + t is vector h of ``classical`` times theta word t; zero
     rows are skipped.  The route before the d f_j were split by theta-index."""
     gens = pres.ideal_generators()
-    entries = harmonics._cell_entries(pres, i, k)
+    entries = checks._cell_entries(pres, i, k)
     width = comb(pres.n, k)
     by_x = {}
     for h, vec in enumerate(classical):

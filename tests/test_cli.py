@@ -331,6 +331,29 @@ class TestCache:
         assert code == EXIT_OK
         assert json.loads(path.read_text())["payload"] != [1]
 
+    def test_cached_basis_of_another_rank_is_recomputed(self, capsys, cache_dir):
+        # a correctly checksummed entry whose basis has two variables, under
+        # the name of G(3,1,3)
+        spec = GroupSpec.create(3, 1, 3)
+        ResultCache(cache_dir).store("groebner", spec, {"n": 2, "generators": ["x1^3", "x2^3"]})
+        argv = ["groebner", "--m", "3", "--n", "3", "--standard-monomials"]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (EXIT_OK, run(capsys, "--no-cache", *argv)[1])
+        assert all(len(line.split()) == 3 for line in out.splitlines())
+        stored = json.loads(ResultCache(cache_dir)._path("groebner", spec).read_text())
+        assert stored["payload"]["n"] == 3
+
+    def test_cached_table_of_another_group_is_recomputed(self, capsys, cache_dir):
+        # a correctly checksummed S_3 entry that holds the table of G(2,1,2)
+        spec = GroupSpec.create(1, 1, 3)
+        other = DimTable(GroupSpec.create(2, 1, 2), {(0, 0): 1, (1, 0): 2})
+        ResultCache(cache_dir).store("sh-dims", spec, other.to_json_dict())
+        argv = ["hilbert", "--m", "1", "--n", "3"]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (EXIT_OK, run(capsys, "--no-cache", *argv)[1])
+        stored = json.loads(ResultCache(cache_dir)._path("sh-dims", spec).read_text())
+        assert stored["payload"]["group"] == {"m": 1, "p": 1, "n": 3}
+
     def test_cached_basis_with_theta_is_recomputed(self, capsys, cache_dir):
         spec = GroupSpec.create(3, 1, 1)
         ResultCache(cache_dir).store("groebner", spec, {"n": 1, "generators": ["x1^3 + t1"]})

@@ -19,7 +19,7 @@ from supercoinv.groebner import (
     predicted_leading_monomials,
     standard_monomials,
 )
-from supercoinv.superpoly import SuperPoly
+from supercoinv.superpoly import SuperPoly, pairing, x_monomials
 
 GRID = [
     (m, p, n)
@@ -230,6 +230,27 @@ class TestStandardMonomials:
         std = standard_monomials(gb)
         assert std == artin.enumerate_artin(m, p, n)
         assert len(std) == artin.artin_count(m, p, n)
+
+
+class TestApolarRows:
+    """The forms that ``groebner.apolar_rows`` reads off the closed-form
+    bases, against the rational division of ``normal_form``."""
+
+    @pytest.mark.parametrize("key", [(1, 1, 3), (2, 1, 2), (2, 2, 3), (3, 1, 2), (3, 3, 2)])
+    def test_rows_are_orthogonal_to_the_ideal(self, key):
+        m, p, n = key
+        gens = groebner_generators(m, p, n)
+        std = standard_monomials(buchberger(gens))
+        top = max(map(sum, std))
+        for d in range(top + 2):
+            mons = x_monomials(n, d)
+            rows = groebner.apolar_rows(gens, n, d)
+            assert len(rows) == sum(1 for s in std if sum(s) == d), d
+            forms = [SuperPoly(n, {(mons[c], ()): v for c, v in row}) for row in rows]
+            for a in mons:
+                x_a = SuperPoly.monomial(n, a)
+                in_ideal = x_a - normal_form(x_a, gens)
+                assert all(pairing(in_ideal, h) == 0 for h in forms), (d, a)
 
 
 def _brute_force_standard(gb, degree_bound=None):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from supercoinv import checks, groups, harmonics, linalg
+from supercoinv import checks, groebner, groups, harmonics, linalg
 from supercoinv.checks import (
     bidegree_support_region,
     exactness_check,
@@ -44,11 +44,13 @@ from supercoinv.superpoly import (
 from supercoinv.verify import GOLDEN_TABLE
 from helpers import (
     _x_derivative,
+    eliminated_harmonics,
     full_cell_dimension,
     full_cell_kernel,
     full_cell_theta_rows,
     poly_to_vector,
     reference_reduced_images,
+    reduced_rows,
 )
 from test_linalg import reference_rank
 
@@ -89,7 +91,7 @@ class TestKernelIntersection:
 
 def _kernel_rows(ops, n, i, k):
     """The program's content-reduced equation rows of ops on a cell."""
-    return harmonics._reduced_rows(harmonics._operator_entries(ops, n, i, k))
+    return reduced_rows(harmonics._operator_entries(ops, n, i, k))
 
 
 def _reference_operator_rows(ops, n, i, k):
@@ -661,14 +663,14 @@ class TestExactness:
         cells = harmonic_cells(gd)
         gens = gd.harmonic_generator_operators()
         assembled = []
-        real = harmonics._operator_entries
+        real = checks._operator_entries
 
         def counted(ops, n, i, k):
             if ops is gens:
                 assembled.append((i, k))
             return real(ops, n, i, k)
 
-        monkeypatch.setattr(harmonics, "_operator_entries", counted)
+        monkeypatch.setattr(checks, "_operator_entries", counted)
         assert exactness_check(gd, cells).passed
         targets = {
             (i + dx, k + dk)
@@ -1135,16 +1137,16 @@ class TestDownSet:
 
     @staticmethod
     def _rank_off_at_2_0(monkeypatch):
-        # the rank of k = 0 cell (2, 0) alone is one too high: its kernel,
-        # H_2, which the k = 0 cell is read from, lacks one vector
-        real_cell, real_nullspace = harmonics.harmonic_cell_dimension, linalg.nullspace
+        # the k = 0 cell (2, 0) alone reads H_2 with one vector too few: its
+        # first closed-form harmonic is lost
+        real_cell, real_rows = harmonics.harmonic_cell_dimension, groebner.apolar_rows
 
         def cell(gd, i, k, budget=harmonics.DEFAULT_CELL_BUDGET):
             if (i, k) != (2, 0):
                 return real_cell(gd, i, k, budget)
             with monkeypatch.context() as patch:
-                patch.setattr(linalg, "nullspace",
-                              lambda rows, ncols: real_nullspace(rows, ncols)[1:])
+                patch.setattr(groebner, "apolar_rows",
+                              lambda basis, n, degree: real_rows(basis, n, degree)[1:])
                 return real_cell(gd, i, k, budget)
 
         monkeypatch.setattr(harmonics, "harmonic_cell_dimension", cell)
@@ -1160,6 +1162,65 @@ class TestDownSet:
         self._rank_off_at_2_0(monkeypatch)
         with pytest.raises(IntegrityError, match=r"B_3: theta-degree 0 row"):
             sh_dim_table(build_group(2, 1, 3))
+
+
+class TestClassicalHarmonics:
+    """H_i read off the closed-form Groebner basis
+    (``harmonics._classical_harmonics``), pinned to the nullspace of the
+    checked (i, 0) cell (``helpers.eliminated_harmonics``), and its
+    certificate."""
+
+    GROUPS = DOWN_SET_GROUPS + [GroupSpec.create(*key) for key in [(1, 1, 5), (2, 1, 4), (2, 2, 4)]]
+
+    @pytest.mark.parametrize("spec", GROUPS, ids=lambda spec: f"{spec.m}-{spec.p}-{spec.n}")
+    def test_rows_span_the_eliminated_kernel(self, spec):
+        # both presentations of S_n; the rows are even the very nullspace
+        # rows, so the theta-degree >= 1 matrices built on them are unchanged
+        gd = build_group(spec.m, spec.p, spec.n)
+        reduced = gd.cell_presentation()
+        for pres in [gd] if reduced is gd else [gd, reduced]:
+            for i in range(spec.degree_of_vandermondian + 2):
+                ambient = harmonics.cell_monomials(pres.n, i, 0)
+                rows = harmonics._classical_harmonics(pres, i)
+                reference = eliminated_harmonics(pres, i)
+                assert Subspace.from_vectors(ambient, rows) == (
+                    Subspace.from_vectors(ambient, reference)
+                ), (pres.n, i)
+                assert rows == reference, (pres.n, i)
+
+    # label, key, and the degree-1 row count with one standard monomial lost
+    CERTIFIED = {"B_3": ((2, 1, 3), 2), "S_3": ((1, 1, 3), 1), "D_3": ((2, 2, 3), 2)}
+
+    @pytest.mark.parametrize("label", CERTIFIED)
+    def test_wrong_coefficient_in_the_basis_is_caught(self, monkeypatch, label):
+        # doubling a trailing coefficient of the first basis element changes
+        # the normal forms, and some H_i row is no longer killed by the f_j
+        # operators
+        real = groebner.closed_form_basis.__wrapped__
+
+        def skewed(m, p, n, variables):
+            gens = list(real(m, p, n, variables))
+            terms = dict(gens[0].terms)
+            low = min(terms)
+            terms[low] *= 2
+            gens[0] = SuperPoly(variables, terms)
+            return gens
+
+        monkeypatch.setattr(groebner, "closed_form_basis", skewed)
+        key, _ = self.CERTIFIED[label]
+        with pytest.raises(IntegrityError, match=rf"^{label}: an f_j operator does not kill H_"):
+            sh_dim_table(build_group(*key))
+
+    @pytest.mark.parametrize("label", CERTIFIED)
+    def test_dropped_standard_monomial_is_caught(self, monkeypatch, label):
+        # the last variable appended to the basis makes it non-standard: the
+        # degree-1 rows stay harmonic and independent but are one too few
+        real = groebner.closed_form_basis.__wrapped__
+        monkeypatch.setattr(groebner, "closed_form_basis", lambda m, p, n, variables: (
+            (*real(m, p, n, variables), SuperPoly.monomial(variables, (0,) * (variables - 1) + (1,)))))
+        key, count = self.CERTIFIED[label]
+        with pytest.raises(IntegrityError, match=rf"^{label}: theta-degree 0 row has {count} at q\^1"):
+            harmonics.harmonic_cell_dimension(build_group(*key), 1, 0)
 
 
 class TestThetaCells:
@@ -1206,7 +1267,8 @@ class TestThetaCells:
     @pytest.mark.parametrize("entry", ["harmonic_cell", "harmonic_cell_dimension"])
     def test_stale_kernel_is_not_reused(self, monkeypatch, j, entry):
         # H_6 of B_3 was found by the walks and calls before f_j was
-        # corrupted; a later call computes and checks its own
+        # corrupted; a later call computes and checks its own, which checks
+        # the f_j operators on the (d_j, 0) cells first
         gd = build_group(2, 1, 3)
         harmonic_cells(gd)
         sh_dim_table(gd)
@@ -1215,20 +1277,22 @@ class TestThetaCells:
         ops = list(gd.harmonic_generator_operators())
         ops[j] = -ops[j]
         monkeypatch.setattr(gd, "_generator_ops", ops)
-        with pytest.raises(IntegrityError, match=r"B_3 bidegree \(6,0\).*column"):
+        d_j = gd.spec.degrees[j]
+        with pytest.raises(IntegrityError, match=rf"B_3 bidegree \({d_j},0\).*column"):
             getattr(harmonics, entry)(gd, 6, 1)
 
     @pytest.mark.parametrize("entry", ["harmonic_cell", "harmonic_cell_dimension"])
     def test_x_only_operator_acting_on_theta_is_caught(self, monkeypatch, entry):
         # a theta-derivative term has no entries on the (i, 0) cell, so only
-        # the check that the f_j block is A_i (x) I can see it
+        # the check that the f_j operators are x-derivatives alone can see
+        # it; it runs before H_i is read, so also on the (i, 0) cells
         gd = build_group(2, 1, 3)
         ops = list(gd.harmonic_generator_operators())
         ops[0] = ops[0] + Operator.term(3, derx=(2, 0, 0), dertheta=(1,))
         monkeypatch.setattr(gd, "_generator_ops", ops)
-        assert getattr(harmonics, entry)(gd, 6, 0) is not None
-        with pytest.raises(IntegrityError, match=r"B_3: an f_j operator acts on theta"):
-            getattr(harmonics, entry)(gd, 6, 1)
+        for k in (0, 1):
+            with pytest.raises(IntegrityError, match=r"B_3: an f_j operator acts on theta"):
+                getattr(harmonics, entry)(gd, 6, k)
 
     @pytest.mark.parametrize(
         "spec", DOWN_SET_GROUPS, ids=lambda spec: f"{spec.m}-{spec.p}-{spec.n}"
@@ -1248,21 +1312,21 @@ class TestThetaCells:
 
     @staticmethod
     def _record_assemblies(monkeypatch, log):
-        real_cell, real_products = harmonics._cell_entries, harmonics._theta_products
+        real_cell, real_products = harmonics._classical_harmonics, harmonics._theta_products
 
         def record(line):
             with open(log, "a") as out:
                 out.write(line + "\n")
 
-        def cell(pres, i, k):
-            record(f"cell {i} {k}")
-            return real_cell(pres, i, k)
+        def cell(pres, i):
+            record(f"cell {i}")
+            return real_cell(pres, i)
 
         def products(pres, i, classical):
             record(f"pieces {i}")
             return real_products(pres, i, classical)
 
-        monkeypatch.setattr(harmonics, "_cell_entries", cell)
+        monkeypatch.setattr(harmonics, "_classical_harmonics", cell)
         monkeypatch.setattr(harmonics, "_theta_products", products)
 
     @pytest.mark.skipif(
@@ -1279,15 +1343,14 @@ class TestThetaCells:
         assert sh_dim_table(gd, threads=threads).entries == reference.entries
         seen = log.read_text().splitlines()
         assert len(seen) == len(set(seen))
-        cells = [tuple(map(int, line.split()[1:])) for line in seen if line.startswith("cell")]
+        cells = [int(line.split()[1]) for line in seen if line.startswith("cell")]
         pieces = [int(line.split()[1]) for line in seen if line.startswith("pieces")]
-        # the (i, 0) cells the down-set leaves open, and no whole k >= 1 cell
+        # H_i of the (i, 0) cells the down-set leaves open
         open_rows = {
             i for i, k in harmonics._cell_range(gd)
             if k == 0 and (i == 0 or reference.dim(i - 1, 0))
         }
-        assert {i for i, _ in cells} == open_rows
-        assert all(k == 0 for _, k in cells)
+        assert set(cells) == open_rows
         # the d f_j pieces of each x-degree that has a computed k >= 1 cell,
         # assembled once per walk
         n = gd.cell_presentation().n

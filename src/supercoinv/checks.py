@@ -10,8 +10,6 @@ of ``harmonics``.
   complement, the double-det harmonic Gamma and the top theta-degree row.
 * ``support_check``: the bidegree and total-degree support of the harmonics
   against the predicted bounds, and the top total-degree slice.
-* ``det_isotypic_basis``: the span of the det-isotypic elements, which must
-  be independent.
 
 They are also importable from ``harmonics``.
 """
@@ -343,42 +341,6 @@ def _gamma_map_rank(gamma: SuperPoly, mons, n: int, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# det-isotypic elements
-# ---------------------------------------------------------------------------
-
-
-def det_isotypic_basis(gd: GroupData) -> dict[int, Subspace]:
-    """Span of the det-isotypic elements, grouped by theta-degree.
-
-    The 2^r elements must be independent, C(r, k) at each theta-degree k.
-    """
-    elements = det_isotypic_elements(gd)
-    spec = gd.spec
-    by_k: dict[int, list[SuperPoly]] = {}
-    for subset, elem in sorted(elements.items()):
-        by_k.setdefault(len(subset), []).append(elem)
-    out: dict[int, Subspace] = {}
-    total = 0
-    for k, elems in sorted(by_k.items()):
-        mons = sorted({mon for e in elems for mon in e.terms}, reverse=True)
-        index = {mon: c for c, mon in enumerate(mons)}
-        sub = Subspace.from_vectors(tuple(mons), [_poly_row(e, index) for e in elems])
-        if sub.dimension != len(elems):
-            raise IntegrityError(
-                f"det-isotypic elements of {spec.label()} at theta-degree {k} "
-                f"are dependent ({sub.dimension} < {len(elems)})"
-            )
-        total += sub.dimension
-        out[k] = sub
-    if total != 2**spec.rank:
-        raise IntegrityError(
-            f"det-isotypic space of {spec.label()} has dimension {total}, "
-            f"expected {2 ** spec.rank}"
-        )
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Support theorems
 # ---------------------------------------------------------------------------
 
@@ -443,18 +405,35 @@ def support_check(
     top_dims = {key: sub.dimension for key, sub in top_cells.items() if sub.dimension}
     top_total = sum(top_dims.values())
 
-    def span(key, polys) -> Subspace:
-        index = _cell_index(n, *key)
-        return Subspace.from_vectors(cell_monomials(n, *key), [_poly_row(f, index) for f in polys])
-
     # Is the top slice exactly K Delta + K dDelta?
     delta = gd.vandermondian
     ddelta = gd.exterior_d.apply(delta)
-    pair = {(dmax, 0): [delta], (dmax - 1, 1): [ddelta] if ddelta else []}
-    pair_ok = all(sub == span(key, pair.get(key, [])) for key, sub in top_cells.items())
-    det_elems = det_isotypic_elements(gd).values()
-    in_det = all(sub == span(key, [e for e in det_elems if e.bidegree() == key])
-                 for key, sub in top_cells.items() if sub.dimension)
+    pair_ok = True
+    for key, sub in sorted(top_cells.items()):
+        expected: list[SuperPoly] = []
+        if key == (dmax, 0):
+            expected = [delta]
+        elif key == (dmax - 1, 1) and ddelta:
+            expected = [ddelta]
+        index = _cell_index(n, *key)
+        span = Subspace.from_vectors(
+            cell_monomials(n, *key), [_poly_row(f, index) for f in expected]
+        )
+        if (sub.dimension != span.dimension) or (sub.basis != span.basis):
+            pair_ok = False
+
+    det_elems = det_isotypic_elements(gd)
+    in_det = True
+    for key, sub in sorted(top_cells.items()):
+        if sub.dimension == 0:
+            continue
+        index = _cell_index(n, *key)
+        det_here = [
+            _poly_row(e, index) for e in det_elems.values() if e.bidegree() == key
+        ]
+        det_span = Subspace.from_vectors(cell_monomials(n, *key), det_here)
+        if sub.basis != det_span.basis:
+            in_det = False
 
     return SupportReport(
         group=spec,

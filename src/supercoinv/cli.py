@@ -279,9 +279,18 @@ def _dispatch(args, cache: ResultCache) -> int:
         return EXIT_OK
 
     if args.command == "verify":
-        options = {key: getattr(args, key) for key in ("m", "p", "n", "family", "j", "N", "degree")}
-        reports = verify.run_suite(args.suite, **options, budget=args.cell_budget,
-                                   threads=args.threads)
+        reports = verify.run_suite(
+            args.suite,
+            m=args.m,
+            p=args.p,
+            n=args.n,
+            family=args.family,
+            j=args.j,
+            N=args.N,
+            degree=args.degree,
+            budget=args.cell_budget,
+            threads=args.threads,
+        )
         if args.format == "json":
             for r in reports:
                 print(r.to_json())

@@ -26,7 +26,6 @@ from itertools import combinations, combinations_with_replacement, product
 from math import factorial, prod
 from operator import add, sub
 
-from .groups import IntegrityError
 from .linalg import _content_reduce
 from .records import Value
 from .superpoly import SuperPoly, unchecked, x_monomials
@@ -257,8 +256,10 @@ def apolar_rows(basis, n: int, degree: int) -> list[list[tuple[int, int]]]:
     <x^a, x^b> = a! [a = b], so each h^(s) is orthogonal to I.  The normal
     forms are built in increasing lex order: a non-standard x^a is reduced
     once, by the first basis element whose leading monomial divides it, to
-    lex-smaller monomials of the degree.  Raises IntegrityError unless each
-    row's only standard column is its own, which makes the rows independent.
+    lex-smaller monomials of the degree.  A standard x^s has NF(x^s) = x^s
+    and every normal form lies on the standard columns, so each row's only
+    standard column is its own: the rows are unitriangular there, hence
+    independent, by construction.
     """
     position = {a: col for col, a in enumerate(x_monomials(n, degree))}
     steps = []
@@ -284,22 +285,29 @@ def apolar_rows(basis, n: int, degree: int) -> list[list[tuple[int, int]]]:
         weight = top // prod(map(factorial, a))
         for s, v in row.items():
             forms[s][position[a]] = v * weight
-    rows = []
-    for s in sorted(forms):
-        rows.append(_content_reduce(sorted(forms[s].items())))
-        if [col for col, _ in rows[-1] if col in forms] != [s]:
-            raise IntegrityError(f"degree-{degree} standard form {s} is not unitriangular")
-    return rows
+    return [_content_reduce(sorted(forms[s].items())) for s in sorted(forms)]
 
 
 def predicted_leading_monomials(m: int, p: int, n: int) -> set[Exp]:
-    """Leading monomials of groebner_generators under lex, in closed form:
-    x_j^{jm} (j < n if p > 1) and, if p > 1, x_j^{(j-1)m+m/p} (x_{j+1}...x_n)^{m/p}."""
+    """Leading monomials of groebner_generators under lex, in closed form."""
+    out: set[Exp] = set()
+    if p == 1:
+        for j in range(1, n + 1):
+            exp = [0] * n
+            exp[j - 1] = j * m
+            out.add(tuple(exp))
+        return out
     mp = m // p
-    out = {tuple(j * m * (v == j) for v in range(1, n + 1)) for j in range(1, n + (p == 1))}
-    if p > 1:
-        out |= {tuple((j - 1) * m + mp if v == j else mp * (v > j) for v in range(1, n + 1))
-                for j in range(1, n + 1)}
+    for j in range(1, n):
+        exp = [0] * n
+        exp[j - 1] = j * m
+        out.add(tuple(exp))
+    for j in range(1, n + 1):
+        exp = [0] * n
+        exp[j - 1] = (j - 1) * m + mp
+        for v in range(j + 1, n + 1):
+            exp[v - 1] = mp
+        out.add(tuple(exp))
     return out
 
 

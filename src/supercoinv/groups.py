@@ -337,8 +337,20 @@ def build_group(m: int, p: int, n: int) -> GroupData:
 
 
 def _perm_sign(perm) -> int:
-    """(-1) to the number of inversions of a permutation tuple."""
-    return -1 if sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]) & 1 else 1
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j = i
+        length = 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
 
 
 def group_info(spec: GroupSpec) -> dict:

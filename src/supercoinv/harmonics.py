@@ -5,48 +5,55 @@ derivative operator attached to the coinvariant ideal; since that ideal is
 generated by the basic invariants f_i together with their exterior
 derivatives d f_i, the bidegree-(i, k) harmonic space is the common kernel of
 the 2n operators  d_{f_i}, d_{d f_i}  restricted to the (i, k) monomial cell.
+The (i, 0) cell holds the rows of the f_i alone; its kernel, the classical
+harmonics H_i, takes no elimination: it is read off the paper's closed-form
+Groebner basis, one form per standard monomial (``groebner.apolar_rows``),
+and certified (``_classical_harmonics``).  The f_i have no theta, so on an
+(i, k) cell their rows are those of the (i, 0) cell times the identity on
+the theta words, and the cell is solved on H_i (x) Lambda^k: only the d f_i
+rows are eliminated there, on dim H_i * C(n, k) columns, and bases are
+lifted back through the H_i basis.
 
-The classical harmonics H_i (the (i, 0) cells, the f_i alone) take no
-elimination: they are read off the paper's closed-form Groebner basis, one
-form per standard monomial (``groebner.apolar_rows``), and certified against
-the f_i and their operators (``_classical_harmonics``).  The f_i have no
-theta, so on an (i, k) cell their rows are those of the (i, 0) cell times
-the identity on the theta words, and the cell is solved on H_i (x) Lambda^k:
-only the d f_i rows are eliminated there, on dim H_i * C(n, k) columns, and
-bases are lifted back through the H_i basis.
-
-Everything is exact linear algebra on sparse integer matrices, assembled
-directly as content-reduced integer rows (rational generators are first
-scaled by the lcm of their denominators, which leaves every reduced row
-unchanged): each entry is a falling factorial times a Koszul sign, read from
-per-degree tables (``_derivative_sources``).  The rows are streamed into the
-incremental Gauss-Jordan eliminator of ``linalg``.
+Everything is exact rational linear algebra on sparse integer matrices.  Cell
+matrices are assembled directly as content-reduced integer rows: the
+generators have integer coefficients (rational ones are first scaled by the
+lcm of their denominators, which leaves every reduced row unchanged), and
+each entry is a falling factorial times a Koszul sign, read from per-degree
+tables (``_derivative_sources``).  The rows are streamed into the
+incremental Gauss-Jordan eliminator of ``linalg``, which stops pulling rows
+once the rank reaches the cell dimension; ranks, reduced echelon bases and
+nullspaces all come from that one path.
 
 Every eliminated entry is first checked against the ideal products mu * g
 (``_check_against_products``): under the pairing <x^a theta_I, x^a theta_I>
 = a! the operator-side and ideal-side matrices agree up to diagonal scaling,
 so they have the same rank and the harmonic count equals the quotient-side
-count; a mismatch raises IntegrityError.  The d f_i are checked one factor
-at a time: d_{d f_i} = sum_l (d f_i / d x_l)(d) d/dtheta_l, so each d f_i
-and its operator are split by theta-index into x-only pieces
-(``_theta_pieces``), the pieces are checked once per x-degree at
-theta-degree 0 and multiplied into the H_i basis (``_theta_products``), and
-a cell (i, k >= 1) builds its rows from those products and the contractions
-d/dtheta_l theta_I = +-theta_J, whose signs are checked once per k
-(``_contractions``).  The check proves equal ranks, not that the one
-elimination is right (the reference-rank tests and the golden table rows
-cover that).  ``coinvariant_cell_dimension`` keeps the full quotient-side
-route.
+count; a mismatch raises IntegrityError.  The f_i operators are checked
+once, each on its own (d_i, 0) cell (``_f_operators``).  The d f_i are
+checked one factor at a time: d_{d f_i} = sum_l (d f_i / d x_l)(d)
+d/dtheta_l, so each d f_i and its operator are split by theta-index into
+x-only pieces (``_theta_pieces``, which refuses any other shape), the pieces
+are assembled and checked once per x-degree at theta-degree 0 and multiplied
+into the H_i basis (``_theta_products``), and a cell (i, k >= 1) builds its
+rows from those products and the contractions d/dtheta_l theta_I =
++-theta_J, whose signs are checked once per k against the products
+theta_J theta_l and the pairing's sign (``_contractions``).  The check proves
+equal ranks, not that the one elimination is right (the reference-rank tests
+and the golden table rows cover that), but every H_i must have the count of
+Chevalley's prod_i [d_i]_q.  ``coinvariant_cell_dimension`` keeps the full
+quotient-side route.
 
 For S_n (n >= 2) the dimension cells are computed in the reduced presentation
 of ``GroupData.cell_presentation``: the ideal contains f_1 = x_1 + ... + x_n
 and d f_1 = theta_1 + ... + theta_n, and substituting x_n -> -(y_1 + ... +
 y_{n-1}), theta_n -> -(eta_1 + ... + eta_{n-1}) identifies the quotient with
 Q[y, eta]/I' in every bidegree, so a cell has C(i+n-2, n-2) C(n-1, k) columns
-instead of C(i+n-1, n-1) C(n, k).  The checks hold in any polynomial ring, so
-they run unchanged there; the budget estimates stay those of the
-x-presentation.  Bases (``harmonic_cell``, ``harmonic_cells``,
-``kernel_intersection``, exactness, support) stay in x.
+instead of C(i+n-1, n-1) C(n, k).  The pairing argument and the entrywise
+check hold in any polynomial ring, so they run unchanged there, and H_i is
+read off the image of the closed-form basis; the budget estimates stay those
+of the x-presentation.  Bases (``harmonic_cell``, ``harmonic_cells``,
+``kernel_intersection``, exactness, support) stay in x, because they are the
+harmonics themselves.
 
 The support of the harmonics is a down-set: SH is closed under every d/dx_j
 and d/dtheta_j, so a zero at (i-1, k) or (i, k-1) certifies SH^{i,k} = 0.
@@ -54,18 +61,20 @@ One walker, ``_walk``, serves the whole-table entry points (``sh_dim_table``,
 ``harmonic_cells``, the top row of ``checks.fitting_structures``): it records
 such cells as zero without building them, and hands the per-x-degree data
 (H_i, and the d f_i products on it) of each cell to the later cells of the
-same walk.  Cells whose matrices would exceed the cell budget (rows x
-columns entries) are refused with a size estimate; the walker checks every
-cell, skipped or not, before it computes the first one.
+same walk, never beyond it, until no later cell of that x-degree is left.
+Cells whose matrices would exceed the cell budget (rows x columns entries)
+are refused with a size estimate; the walker checks every cell, skipped or
+not, before it computes the first one.
 
 The derivative closure of the det-isotypic elements d_{i_1}...d_{i_k} Delta
 is computed one x-degree at a time, top down: only the rows found
-independent one x-degree higher are differentiated, by one x_j at a time,
-through a cached table of each x-degree (``_x_lowering``).
+independent one x-degree higher are differentiated, by one x_j at a time.
+Its rows are content-reduced integer rows over the cell columns, and d/dx_j
+maps each column through a cached table of its x-degree (``_x_lowering``:
+the position of x^(a - e_j) and the weight a_j), which keeps rows sorted.
 
 The named checks (exactness, the Laplacian spectrum, the Fitting apparatus,
-support, the independence of the det-isotypic elements) live in ``checks``
-and are importable from here too.
+support) live in ``checks`` and are importable from here too.
 """
 
 from __future__ import annotations
@@ -77,9 +86,10 @@ from functools import lru_cache
 from math import comb, factorial, lcm, perm, prod
 from itertools import chain, combinations, product, repeat
 from operator import add
+from types import SimpleNamespace
 
 from . import groebner, linalg
-from .dimtable import DimTable, latex_table  # noqa: F401
+from .dimtable import DimTable
 from .groups import GroupData, GroupSpec, IntegrityError, ReducedPresentation
 from .qseries import QPoly, q_integer
 from .records import Value
@@ -148,6 +158,29 @@ class Subspace(Value):
         rows = linalg.rref(vectors, len(ambient))
         frozen = tuple(tuple(sorted(r.items())) for r in rows)
         return Subspace(tuple(ambient), frozen)
+
+
+def latex_table(rows: list[tuple[str, str, str]]) -> str:
+    """Two-column Hilbert series table (q = 1 specialization in z).
+
+    rows: (group label, harmonic series, derivative-closure series); the
+    closure column prints "(same)" when it equals the harmonic one.
+    """
+    lines = [
+        r"\begin{tabular}{c|c|c}",
+        r"$G$ & $\mathrm{Hilb}(\mathcal{SH}_G; 1, z)$ & "
+        r"$\mathrm{Hilb}(K[\partial_{x_1},\ldots,\partial_{x_n}]"
+        r"\mathcal{SH}_G^{\det}; 1, z)$ \\",
+        r"\toprule",
+    ]
+    for idx, (label, sh, closure) in enumerate(rows):
+        if idx:
+            lines.append(r"\midrule")
+        sh_tex = sh.replace("*", "")
+        closure_cell = "(same)" if closure == sh else f"${closure.replace('*', '')}$"
+        lines.append(f"${label}$ & ${sh_tex}$ & {closure_cell} \\\\")
+    lines.append(r"\end{tabular}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -473,18 +506,25 @@ def _degree_data(pres: GroupData | ReducedPresentation, i: int, k: int):
 def _classical_harmonics(pres: GroupData | ReducedPresentation, i: int) -> list:
     """H_i as content-reduced integer rows over the degree-i x-monomials, one
     per standard monomial of the paper's closed-form Groebner basis, in order
-    (``groebner.apolar_rows``, which also proves them independent).
+    (``groebner.apolar_rows``, whose rows are independent by construction).
 
     Certified, or IntegrityError: the f_j operators are those of the f_j
     (``_f_operators``), every one kills every row, and the rows are as many
     as the q^i coefficient of Chevalley's prod_j [d_j]_q, dim H_i.
     """
     spec, n = pres.spec, pres.n
-    ops, chevalley = _f_operators(pres, tuple(pres.ideal_generators()),
+    ops, chevalley = _f_operators(spec, n, tuple(pres.ideal_generators()),
                                   tuple(pres.harmonic_generator_operators()))
     rows = groebner.apolar_rows(groebner.closed_form_basis(spec.m, spec.p, spec.n, n), n, i)
-    by_x = linalg.by_column(rows)
-    for op in ops:  # f_j(d) of every row at once: {(target, row): value}
+    # f_j(d) of every row at once, {(target, row): value}, one operator at a
+    # time and read off ``_derivative_sources``: ``linalg.products`` on the
+    # (i, 0) entries would hold the operator matrices, which more than
+    # doubled the peak memory of S_6's theta-degree 0 column
+    by_x = {}
+    for h, vec in enumerate(rows):
+        for xi, b in vec:
+            by_x.setdefault(xi, []).append((h, b))
+    for op in ops:
         images = {}
         for (_, _, beta, _), c in _integer_terms(op.terms):
             for r, (xi, w) in enumerate(zip(*_derivative_sources(n, i, beta))):
@@ -501,12 +541,14 @@ def _classical_harmonics(pres: GroupData | ReducedPresentation, i: int) -> list:
 
 
 @lru_cache(maxsize=1)
-def _f_operators(pres: GroupData | ReducedPresentation, generators: tuple, operators: tuple):
+def _f_operators(spec: GroupSpec, n: int, generators: tuple, operators: tuple):
     """The operators of the f_j (the theta-free generators), checked once for
-    the latest presentation, generators and operators: each is x-derivatives
-    of total degree d_j alone, with the entries of f_j on its (d_j, 0) cell
+    the latest generators and operators: each is x-derivatives of total
+    degree d_j alone, with the entries of f_j on its (d_j, 0) cell
     (``_check_against_products``), so on every (i, 0) cell; else
     IntegrityError.  Also Chevalley's prod_j [d_j]_q of the group."""
+    # given the generators, the check reads only these of a presentation
+    pres = SimpleNamespace(spec=spec, n=n)
     ops = []
     for oi, (g, op) in enumerate(zip(generators, operators)):
         d, k = g.bidegree()
@@ -514,23 +556,23 @@ def _f_operators(pres: GroupData | ReducedPresentation, generators: tuple, opera
             continue
         if any(any(mx) or mt or dt or sum(dx) != d for mx, mt, dx, dt in op.terms):
             raise IntegrityError(
-                f"{pres.spec.label()}: an f_j operator acts on theta or is not x-derivatives "
+                f"{spec.label()}: an f_j operator acts on theta or is not x-derivatives "
                 "of its degree alone"
             )
         try:
-            _check_against_products(pres, _operator_entries([op], pres.n, d, 0), d, 0, [g])
+            _check_against_products(pres, _operator_entries([op], n, d, 0), d, 0, [g])
         except IntegrityError as exc:
             raise IntegrityError(f"{exc} (operator {oi} alone)") from None
         ops.append(op)
-    return ops, prod(map(q_integer, pres.spec.degrees), start=QPoly.one())
+    return ops, prod(map(q_integer, spec.degrees), start=QPoly.one())
 
 
 @lru_cache(maxsize=1)
-def _theta_pieces(pres: GroupData | ReducedPresentation, generators: tuple, operators: tuple):
+def _theta_pieces(spec: GroupSpec, n: int, generators: tuple, operators: tuple):
     """Every d f_j and its operator split by theta-index: (generator index,
     [l], [the x-part of the theta_l terms of d f_j], [that of its operator]),
     the l-th pieces d f_j / d theta_l = d f_j / d x_l and (d f_j / d x_l)(d_x)
-    in increasing l; kept for the latest presentation, generators and operators.
+    in increasing l; kept for the latest generators and operators.
 
     Both are x-only, with the integers of the whole generator and operator
     (each scaled by the lcm of its denominators), so the pieces give the
@@ -539,7 +581,7 @@ def _theta_pieces(pres: GroupData | ReducedPresentation, generators: tuple, oper
     times one d/dtheta_l, and the generator and the operator carry the same
     theta-indices (the f_j operators are checked by ``_f_operators``).
     """
-    label, n, out = pres.spec.label(), pres.n, []
+    label, out = spec.label(), []
     for oi, (g, op) in enumerate(zip(generators, operators)):
         if not g.bidegree()[1]:
             continue
@@ -568,8 +610,9 @@ def _theta_products(pres: GroupData | ReducedPresentation, i: int, classical):
     pieces of one d f_j are assembled at a time, so only their entries are
     held."""
     out = {}
-    for oi, ls, gens, ops in _theta_pieces(pres, tuple(pres.ideal_generators()),
-                                           tuple(pres.harmonic_generator_operators())):
+    pieces = _theta_pieces(pres.spec, pres.n, tuple(pres.ideal_generators()),
+                           tuple(pres.harmonic_generator_operators()))
+    for oi, ls, gens, ops in pieces:
         entries = _operator_entries(ops, pres.n, i, 0)
         try:
             _check_against_products(pres, entries, i, 0, gens)
@@ -761,7 +804,10 @@ def sh_dim_table(
     with ExitStack() as stack:
         dims = _walk(gd, list(_cell_range(gd)), budget, harmonic_cell_dimension,
                      pool_map if threads > 1 else map)
-    return DimTable(gd.spec, {cell: dim for cell, dim in dims.items() if dim})
+    table = DimTable(gd.spec)
+    for (i, k), dim in dims.items():
+        table.set(i, k, dim)
+    return table
 
 
 def harmonic_cells(
@@ -782,7 +828,7 @@ def harmonic_cells(
 
 
 # ---------------------------------------------------------------------------
-# det-isotypic elements and derivative closure
+# det-isotypic basis and derivative closure
 # ---------------------------------------------------------------------------
 
 
@@ -836,6 +882,37 @@ def _build_det_isotypic_elements(gd: GroupData) -> dict[tuple[int, ...], SuperPo
     return out
 
 
+def det_isotypic_basis(gd: GroupData) -> dict[int, Subspace]:
+    """Span of the det-isotypic elements, grouped by theta-degree.
+
+    The 2^r elements must be independent, C(r, k) at each theta-degree k.
+    """
+    elements = det_isotypic_elements(gd)
+    spec = gd.spec
+    by_k: dict[int, list[SuperPoly]] = {}
+    for subset, elem in sorted(elements.items()):
+        by_k.setdefault(len(subset), []).append(elem)
+    out: dict[int, Subspace] = {}
+    total = 0
+    for k, elems in sorted(by_k.items()):
+        mons = sorted({mon for e in elems for mon in e.terms}, reverse=True)
+        index = {mon: c for c, mon in enumerate(mons)}
+        sub = Subspace.from_vectors(tuple(mons), [_poly_row(e, index) for e in elems])
+        if sub.dimension != len(elems):
+            raise IntegrityError(
+                f"det-isotypic elements of {spec.label()} at theta-degree {k} "
+                f"are dependent ({sub.dimension} < {len(elems)})"
+            )
+        total += sub.dimension
+        out[k] = sub
+    if total != 2**spec.rank:
+        raise IntegrityError(
+            f"det-isotypic space of {spec.label()} has dimension {total}, "
+            f"expected {2 ** spec.rank}"
+        )
+    return out
+
+
 def derivative_closure(gd: GroupData, budget: int = DEFAULT_CELL_BUDGET) -> DimTable:
     """Bidegree dimensions of the span of all x-derivatives of the
     det-isotypic elements.
@@ -881,7 +958,6 @@ def derivative_closure(gd: GroupData, budget: int = DEFAULT_CELL_BUDGET) -> DimT
 
 # The named checks live in ``checks``, which reads the cell engine above.
 from .checks import (  # noqa: E402
-    det_isotypic_basis,
     exactness_check,
     fitting_structures,
     laplacian_spectrum_check,

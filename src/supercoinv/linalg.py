@@ -36,9 +36,19 @@ def to_int_row(vec) -> IntRow:
     Rational values are cleared to integers by the denominator lcm; the row
     is then content-reduced with positive leading value.
     """
-    items = [(c, v) for c, v in sorted(vec.items() if isinstance(vec, dict) else vec) if v]
-    den = lcm(*(v.denominator for _, v in items))
-    return _content_reduce([(c, int(v * den)) for c, v in items])
+    items = sorted(vec.items() if isinstance(vec, dict) else vec)
+    items = [(c, v) for c, v in items if v]
+    if not items:
+        return []
+    den = 1
+    for _, v in items:
+        if isinstance(v, Fraction) and v.denominator != 1:
+            den = den * v.denominator // gcd(den, v.denominator)
+    if den != 1:
+        items = [(c, int(v * den)) for c, v in items]
+    else:
+        items = [(c, int(v)) for c, v in items]
+    return _content_reduce(items)
 
 
 def _content_reduce(items: IntRow) -> IntRow:
@@ -232,21 +242,15 @@ def residual(rref_rows: list[FracVec], vec: FracVec) -> FracVec:
     return work
 
 
-def by_column(rows: list[IntRow]) -> dict[int, list]:
-    """{column: [(h, value)]} over the IntRows rows[h]."""
-    out = {}
-    for h, vec in enumerate(rows):
-        for c, b in vec:
-            out.setdefault(c, []).append((h, b))
-    return out
-
-
 def products(matrix: dict, rows: list[IntRow]) -> dict:
     """{key: [(h, value)]}: every row {column: value} of a sparse matrix
     {key: row} dotted with every IntRow rows[h], zero products left out.
-    Only the columns some rows[h] holds are visited (``by_column``).
+    Only the columns some rows[h] holds are visited.
     """
-    by_col = by_column(rows)
+    by_col = {}
+    for h, vec in enumerate(rows):
+        for c, b in vec:
+            by_col.setdefault(c, []).append((h, b))
     out = {}
     for key, row in matrix.items():
         acc = {}

@@ -24,52 +24,27 @@ from functools import lru_cache
 Rational = Fraction
 
 
-def signed_sum(terms) -> str:
-    """Render (coefficient, [factor]) pairs as e.g. ``-3*q^2*z + q - 1``: each
-    nonzero term is |coefficient| (left out when 1 and factors remain) times
-    its factors, joined by signs; "0" when no term is left."""
-    text = ""
-    for c, factors in terms:
-        if c:
-            mag = [str(abs(c))] if abs(c) != 1 or not factors else []
-            text += f" {'-' if c < 0 else '+'} {'*'.join(mag + factors)}"
-    if not text:
-        return "0"
-    return text[3:] if text[1] == "+" else "-" + text[3:]
-
-
-def _power(var: str, e: int) -> list[str]:
-    return [] if e == 0 else [var if e == 1 else f"{var}^{e}"]
-
-
-def add_terms(a: dict, b: dict) -> dict:
-    """The term map a + b, zero sums dropped."""
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, 0) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def power(base, k: int, one):
-    """base ** k by repeated squaring, from the unit ``one``."""
-    if k < 0:
-        raise ValueError("negative power")
-    result = one
-    while k:
-        if k & 1:
-            result = result * base
-        base = base * base
-        k >>= 1
-    return result
-
-
 def format_poly(coeffs: dict[int, int], var: str = "q") -> str:
     """Render {exponent: coefficient} as e.g. ``z^2 + 6*z + 6``."""
-    return signed_sum((coeffs[e], _power(var, e)) for e in sorted(coeffs, reverse=True))
+    if not coeffs:
+        return "0"
+    parts = []
+    for e in sorted(coeffs, reverse=True):
+        c = coeffs[e]
+        if c == 0:
+            continue
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        elif e == 1:
+            body = var if mag == 1 else f"{mag}*{var}"
+        else:
+            body = f"{var}^{e}" if mag == 1 else f"{mag}*{var}^{e}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) if parts else "0"
 
 
 class QPoly:
@@ -130,7 +105,14 @@ class QPoly:
     def __add__(self, other) -> "QPoly":
         if isinstance(other, int):
             other = QPoly({0: other})
-        return QPoly._of(add_terms(self.coeffs, other.coeffs))
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            s = out.get(e, 0) + c
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return QPoly._of(out)
 
     __radd__ = __add__
 
@@ -153,13 +135,27 @@ class QPoly:
         out: dict[int, int] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return QPoly(out)
+                e = e1 + e2
+                s = out.get(e, 0) + c1 * c2
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return QPoly._of(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "QPoly":
-        return power(self, k, QPoly.one())
+        if k < 0:
+            raise ValueError("negative power")
+        result = QPoly.one()
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
 
     def stretch(self, r: int) -> "QPoly":
         """Substitute q -> q^r."""
@@ -209,7 +205,12 @@ class QZPoly:
         """Substitute z -> sign * q^j, collapsing to a polynomial in q."""
         out: dict[int, int] = {}
         for (qe, ze), c in self.coeffs.items():
-            out[qe + j * ze] = out.get(qe + j * ze, 0) + c * sign**ze
+            e = qe + j * ze
+            s = out.get(e, 0) + c * (sign**ze)
+            if s:
+                out[e] = s
+            else:
+                del out[e]
         return QPoly(out)
 
     def specialize(self, var: str, value: int) -> dict[int, int]:
@@ -226,8 +227,24 @@ class QZPoly:
         return sum(c * q**qe * z**ze for (qe, ze), c in self.coeffs.items())
 
     def __str__(self):
-        return signed_sum((self.coeffs[qe, ze], _power("q", qe) + _power("z", ze))
-                          for qe, ze in sorted(self.coeffs, reverse=True))
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for (qe, ze) in sorted(self.coeffs, reverse=True):
+            c = self.coeffs[(qe, ze)]
+            factors = []
+            if abs(c) != 1 or (qe == 0 and ze == 0):
+                factors.append(str(abs(c)))
+            if qe:
+                factors.append("q" if qe == 1 else f"q^{qe}")
+            if ze:
+                factors.append("z" if ze == 1 else f"z^{ze}")
+            body = "*".join(factors)
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(parts)
 
     __repr__ = __str__
 

@@ -36,8 +36,6 @@ from functools import lru_cache
 from math import comb, lcm
 from operator import add, sub
 
-from .qseries import _power, add_terms, power, signed_sum
-
 XExp = tuple[int, ...]
 Thetas = tuple[int, ...]
 Monomial = tuple[XExp, Thetas]
@@ -217,7 +215,14 @@ class SuperPoly:
         if isinstance(other, (int, Fraction)):
             other = SuperPoly.constant(self.n, other)
         self._check(other)
-        return unchecked(SuperPoly, self.n, add_terms(self.terms, other.terms))
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            s = out.get(k, Fraction(0)) + v
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+        return unchecked(SuperPoly, self.n, out)
 
     __radd__ = __add__
 
@@ -241,14 +246,29 @@ class SuperPoly:
                 merged = merge_thetas(t1, t2)
                 if merged is None:
                     continue
-                key = (tuple(map(add, x1, x2)), merged[1])
-                out[key] = out.get(key, 0) + merged[0] * c1 * c2
-        return unchecked(SuperPoly, self.n, {k: v for k, v in out.items() if v})
+                sign, thetas = merged
+                xexp = tuple(a + b for a, b in zip(x1, x2))
+                key = (xexp, thetas)
+                s = out.get(key, Fraction(0)) + sign * c1 * c2
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+        return unchecked(SuperPoly, self.n, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "SuperPoly":
-        return power(self, k, SuperPoly.one(self.n))
+        if k < 0:
+            raise ValueError("negative power")
+        result = SuperPoly.one(self.n)
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
 
     # -- calculus --------------------------------------------------------
 
@@ -261,8 +281,14 @@ class SuperPoly:
             hit = theta_interior(i, thetas)
             if hit is None:
                 continue
-            out[xexp, hit[1]] = out.get((xexp, hit[1]), 0) + hit[0] * c
-        return unchecked(SuperPoly, self.n, {k: v for k, v in out.items() if v})
+            sign, rest = hit
+            key = (xexp, rest)
+            s = out.get(key, Fraction(0)) + sign * c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+        return unchecked(SuperPoly, self.n, out)
 
     def scalar_ratio(self, other: "SuperPoly") -> Fraction | None:
         """c with self == c * other, or None (zero polys never match nonzero)."""
@@ -287,11 +313,30 @@ class SuperPoly:
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
     def to_string(self) -> str:
-        return signed_sum(
-            (c, [f for j, e in enumerate(xexp) for f in _power(f"x{j + 1}", e)]
-             + [f"t{t}" for t in thetas])
-            for (xexp, thetas), c in self.sorted_terms()
-        )
+        if not self.terms:
+            return "0"
+        parts = []
+        for (xexp, thetas), c in self.sorted_terms():
+            factors = []
+            for j, e in enumerate(xexp):
+                if e == 1:
+                    factors.append(f"x{j + 1}")
+                elif e:
+                    factors.append(f"x{j + 1}^{e}")
+            for t in thetas:
+                factors.append(f"t{t}")
+            mag = abs(c)
+            if not factors:
+                body = str(mag)
+            elif mag == 1:
+                body = "*".join(factors)
+            else:
+                body = "*".join([str(mag)] + factors)
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(parts)
 
     __str__ = to_string
 
@@ -377,8 +422,12 @@ def _normalize_theta_word(word: tuple) -> tuple[tuple[tuple[Thetas, Thetas], int
             out: dict[tuple[Thetas, Thetas], int] = {}
             for w, c in results.items():
                 for key, c2 in _normalize_theta_word(w):
-                    out[key] = out.get(key, 0) + c * c2
-            return tuple(sorted((key, c) for key, c in out.items() if c))
+                    s = out.get(key, 0) + c * c2
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
+            return tuple(sorted(out.items()))
         if k1 == k2 == "m":
             if i1 == i2:
                 return ()
@@ -496,7 +545,14 @@ class Operator:
     def __add__(self, other: "Operator") -> "Operator":
         if self.n != other.n:
             raise ValueError("mismatched variable counts")
-        return unchecked(Operator, self.n, add_terms(self.terms, other.terms))
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            s = out.get(k, Fraction(0)) + v
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+        return unchecked(Operator, self.n, out)
 
     def __sub__(self, other: "Operator") -> "Operator":
         return self + (-1) * other
@@ -540,9 +596,13 @@ class Operator:
                 for j, b in xders:
                     c *= falling_factorial(xexp[j], b)
                 key = (tuple(map(add, map(sub, xexp, derx), mulx)), act[1])
-                out[key] = out.get(key, 0) + c
+                val = out.get(key, 0) + c
+                if val:
+                    out[key] = val
+                else:
+                    del out[key]
         den = oden * fden
-        return unchecked(SuperPoly, self.n, {k: Fraction(v, den) for k, v in out.items() if v})
+        return unchecked(SuperPoly, self.n, {k: Fraction(v, den) for k, v in out.items()})
 
     __call__ = apply
 
@@ -590,8 +650,12 @@ class Operator:
                     derx = tuple(x + y for x, y in zip(der_mid, d2))
                     for (bt, ct), tsign in theta_terms:
                         key = (mulx, bt, derx, ct)
-                        out[key] = out.get(key, 0) + coeff * tsign
-        return unchecked(Operator, self.n, {k: v for k, v in out.items() if v})
+                        val = out.get(key, Fraction(0)) + coeff * tsign
+                        if val:
+                            out[key] = val
+                        else:
+                            del out[key]
+        return unchecked(Operator, self.n, out)
 
     def bidegree_shift(self) -> tuple[int, int] | None:
         """(x-degree shift, theta-degree shift) if uniform across terms."""

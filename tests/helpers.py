@@ -9,9 +9,10 @@ reduced presentation of S_n is pinned to, the whole-cell harmonic
 dimension, kernel and d f_j rows on H_i (x) Lambda^k that the
 H_i (x) Lambda^k route and its split of the d f_j by theta-index are
 pinned to, H_i as the nullspace of the (i, 0) cell that the
-closed-form Groebner route to H_i is pinned to, the x-derivative by exponent subtraction that the derivative
-closure and its lowering tables are pinned to, the
-rational coefficient vector of a SuperPoly over a cell index, and the
+closed-form Groebner route to H_i is pinned to, the x-derivative by
+exponent subtraction that the derivative closure and its lowering tables
+are pinned to, the rational coefficient vector of a SuperPoly over a cell
+index, and the
 Diagram record with the three-clause pivot condition for G(m, p, n)
 diagrams.
 """

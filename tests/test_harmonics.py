@@ -1170,7 +1170,9 @@ class TestClassicalHarmonics:
     checked (i, 0) cell (``helpers.eliminated_harmonics``), and its
     certificate."""
 
-    GROUPS = DOWN_SET_GROUPS + [GroupSpec.create(*key) for key in [(1, 1, 5), (2, 1, 4), (2, 2, 4)]]
+    GROUPS = DOWN_SET_GROUPS + [
+        GroupSpec.create(*key) for key in [(1, 1, 5), (2, 1, 4), (2, 2, 4)]
+    ]
 
     @pytest.mark.parametrize("spec", GROUPS, ids=lambda spec: f"{spec.m}-{spec.p}-{spec.n}")
     def test_rows_span_the_eliminated_kernel(self, spec):
@@ -1216,10 +1218,15 @@ class TestClassicalHarmonics:
         # the last variable appended to the basis makes it non-standard: the
         # degree-1 rows stay harmonic and independent but are one too few
         real = groebner.closed_form_basis.__wrapped__
-        monkeypatch.setattr(groebner, "closed_form_basis", lambda m, p, n, variables: (
-            (*real(m, p, n, variables), SuperPoly.monomial(variables, (0,) * (variables - 1) + (1,)))))
+
+        def extended(m, p, n, variables):
+            last = SuperPoly.monomial(variables, (0,) * (variables - 1) + (1,))
+            return (*real(m, p, n, variables), last)
+
+        monkeypatch.setattr(groebner, "closed_form_basis", extended)
         key, count = self.CERTIFIED[label]
-        with pytest.raises(IntegrityError, match=rf"^{label}: theta-degree 0 row has {count} at q\^1"):
+        message = rf"^{label}: theta-degree 0 row has {count} at q\^1"
+        with pytest.raises(IntegrityError, match=message):
             harmonics.harmonic_cell_dimension(build_group(*key), 1, 0)
 
 
@@ -1311,8 +1318,9 @@ class TestThetaCells:
                 assert rows == full_cell_theta_rows(pres, i, k, classical), (i, k)
 
     @staticmethod
-    def _record_assemblies(monkeypatch, log):
+    def _record_assemblies(monkeypatch, log, gens):
         real_cell, real_products = harmonics._classical_harmonics, harmonics._theta_products
+        real_entries = harmonics._operator_entries
 
         def record(line):
             with open(log, "a") as out:
@@ -1326,8 +1334,16 @@ class TestThetaCells:
             record(f"pieces {i}")
             return real_products(pres, i, classical)
 
+        def entries(ops, n, i, k):
+            # all the generator operators at once (compared by value: the
+            # workers hold unpickled copies)
+            if ops == gens:
+                record(f"whole {i} {k}")
+            return real_entries(ops, n, i, k)
+
         monkeypatch.setattr(harmonics, "_classical_harmonics", cell)
         monkeypatch.setattr(harmonics, "_theta_products", products)
+        monkeypatch.setattr(harmonics, "_operator_entries", entries)
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -1339,18 +1355,23 @@ class TestThetaCells:
         gd = build_group(*key)
         reference = sh_dim_table(gd)
         log = tmp_path / "assemblies"
-        self._record_assemblies(monkeypatch, log)
+        self._record_assemblies(
+            monkeypatch, log, gd.cell_presentation().harmonic_generator_operators()
+        )
         assert sh_dim_table(gd, threads=threads).entries == reference.entries
         seen = log.read_text().splitlines()
         assert len(seen) == len(set(seen))
         cells = [int(line.split()[1]) for line in seen if line.startswith("cell")]
         pieces = [int(line.split()[1]) for line in seen if line.startswith("pieces")]
-        # H_i of the (i, 0) cells the down-set leaves open
+        whole = [tuple(map(int, line.split()[1:])) for line in seen if line.startswith("whole")]
+        # H_i of the (i, 0) cells the down-set leaves open, and no whole
+        # k >= 1 cell
         open_rows = {
             i for i, k in harmonics._cell_range(gd)
             if k == 0 and (i == 0 or reference.dim(i - 1, 0))
         }
         assert set(cells) == open_rows
+        assert all(k == 0 for _, k in whole)
         # the d f_j pieces of each x-degree that has a computed k >= 1 cell,
         # assembled once per walk
         n = gd.cell_presentation().n
@@ -1425,6 +1446,17 @@ class TestThetaPieces:
                 assert getattr(harmonics, cell)(gd, i, 0)
                 with pytest.raises(IntegrityError, match=rf"^{label}"):
                     run(gd, i)
+
+
+def test_f_operators_are_checked_once_per_presentation():
+    # a table and the bases of B_3 read H_i at every x-degree; the f_j
+    # operators are checked once and kept for the same generators
+    gd = build_group(2, 1, 3)
+    harmonics._f_operators.cache_clear()
+    sh_dim_table(gd)
+    harmonic_cells(gd)
+    info = harmonics._f_operators.cache_info()
+    assert (info.misses, info.hits > 1) == (1, True)
 
 
 def test_theta_pieces_are_split_once_per_presentation():

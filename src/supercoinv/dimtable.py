@@ -1,6 +1,6 @@
 """The bi-graded dimension table of a group: (x-degree, theta-degree) ->
 dimension, its q, z views and its versioned JSON form, which the result
-cache stores."""
+cache stores; and the LaTeX table of Hilbert series rows."""
 
 from __future__ import annotations
 
@@ -69,3 +69,26 @@ class DimTable(Record):
     @staticmethod
     def from_json(text: str) -> "DimTable":
         return DimTable.from_json_dict(json.loads(text))
+
+
+def latex_table(rows: list[tuple[str, str, str]]) -> str:
+    """Two-column Hilbert series table (q = 1 specialization in z).
+
+    rows: (group label, harmonic series, derivative-closure series); the
+    closure column prints "(same)" when it equals the harmonic one.
+    """
+    lines = [
+        r"\begin{tabular}{c|c|c}",
+        r"$G$ & $\mathrm{Hilb}(\mathcal{SH}_G; 1, z)$ & "
+        r"$\mathrm{Hilb}(K[\partial_{x_1},\ldots,\partial_{x_n}]"
+        r"\mathcal{SH}_G^{\det}; 1, z)$ \\",
+        r"\toprule",
+    ]
+    for idx, (label, sh, closure) in enumerate(rows):
+        if idx:
+            lines.append(r"\midrule")
+        sh_tex = sh.replace("*", "")
+        closure_cell = "(same)" if closure == sh else f"${closure.replace('*', '')}$"
+        lines.append(f"${label}$ & ${sh_tex}$ & {closure_cell} \\\\")
+    lines.append(r"\end{tabular}")
+    return "\n".join(lines)

@@ -28,20 +28,21 @@ Every eliminated entry is first checked against the ideal products mu * g
 (``_check_against_products``): under the pairing <x^a theta_I, x^a theta_I>
 = a! the operator-side and ideal-side matrices agree up to diagonal scaling,
 so they have the same rank and the harmonic count equals the quotient-side
-count; a mismatch raises IntegrityError.  The f_i operators are checked
-once, each on its own (d_i, 0) cell (``_f_operators``).  The d f_i are
-checked one factor at a time: d_{d f_i} = sum_l (d f_i / d x_l)(d)
-d/dtheta_l, so each d f_i and its operator are split by theta-index into
-x-only pieces (``_theta_pieces``, which refuses any other shape), the pieces
-are assembled and checked once per x-degree at theta-degree 0 and multiplied
-into the H_i basis (``_theta_products``), and a cell (i, k >= 1) builds its
-rows from those products and the contractions d/dtheta_l theta_I =
-+-theta_J, whose signs are checked once per k against the products
-theta_J theta_l and the pairing's sign (``_contractions``).  The check proves
-equal ranks, not that the one elimination is right (the reference-rank tests
-and the golden table rows cover that), but every H_i must have the count of
-Chevalley's prod_i [d_i]_q.  ``coinvariant_cell_dimension`` keeps the full
-quotient-side route.
+count; a mismatch raises IntegrityError.  The d f_i are checked one factor
+at a time: d_{d f_i} = sum_l (d f_i / d x_l)(d) d/dtheta_l, so each d f_i
+and its operator are split by theta-index into x-only pieces
+(``_theta_pieces``, which refuses any other shape).  An x-only operator of
+degree d is fixed by its row on its own (d, 0) cell, where the check reads:
+its coefficient of d^beta is the generator's of x^beta (beta! cancels).  So
+the f_i operators and the pieces are certified once per presentation on
+their own (d, 0) cells (``_certified``), then applied to H_i (``_x_images``,
+``_theta_products``), and a cell (i, k >= 1) builds its rows from those
+products and the contractions d/dtheta_l theta_I = +-theta_J, whose signs
+are checked once per k against theta_J theta_l (``_contractions``).  The
+check proves equal ranks, not that the one elimination is right (the
+reference-rank tests and the golden table rows cover that), but every H_i
+must have the count of Chevalley's prod_i [d_i]_q.
+``coinvariant_cell_dimension`` keeps the full quotient-side route.
 
 For S_n (n >= 2) the dimension cells are computed in the reduced presentation
 of ``GroupData.cell_presentation``: the ideal contains f_1 = x_1 + ... + x_n
@@ -86,20 +87,17 @@ from functools import lru_cache
 from math import comb, factorial, lcm, perm, prod
 from itertools import chain, combinations, product, repeat
 from operator import add
-from types import SimpleNamespace
 
 from . import groebner, linalg
-from .dimtable import DimTable
+from .dimtable import DimTable, latex_table  # noqa: F401
 from .groups import GroupData, GroupSpec, IntegrityError, ReducedPresentation
 from .qseries import QPoly, q_integer
 from .records import Value
 from .superpoly import (
     Monomial,
-    Operator,
     SuperPoly,
     merge_thetas,
     theta_action,
-    unchecked,
     x_monomials,
 )
 
@@ -158,29 +156,6 @@ class Subspace(Value):
         rows = linalg.rref(vectors, len(ambient))
         frozen = tuple(tuple(sorted(r.items())) for r in rows)
         return Subspace(tuple(ambient), frozen)
-
-
-def latex_table(rows: list[tuple[str, str, str]]) -> str:
-    """Two-column Hilbert series table (q = 1 specialization in z).
-
-    rows: (group label, harmonic series, derivative-closure series); the
-    closure column prints "(same)" when it equals the harmonic one.
-    """
-    lines = [
-        r"\begin{tabular}{c|c|c}",
-        r"$G$ & $\mathrm{Hilb}(\mathcal{SH}_G; 1, z)$ & "
-        r"$\mathrm{Hilb}(K[\partial_{x_1},\ldots,\partial_{x_n}]"
-        r"\mathcal{SH}_G^{\det}; 1, z)$ \\",
-        r"\toprule",
-    ]
-    for idx, (label, sh, closure) in enumerate(rows):
-        if idx:
-            lines.append(r"\midrule")
-        sh_tex = sh.replace("*", "")
-        closure_cell = "(same)" if closure == sh else f"${closure.replace('*', '')}$"
-        lines.append(f"${label}$ & ${sh_tex}$ & {closure_cell} \\\\")
-    lines.append(r"\end{tabular}")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +249,8 @@ def _x_factorials(n: int, i: int) -> tuple[int, ...]:
 @lru_cache(maxsize=1)
 def _degree_tables(n: int, i: int) -> dict:
     """The ``_derivative_sources`` tables of x-degree i, filled on first use.
-    A cell's assembly builds them and its check, which comes next, reads
-    them; only the latest x-degree is kept."""
+    The f_j check of H_i builds them and the d f_j pieces applied to H_i,
+    which come next, read them; only the latest x-degree is kept."""
     return {}
 
 
@@ -323,16 +298,13 @@ def _operator_entries(ops, n: int, i: int, k: int):
     return rows
 
 
-def _check_against_products(
-    pres: GroupData | ReducedPresentation, entries, i: int, k: int, gens=None
-):
+def _check_against_products(pres: GroupData | ReducedPresentation, entries, i: int, k: int):
     """Prove entrywise that the operator-side matrix of the (i, k) cell is
     the ideal-side one up to diagonal scaling, or raise IntegrityError.
 
     ``pres`` is a presentation (``GroupData.cell_presentation``, or a
     GroupData): its ``n`` variables, ideal generators and their operators.
-    ``entries`` is ``_operator_entries`` of the operators of ``gens``, by
-    default the presentation's generators.  Under the pairing
+    ``entries`` is ``_operator_entries`` of its operators.  Under the pairing
     <x^a theta_I, x^a theta_I> = a!, for a generator g and monomials mu, nu
         coeff_nu(mu g) nu_x! = eps coeff_mu(d_g nu) mu_x!,
     where eps = (-1)^(theta-degree of g * theta-degree of mu): -1 exactly when
@@ -350,7 +322,7 @@ def _check_against_products(
     nu_facts = _x_factorials(n, i)
     degrees = {}
     walked = 0  # rows of ``entries`` met; each (oi, mu) is met at most once
-    for oi, g in enumerate(pres.ideal_generators() if gens is None else gens):
+    for oi, g in enumerate(pres.ideal_generators()):
         gi, gk = g.bidegree()
         degrees[oi] = gi, gk
         terms = _integer_terms(g.terms)
@@ -467,9 +439,9 @@ def harmonic_cell_dimension(
     Computed in ``gd.cell_presentation()`` (for S_n the reduced presentation
     in n - 1 variables, whose (i, k) part has the same dimension): dim H_i
     (``_classical_harmonics``, certified) for k = 0, else the corank of
-    ``_theta_rows``, whose entries are checked against the ideal products
-    (``_theta_products``).  The budget is always that of the x-presentation,
-    so refusals do not depend on the route.
+    ``_theta_rows``, built from the certified pieces (``_theta_products``).
+    The budget is always that of the x-presentation, so refusals do not
+    depend on the route.
     """
     if cell_dimension(gd.n, i, k) == 0:
         return 0
@@ -509,29 +481,16 @@ def _classical_harmonics(pres: GroupData | ReducedPresentation, i: int) -> list:
     (``groebner.apolar_rows``, whose rows are independent by construction).
 
     Certified, or IntegrityError: the f_j operators are those of the f_j
-    (``_f_operators``), every one kills every row, and the rows are as many
-    as the q^i coefficient of Chevalley's prod_j [d_j]_q, dim H_i.
+    (``_f_operators``), every one kills every row (``_x_images``), and the
+    rows are as many as the q^i coefficient of Chevalley's prod_j [d_j]_q,
+    dim H_i.
     """
     spec, n = pres.spec, pres.n
-    ops, chevalley = _f_operators(spec, n, tuple(pres.ideal_generators()),
+    ops, chevalley = _f_operators(spec, tuple(pres.ideal_generators()),
                                   tuple(pres.harmonic_generator_operators()))
     rows = groebner.apolar_rows(groebner.closed_form_basis(spec.m, spec.p, spec.n, n), n, i)
-    # f_j(d) of every row at once, {(target, row): value}, one operator at a
-    # time and read off ``_derivative_sources``: ``linalg.products`` on the
-    # (i, 0) entries would hold the operator matrices, which more than
-    # doubled the peak memory of S_6's theta-degree 0 column
-    by_x = {}
-    for h, vec in enumerate(rows):
-        for xi, b in vec:
-            by_x.setdefault(xi, []).append((h, b))
-    for op in ops:
-        images = {}
-        for (_, _, beta, _), c in _integer_terms(op.terms):
-            for r, (xi, w) in enumerate(zip(*_derivative_sources(n, i, beta))):
-                for h, b in by_x.get(xi, ()):
-                    images[r, h] = images.get((r, h), 0) + c * w * b
-        if any(images.values()):
-            raise IntegrityError(f"{spec.label()}: an f_j operator does not kill H_{i}")
+    if any(acc for _, _, acc in _x_images(n, i, rows, ops)):
+        raise IntegrityError(f"{spec.label()}: an f_j operator does not kill H_{i}")
     if len(rows) != chevalley.coefficient(i):
         raise IntegrityError(
             f"{spec.label()}: theta-degree 0 row has {len(rows)} at q^{i}, not "
@@ -540,88 +499,102 @@ def _classical_harmonics(pres: GroupData | ReducedPresentation, i: int) -> list:
     return rows
 
 
+def _x_images(n: int, i: int, rows, operators):
+    """(operator index, x^t, [(h, value)]): the IntRows ``rows`` over the
+    degree-i x-monomials under each x-only operator, given by its terms
+    (beta, c), at every x-monomial x^t of degree i - |beta| that some row
+    reaches, zero values left out.  Read off ``_derivative_sources`` one
+    target at a time: an operator matrix held (``linalg.products``) more
+    than doubled the peak memory of S_6's theta-degree 0 column."""
+    by_x = {}
+    for h, vec in enumerate(rows):
+        for xi, b in vec:
+            by_x.setdefault(xi, []).append((h, b))
+    for oi, terms in enumerate(operators):
+        sources = [(c, *_derivative_sources(n, i, beta)) for beta, c in terms]
+        for r, tx in enumerate(x_monomials(n, i - sum(terms[0][0]))):
+            acc = {}
+            for c, xis, weights in sources:
+                hits = by_x.get(xis[r])
+                if hits:
+                    cw = c * weights[r]
+                    for h, b in hits:
+                        acc[h] = acc.get(h, 0) + cw * b
+            if acc:
+                yield oi, tx, sorted((h, v) for h, v in acc.items() if v)
+
+
+def _certified(spec: GroupSpec, what: str, oi: int, d: int, gen: dict, op: dict) -> list:
+    """The terms (beta, c) of the operator ``op`` of generator ``oi``,
+    certified against the generator's terms ``gen`` (both term maps), or
+    IntegrityError.  ``op`` must be x-derivatives of degree d alone, so it is
+    fixed by its (d, 0) cell, where ``_check_against_products`` compares its
+    coefficient of d^beta, times beta!, with that of x^beta in 1 * gen,
+    times beta!: the integers of ``_integer_terms`` must agree."""
+    terms = {dx: c for (mx, mt, dx, dt), c in _integer_terms(op)
+             if not (any(mx) or mt or dt or sum(dx) != d)}
+    if len(terms) != len(op):
+        raise IntegrityError(f"{spec.label()}: {what} acts on theta or is not x-derivatives "
+                             f"of its degree alone (operator {oi})")
+    wrong = terms.items() ^ {gx: c for (gx, _), c in _integer_terms(gen)}.items()
+    if wrong:
+        raise IntegrityError(f"{spec.label()} bidegree ({d},0): {what} disagrees with the "
+                             f"ideal product at column x^{min(wrong)[0]} (operator {oi})")
+    return list(terms.items())
+
+
 @lru_cache(maxsize=1)
-def _f_operators(spec: GroupSpec, n: int, generators: tuple, operators: tuple):
-    """The operators of the f_j (the theta-free generators), checked once for
-    the latest generators and operators: each is x-derivatives of total
-    degree d_j alone, with the entries of f_j on its (d_j, 0) cell
-    (``_check_against_products``), so on every (i, 0) cell; else
-    IntegrityError.  Also Chevalley's prod_j [d_j]_q of the group."""
-    # given the generators, the check reads only these of a presentation
-    pres = SimpleNamespace(spec=spec, n=n)
-    ops = []
-    for oi, (g, op) in enumerate(zip(generators, operators)):
-        d, k = g.bidegree()
-        if k:
-            continue
-        if any(any(mx) or mt or dt or sum(dx) != d for mx, mt, dx, dt in op.terms):
-            raise IntegrityError(
-                f"{spec.label()}: an f_j operator acts on theta or is not x-derivatives "
-                "of its degree alone"
-            )
-        try:
-            _check_against_products(pres, _operator_entries([op], n, d, 0), d, 0, [g])
-        except IntegrityError as exc:
-            raise IntegrityError(f"{exc} (operator {oi} alone)") from None
-        ops.append(op)
+def _f_operators(spec: GroupSpec, generators: tuple, operators: tuple):
+    """The f_j operators (of the theta-free generators) as their terms
+    (beta, c), certified once for the latest generators and operators on
+    their own (d_j, 0) cells (``_certified``), then applied to every H_i;
+    also Chevalley's prod_j [d_j]_q of the group."""
+    ops = [_certified(spec, "an f_j operator", oi, g.bidegree()[0], g.terms, op.terms)
+           for oi, (g, op) in enumerate(zip(generators, operators)) if not g.bidegree()[1]]
     return ops, prod(map(q_integer, spec.degrees), start=QPoly.one())
 
 
 @lru_cache(maxsize=1)
-def _theta_pieces(spec: GroupSpec, n: int, generators: tuple, operators: tuple):
-    """Every d f_j and its operator split by theta-index: (generator index,
-    [l], [the x-part of the theta_l terms of d f_j], [that of its operator]),
-    the l-th pieces d f_j / d theta_l = d f_j / d x_l and (d f_j / d x_l)(d_x)
-    in increasing l; kept for the latest generators and operators.
-
-    Both are x-only, with the integers of the whole generator and operator
-    (each scaled by the lcm of its denominators), so the pieces give the
-    content-reduced rows of the whole.  Raises IntegrityError unless every
-    d f_j term has one theta, every term of its operator is x-derivatives
-    times one d/dtheta_l, and the generator and the operator carry the same
-    theta-indices (the f_j operators are checked by ``_f_operators``).
-    """
-    label, out = spec.label(), []
+def _theta_pieces(spec: GroupSpec, generators: tuple, operators: tuple):
+    """Every d f_j operator split by theta-index into x-only pieces, each
+    certified once for the latest generators and operators on its own
+    (d_j - 1, 0) cell (``_certified``), then applied to every H_i:
+    (generator index, l, the terms (beta, c) of (d f_j / d x_l)(d_x)), in
+    increasing l.  The pieces keep the integers of the whole generator and
+    operator, so they give the content-reduced rows of the whole.  Raises
+    IntegrityError unless every d f_j term has one theta, every term of its
+    operator one d/dtheta_l, and both carry the same theta-indices."""
+    out = []
     for oi, (g, op) in enumerate(zip(generators, operators)):
-        if not g.bidegree()[1]:
+        d, k = g.bidegree()
+        if not k:
             continue
         gens, ops = {}, {}
         for (gx, gt), c in _integer_terms(g.terms):
             gens.setdefault(gt, {})[gx, ()] = c
         for (mx, mt, dx, dt), c in _integer_terms(op.terms):
-            # a multiplication term is put under (), which is refused below
-            ops.setdefault(() if any(mx) or mt else dt, {})[mx, (), dx, ()] = c
-        if any(len(t) != 1 for t in chain(gens, ops)) or gens.keys() != ops.keys():
-            raise IntegrityError(
-                f"{label}: operator {oi} is not its generator's x-derivatives "
-                "times one d/dtheta_l each"
-            )
-        thetas = sorted(gens)
-        out.append((oi, [l for (l,) in thetas], [unchecked(SuperPoly, n, gens[t]) for t in thetas],
-                    [unchecked(Operator, n, ops[t]) for t in thetas]))
+            ops.setdefault(dt, {})[mx, mt, dx, ()] = c
+        if k != 1 or gens.keys() != ops.keys():
+            raise IntegrityError(f"{spec.label()}: operator {oi} is not its generator's "
+                                 "x-derivatives times one d/dtheta_l each")
+        for (l,) in sorted(gens):
+            what = f"the theta_{l} piece of a d f_j operator"
+            out.append((oi, l, _certified(spec, what, oi, d, gens[l,], ops[l,])))
     return out
 
 
 def _theta_products(pres: GroupData | ReducedPresentation, i: int, classical):
-    """The d f_j pieces (``_theta_pieces``) on the (i, 0) cell, checked there
-    entrywise, times the H_i basis ``classical``: {(generator index, target
-    x-monomial): {l: [(h, value)]}}, h the index of an H_i vector.  The
-    pieces are x-only, so the check runs at theta-degree 0 (eps = 1).  The
-    pieces of one d f_j are assembled at a time, so only their entries are
-    held."""
-    out = {}
-    pieces = _theta_pieces(pres.spec, pres.n, tuple(pres.ideal_generators()),
+    """The certified d f_j pieces (``_theta_pieces``) applied to the H_i
+    basis ``classical`` (``_x_images``): {(generator index, target
+    x-monomial): {l: [(h, value)]}}, h the index of an H_i vector.  No
+    operator matrix is built or checked here."""
+    n, out = pres.n, {}
+    pieces = _theta_pieces(pres.spec, tuple(pres.ideal_generators()),
                            tuple(pres.harmonic_generator_operators()))
-    for oi, ls, gens, ops in pieces:
-        entries = _operator_entries(ops, pres.n, i, 0)
-        try:
-            _check_against_products(pres, entries, i, 0, gens)
-        except IntegrityError as exc:
-            raise IntegrityError(
-                f"{exc} (the pieces of operator {oi}, by theta-index {ls})"
-            ) from None
-        for (pi, (tx, _)), acc in linalg.products(entries, classical).items():
-            out.setdefault((oi, tx), {})[ls[pi]] = acc
+    for p, tx, acc in _x_images(n, i, classical, [terms for _, _, terms in pieces]):
+        if acc:
+            oi, l, _ = pieces[p]
+            out.setdefault((oi, tx), {})[l] = acc
     return out
 
 

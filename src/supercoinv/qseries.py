@@ -24,27 +24,30 @@ from functools import lru_cache
 Rational = Fraction
 
 
+def format_terms(terms) -> str:
+    """Render (coefficient, [factor]) pairs as e.g. ``z^2 - 6*z + 6``: the
+    magnitude is a factor unless it is 1 and others exist; zero coefficients
+    are left out, and no term reads ``0``."""
+    parts = []
+    for c, factors in terms:
+        if c:
+            if abs(c) != 1 or not factors:
+                factors = [str(abs(c)), *factors]
+            parts.append(("- " if c < 0 else "+ ") + "*".join(factors))
+    if not parts:
+        return "0"
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def format_power(var: str, e: int) -> str:
+    return var if e == 1 else f"{var}^{e}"
+
+
 def format_poly(coeffs: dict[int, int], var: str = "q") -> str:
     """Render {exponent: coefficient} as e.g. ``z^2 + 6*z + 6``."""
-    if not coeffs:
-        return "0"
-    parts = []
-    for e in sorted(coeffs, reverse=True):
-        c = coeffs[e]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        elif e == 1:
-            body = var if mag == 1 else f"{mag}*{var}"
-        else:
-            body = f"{var}^{e}" if mag == 1 else f"{mag}*{var}^{e}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts) if parts else "0"
+    return format_terms((coeffs[e], [format_power(var, e)] if e else [])
+                        for e in sorted(coeffs, reverse=True))
 
 
 class QPoly:
@@ -227,24 +230,10 @@ class QZPoly:
         return sum(c * q**qe * z**ze for (qe, ze), c in self.coeffs.items())
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (qe, ze) in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[(qe, ze)]
-            factors = []
-            if abs(c) != 1 or (qe == 0 and ze == 0):
-                factors.append(str(abs(c)))
-            if qe:
-                factors.append("q" if qe == 1 else f"q^{qe}")
-            if ze:
-                factors.append("z" if ze == 1 else f"z^{ze}")
-            body = "*".join(factors)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return format_terms(
+            (c, [format_power(v, e) for v, e in (("q", qe), ("z", ze)) if e])
+            for (qe, ze), c in sorted(self.coeffs.items(), reverse=True)
+        )
 
     __repr__ = __str__
 

@@ -36,6 +36,8 @@ from functools import lru_cache
 from math import comb, lcm
 from operator import add, sub
 
+from .qseries import format_power, format_terms
+
 XExp = tuple[int, ...]
 Thetas = tuple[int, ...]
 Monomial = tuple[XExp, Thetas]
@@ -313,30 +315,11 @@ class SuperPoly:
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
     def to_string(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (xexp, thetas), c in self.sorted_terms():
-            factors = []
-            for j, e in enumerate(xexp):
-                if e == 1:
-                    factors.append(f"x{j + 1}")
-                elif e:
-                    factors.append(f"x{j + 1}^{e}")
-            for t in thetas:
-                factors.append(f"t{t}")
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return format_terms(
+            (c, [format_power(f"x{j + 1}", e) for j, e in enumerate(xexp) if e]
+             + [f"t{t}" for t in thetas])
+            for (xexp, thetas), c in self.sorted_terms()
+        )
 
     __str__ = to_string
 

@@ -8,8 +8,10 @@ of canonical RREF bases, the SuperPoly substitution that the integer
 reduced presentation of S_n is pinned to, the whole-cell harmonic
 dimension, kernel and d f_j rows on H_i (x) Lambda^k that the
 H_i (x) Lambda^k route and its split of the d f_j by theta-index are
-pinned to, H_i as the nullspace of the (i, 0) cell that the
-closed-form Groebner route to H_i is pinned to, the x-derivative by
+pinned to, the d f_j products on H_i through operator matrices that the
+certified pieces applied to H_i directly are pinned to, H_i as the
+nullspace of the (i, 0) cell that the closed-form Groebner route to H_i
+is pinned to, the x-derivative by
 exponent subtraction that the derivative closure and its lowering tables
 are pinned to, the rational coefficient vector of a SuperPoly over a cell
 index, and the
@@ -322,6 +324,29 @@ def full_cell_theta_rows(pres, i: int, k: int, classical) -> list:
         if row:
             rows.append(row)
     return rows
+
+
+def matrix_theta_products(pres, i: int, classical) -> dict:
+    """The d f_j products on H_i through operator matrices: each d f_j
+    operator split by theta-index into x-only Operators (with the integers
+    of the whole operator), their entries on the (i, 0) cell
+    (``harmonics._operator_entries``) dotted with ``classical``
+    (``linalg.products``), keyed as ``harmonics._theta_products``.  The
+    route before the pieces were applied to H_i directly."""
+    gens = pres.ideal_generators()
+    out = {}
+    for oi, op in enumerate(pres.harmonic_generator_operators()):
+        if not gens[oi].bidegree()[1]:
+            continue
+        pieces = {}
+        for (mx, mt, dx, (l,)), c in harmonics._integer_terms(op.terms):
+            pieces.setdefault(l, {})[mx, mt, dx, ()] = c
+        ls = sorted(pieces)
+        ops = [Operator(pres.n, pieces[l]) for l in ls]
+        entries = harmonics._operator_entries(ops, pres.n, i, 0)
+        for (pi, (tx, _)), acc in linalg.products(entries, classical).items():
+            out.setdefault((oi, tx), {})[ls[pi]] = acc
+    return out
 
 
 @dataclass(frozen=True)

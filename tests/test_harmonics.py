@@ -48,6 +48,7 @@ from helpers import (
     full_cell_dimension,
     full_cell_kernel,
     full_cell_theta_rows,
+    matrix_theta_products,
     poly_to_vector,
     reference_reduced_images,
     reduced_rows,
@@ -1317,6 +1318,22 @@ class TestThetaCells:
                 rows = list(harmonics._theta_rows(pres.n, k, products))
                 assert rows == full_cell_theta_rows(pres, i, k, classical), (i, k)
 
+    @pytest.mark.parametrize(
+        "spec", DOWN_SET_GROUPS, ids=lambda spec: f"{spec.m}-{spec.p}-{spec.n}"
+    )
+    def test_products_equal_the_matrix_route(self, spec):
+        # the certified pieces applied to H_i directly give the products of
+        # their (i, 0) operator matrices, in both presentations of S_n
+        gd = build_group(spec.m, spec.p, spec.n)
+        reduced = gd.cell_presentation()
+        for pres in [gd] if reduced is gd else [gd, reduced]:
+            for i in range(spec.degree_of_vandermondian + 1):
+                classical = harmonics._classical_harmonics(pres, i)
+                assert classical, (pres.n, i)
+                assert harmonics._theta_products(pres, i, classical) == (
+                    matrix_theta_products(pres, i, classical)
+                ), (pres.n, i)
+
     @staticmethod
     def _record_assemblies(monkeypatch, log, gens):
         real_cell, real_products = harmonics._classical_harmonics, harmonics._theta_products
@@ -1446,6 +1463,56 @@ class TestThetaPieces:
                 assert getattr(harmonics, cell)(gd, i, 0)
                 with pytest.raises(IntegrityError, match=rf"^{label}"):
                     run(gd, i)
+
+    @pytest.mark.parametrize("label", GROUPS)
+    def test_doubled_piece_coefficient_is_caught_on_its_own_cell(self, monkeypatch, label):
+        # one coefficient of one theta_l piece of one d f_j doubled: the
+        # certificate of the pieces names the piece and its (d_j - 1, 0)
+        # cell, before any theta-degree >= 1 matrix is eliminated; bases read
+        # the x-presentation, tables the reduced one of S_4
+        key, _ = self.GROUPS[label]
+        gd = build_group(*key)
+        reduced = gd.cell_presentation()
+        eliminated = []
+        real_rows = harmonics._theta_rows
+        monkeypatch.setattr(harmonics, "_theta_rows",
+                            lambda *args: eliminated.append(args[1]) or real_rows(*args))
+        for pres, run in [(gd, harmonic_cells), (reduced, sh_dim_table)]:
+            ops = pres.harmonic_generator_operators()
+            for j, g in enumerate(pres.ideal_generators()):
+                d, k = g.bidegree()
+                if not k:
+                    continue
+                for (l,) in sorted({dt for *_, dt in ops[j].terms}):
+                    term = min(t for t in ops[j].terms if t[3] == (l,))
+                    bad = list(ops)
+                    bad[j] = Operator(pres.n, {**ops[j].terms, term: 2 * ops[j].terms[term]})
+                    with monkeypatch.context() as patch:
+                        patch.setattr(pres, "_generator_ops", bad)
+                        message = (rf"^{label} bidegree \({d},0\): the theta_{l} piece "
+                                   rf"of a d f_j operator .*column x\^.* \(operator {j}\)$")
+                        with pytest.raises(IntegrityError, match=message):
+                            run(gd)
+                    assert eliminated == [], (pres.n, j, l)
+
+
+@pytest.mark.parametrize("key", [(2, 1, 3), (1, 1, 4)])
+def test_table_walk_builds_no_operator_matrix(monkeypatch, key):
+    # the f_j and the d f_j pieces are certified once on their own cells
+    # and applied to H_i: no x-degree of a table assembles or checks an
+    # operator matrix, not even while the certificates are made
+    gd = build_group(*key)
+    calls = []
+    for name in ("_operator_entries", "_check_against_products"):
+        real = getattr(harmonics, name)
+        monkeypatch.setattr(harmonics, name, lambda *args, real=real, name=name: (
+            calls.append((name, *args[2:4])) or real(*args)))
+    harmonics._f_operators.cache_clear()
+    harmonics._theta_pieces.cache_clear()
+    z = sh_dim_table(gd).z_coefficients_at_q1()
+    assert calls == []
+    row = GOLDEN_TABLE[key][0] if key in GOLDEN_TABLE else EXTRA_ROWS[key]
+    assert [z.get(k, 0) for k in range(len(row))] == row
 
 
 def test_f_operators_are_checked_once_per_presentation():

@@ -67,9 +67,16 @@ Cells whose matrices would exceed the cell budget (rows x columns entries)
 are refused with a size estimate; the walker checks every cell, skipped or
 not, before it computes the first one.
 
-The derivative closure of the det-isotypic elements d_{i_1}...d_{i_k} Delta
-is computed one x-degree at a time, top down: only the rows found
-independent one x-degree higher are differentiated, by one x_j at a time.
+The det-isotypic elements e_S = d_{i_1}...d_{i_k} Delta are certified
+harmonic by one identity, not by 2n operator applications each: an ext
+derivative D = sum c theta_l d_x^gamma and a d f_j operator G = sum_l
+g_l(d_x) d/dtheta_l satisfy G D + D G = h(d_x), h = sum c x^gamma g_l, and D
+commutes with the f_j operators, so e_S = D e' is harmonic iff every h(d_x)
+kills the harmonic e'.  Operators of other shapes are refused.
+
+Their derivative closure is computed one x-degree at a time, top down: only
+the rows found independent one x-degree higher are differentiated, by one
+x_j at a time.
 Its rows are content-reduced integer rows over the cell columns, and d/dx_j
 maps each column through a cached table of its x-degree (``_x_lowering``:
 the position of x^(a - e_j) and the weight a_j), which keeps rows sorted.
@@ -97,7 +104,9 @@ from .superpoly import (
     Monomial,
     SuperPoly,
     merge_thetas,
+    partial_operator,
     theta_action,
+    unchecked,
     x_monomials,
 )
 
@@ -808,49 +817,65 @@ def harmonic_cells(
 def det_isotypic_elements(gd: GroupData) -> dict[tuple[int, ...], SuperPoly]:
     """d_{i_1}...d_{i_k} Delta for every subset i_1 < ... < i_k of [r].
 
-    Each element is verified to be nonzero, of the predicted bidegree
-    (deg Delta - sum of the chosen co-exponents, k), and annihilated by all
-    ideal generator operators; any failure raises IntegrityError since it
-    would signal wrong operator data.  The element of a subset S is d_{min S}
-    applied to the element of S minus its smallest index.  Built once per
-    GroupData and kept on it; callers must not modify the result.
+    e_S = D e' for D = d_{min S} and e' = e_{S - min S}, visited by
+    increasing size.  Each element must be nonzero, bi-homogeneous of
+    bidegree (deg Delta - sum of the chosen co-exponents, k) and harmonic,
+    else IntegrityError.  Delta is checked by all 2n generator operators.
+    For e_S: with D = sum_t c_t theta_(l_t) d_x^(gamma_t), every d f_j
+    operator G = sum_l g_l(d_x) d/dtheta_l and every f_j operator F
+    x-derivatives alone (other shapes are refused), d/dtheta_l theta_l' +
+    theta_l' d/dtheta_l = delta_(l l') gives G D + D G = h(d_x), h =
+    sum_t c_t x^(gamma_t) g_(l_t) (``_anticommutators``), and F D = D F.
+    With e' harmonic, F e_S = D F e' = 0 and G e_S = h(d_x) e', so e_S is
+    harmonic iff every h(d_x) kills e'.  An h that is zero or proportional
+    to an f_j does; the others are applied.  Built once per GroupData and
+    kept on it; callers must not modify the result.
     """
     if gd._det_elements is None:
         gd._det_elements = _build_det_isotypic_elements(gd)
     return gd._det_elements
 
 
+def _anticommutators(gd: GroupData):
+    """Yields {j: h} per ext derivative D in order: G D + D G = h(d_x) for
+    the d f_j operator G, h theta-free and scaled by the lcms of D's and G's
+    denominators.  Certifies the f_j operators and d f_j pieces first."""
+    args = gd.spec, tuple(gd.ideal_generators()), tuple(gd.harmonic_generator_operators())
+    _f_operators(*args)
+    pieces = _theta_pieces(*args)
+    for i, op in enumerate(gd.ext_derivatives, 1):
+        if any(any(mx) or len(mt) != 1 or dt for mx, mt, _, dt in op.terms):
+            raise IntegrityError(f"{gd.spec.label()}: d_{i} is not theta_l times x-derivatives")
+        row, terms = {oi: Counter() for oi, _, _ in pieces}, _integer_terms(op.terms)
+        for oi, l, piece in pieces:
+            for (_, mt, gamma, _), c in terms:
+                for beta, b in piece if mt == (l,) else ():
+                    row[oi][tuple(map(add, gamma, beta)), ()] += c * b
+        yield {oi: unchecked(SuperPoly, gd.n, {m: Fraction(v) for m, v in h.items() if v})
+               for oi, h in row.items()}
+
+
 def _build_det_isotypic_elements(gd: GroupData) -> dict[tuple[int, ...], SuperPoly]:
-    spec = gd.spec
-    r = spec.rank
-    coexp = spec.coexponents
-    gens = gd.harmonic_generator_operators()
-    out: dict[tuple[int, ...], SuperPoly] = {}
-    for k in range(r + 1):
-        for subset in combinations(range(1, r + 1), k):
-            elem = gd.vandermondian
-            if subset:
-                elem = gd.ext_derivatives[subset[0] - 1].apply(out[subset[1:]])
-            if elem.is_zero():
-                raise IntegrityError(
-                    f"det-isotypic element for subset {subset} of "
-                    f"{spec.label()} vanished"
-                )
-            expected = (
-                spec.degree_of_vandermondian - sum(coexp[i - 1] for i in subset),
-                k,
-            )
-            if elem.bidegree() != expected:
-                raise IntegrityError(
-                    f"det-isotypic element for subset {subset} of {spec.label()} "
-                    f"has bidegree {elem.bidegree()}, expected {expected}"
-                )
-            for op in gens:
-                if not op.apply(elem).is_zero():
-                    raise IntegrityError(
-                        f"det-isotypic element for subset {subset} of "
-                        f"{spec.label()} is not harmonic"
-                    )
+    spec, out = gd.spec, {}
+    # the h of each D that no f_j is proportional to
+    kept = [[partial_operator(h) for h in row.values()
+             if h and not any(map(h.scalar_ratio, gd.basic_invariants))]
+            for row in _anticommutators(gd)]
+    for k in range(spec.rank + 1):
+        for subset in combinations(range(1, spec.rank + 1), k):
+            # Delta is checked by all 2n operators, e_S = D e' by the kept h on e'
+            checked = out[subset[1:]] if subset else gd.vandermondian
+            elem = gd.ext_derivatives[subset[0] - 1].apply(checked) if subset else checked
+            checks = kept[subset[0] - 1] if subset else gd.harmonic_generator_operators()
+            what = f"det-isotypic element for subset {subset} of {spec.label()}"
+            expected = (spec.degree_of_vandermondian
+                        - sum(spec.coexponents[i - 1] for i in subset), k)
+            # none if it vanished, several if it is not bi-homogeneous
+            degrees = sorted({(sum(x), len(t)) for x, t in elem.terms})
+            if degrees != [expected]:
+                raise IntegrityError(f"{what} has bidegrees {degrees}, expected {expected}")
+            if any(op.apply(checked) for op in checks):
+                raise IntegrityError(f"{what} is not harmonic")
             out[subset] = elem
     return out
 

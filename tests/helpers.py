@@ -9,7 +9,9 @@ reduced presentation of S_n is pinned to, the whole-cell harmonic
 dimension, kernel and d f_j rows on H_i (x) Lambda^k that the
 H_i (x) Lambda^k route and its split of the d f_j by theta-index are
 pinned to, the d f_j products on H_i through operator matrices that the
-certified pieces applied to H_i directly are pinned to, H_i as the
+certified pieces applied to H_i directly are pinned to, the det-isotypic
+elements checked by all 2n generator operators each that the
+anticommutator certificate is pinned to, H_i as the
 nullspace of the (i, 0) cell that the closed-form Groebner route to H_i
 is pinned to, the x-derivative by
 exponent subtraction that the derivative closure and its lowering tables
@@ -23,13 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb
 from operator import sub
 
 from supercoinv import checks, harmonics, linalg
 from supercoinv.artin import is_substaircase
-from supercoinv.groups import GroupData, GroupSpec, _perm_sign
+from supercoinv.groups import GroupData, GroupSpec, IntegrityError, _perm_sign
 from supercoinv.superpoly import (
     Monomial,
     Operator,
@@ -346,6 +348,30 @@ def matrix_theta_products(pres, i: int, classical) -> dict:
         entries = harmonics._operator_entries(ops, pres.n, i, 0)
         for (pi, (tx, _)), acc in linalg.products(entries, classical).items():
             out.setdefault((oi, tx), {})[ls[pi]] = acc
+    return out
+
+
+def reference_det_isotypic_elements(gd: GroupData) -> dict:
+    """d_{i_1}...d_{i_k} Delta for every subset, each element checked
+    nonzero, bi-homogeneous of the predicted bidegree and killed by all 2n
+    ideal generator operators, or IntegrityError: the check before the
+    anticommutator certificate, one 2n-apply pass per element."""
+    spec, r = gd.spec, gd.spec.rank
+    out = {}
+    for k in range(r + 1):
+        for subset in combinations(range(1, r + 1), k):
+            elem = gd.vandermondian
+            if subset:
+                elem = gd.ext_derivatives[subset[0] - 1].apply(out[subset[1:]])
+            expected = (spec.degree_of_vandermondian
+                        - sum(spec.coexponents[i - 1] for i in subset), k)
+            try:
+                ok = not elem.is_zero() and elem.bidegree() == expected
+            except ValueError:  # not bi-homogeneous
+                ok = False
+            if not ok or any(op.apply(elem) for op in gd.harmonic_generator_operators()):
+                raise IntegrityError(f"det-isotypic element for subset {subset} fails")
+            out[subset] = elem
     return out
 
 

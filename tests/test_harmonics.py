@@ -1,6 +1,7 @@
 """Harmonic spaces: dimensions, det-isotypic parts, exactness, supports."""
 
 import multiprocessing
+import os
 import pickle
 import random
 from fractions import Fraction
@@ -38,6 +39,7 @@ from supercoinv.superpoly import (
     Operator,
     SuperPoly,
     falling_factorial,
+    partial_operator,
     theta_action,
     x_monomials,
 )
@@ -50,6 +52,7 @@ from helpers import (
     full_cell_theta_rows,
     matrix_theta_products,
     poly_to_vector,
+    reference_det_isotypic_elements,
     reference_reduced_images,
     reduced_rows,
 )
@@ -438,25 +441,68 @@ class TestBudgetEstimate:
                 assert estimate == kernel * cols == ideal * cols, (i, k)
 
 
+def _with_ext_derivative(gd, i, op):
+    """A fresh GroupData of gd's group with ext derivative d_(i + 1) replaced."""
+    ops = list(gd.ext_derivatives)
+    ops[i] = op
+    return groups.GroupData(gd.spec, gd.basic_invariants, gd.vandermondian,
+                            gd.covandermondian, ops)
+
+
 class TestDetIsotypic:
     @pytest.mark.parametrize("key", [(1, 1, 4), (2, 1, 3), (3, 3, 3)])
     def test_elements_are_the_operator_products_one_apply_each(self, monkeypatch, key):
         gd = build_group.__wrapped__(*key)
         r, gens = gd.spec.rank, gd.harmonic_generator_operators()
+        # the h of G D + D G that no f_j is proportional to, per d_i
+        fs = gd.basic_invariants
+        kept = [sum(1 for h in row.values() if h and all(h.scalar_ratio(f) is None for f in fs))
+                for row in harmonics._anticommutators(gd)]
         calls = []
         real_apply = Operator.apply
         monkeypatch.setattr(
             Operator, "apply", lambda op, f: calls.append(op) or real_apply(op, f)
         )
         elems = det_isotypic_elements(gd)
-        # one d-apply per nonempty subset, 2n harmonicity applies per element
-        assert len(calls) == 2**r - 1 + 2**r * len(gens)
+        # one d-apply per nonempty subset, 2n applies on Delta, and one per
+        # kept h of d_(min S) on each element e_S
+        subsets = [s for s in elems if s]
+        assert len(calls) == len(subsets) + len(gens) + sum(kept[s[0] - 1] for s in subsets)
+        assert len(calls) == {(1, 1, 4): 19, (2, 1, 3): 17, (3, 3, 3): 20}[key]
+        assert len(calls) < 2**r - 1 + 2**r * len(gens)
         monkeypatch.undo()
         for subset, elem in elems.items():
             want = gd.vandermondian
             for idx in reversed(subset):
                 want = gd.ext_derivatives[idx - 1].apply(want)
             assert elem == want, subset
+
+    def test_inhomogeneous_element_is_an_integrity_error(self):
+        # d_1 of S_3 with theta_1 d/dx_1 raised to theta_1 (d/dx_1)^2
+        gd = build_group(1, 1, 3)
+        terms = dict(gd.ext_derivatives[0].terms)
+        mulx, mt, derx, dt = key = min(terms)
+        terms[mulx, mt, (derx[0] + 1, *derx[1:]), dt] = terms.pop(key)
+        bad = _with_ext_derivative(gd, 0, Operator(gd.n, terms))
+        match = r"subset \(1,\) of S_3 has bidegrees \[\(1, 1\), \(2, 1\)\], expected \(2, 1\)"
+        with pytest.raises(IntegrityError, match=match):
+            det_isotypic_elements(bad)
+
+    def test_vanished_element_is_an_integrity_error(self):
+        bad = _with_ext_derivative(build_group(1, 1, 3), 1, Operator(3))
+        with pytest.raises(IntegrityError, match=r"subset \(2,\) of S_3 has bidegrees \[\]"):
+            det_isotypic_elements(bad)
+
+    @pytest.mark.parametrize("term", [
+        (((1, 0, 0), (1,), (0, 0, 0), ()), "x-multiplication"),
+        (((0, 0, 0), (1, 2), (1, 0, 0), ()), "two thetas"),
+        (((0, 0, 0), (1,), (0, 0, 0), (2,)), "theta-derivative"),
+    ], ids=lambda term: term[1])
+    def test_ext_derivative_of_another_shape_is_refused(self, term):
+        gd = build_group(1, 1, 3)
+        op = gd.ext_derivatives[1] + Operator(gd.n, {term[0]: 1})
+        with pytest.raises(IntegrityError, match="S_3: d_2 is not theta_l times x-derivatives"):
+            det_isotypic_elements(_with_ext_derivative(gd, 1, op))
 
     def test_built_once_per_group_and_left_out_of_the_pickle(self, monkeypatch):
         builds = []
@@ -1047,6 +1093,78 @@ DOWN_SET_GROUPS = sorted(
      if m % p == 0 for n in range(1, 4)} | {GroupSpec.create(1, 1, 4)},
     key=lambda spec: (spec.m, spec.p, spec.n),
 )
+
+
+SLOW = os.environ.get("SUPERCOINV_SLOW") == "1"
+slow = pytest.mark.skipif(not SLOW, reason="set SUPERCOINV_SLOW=1")
+
+
+def _corrupted(gd, rng):
+    """gd with one term of one ext derivative corrupted: its coefficient
+    doubled or negated, or one x-exponent of its derivative raised."""
+    i = rng.randrange(len(gd.ext_derivatives))
+    terms = dict(gd.ext_derivatives[i].terms)
+    key = rng.choice(sorted(terms))
+    how = rng.choice(("double", "flip", "raise"))
+    if how == "raise":
+        mulx, mt, derx, dt = key
+        j = rng.randrange(gd.n)
+        raised = (mulx, mt, tuple(e + (v == j) for v, e in enumerate(derx)), dt)
+        terms[raised] = terms.get(raised, 0) + terms.pop(key)
+    else:
+        terms[key] *= 2 if how == "double" else -1
+    return _with_ext_derivative(gd, i, Operator(gd.n, terms)), (i + 1, key, how)
+
+
+def _verdict(build, gd):
+    try:
+        return build(gd)
+    except IntegrityError:
+        return "refused"
+
+
+class TestDetCertificate:
+    """The anticommutator certificate of the det-isotypic elements against
+    the algebra it rests on and the 2n-apply check it replaced."""
+
+    @pytest.mark.parametrize(
+        "spec", DOWN_SET_GROUPS + [GroupSpec.create(2, 1, 4), GroupSpec.create(2, 2, 4)],
+        ids=lambda spec: f"{spec.m}-{spec.p}-{spec.n}",
+    )
+    def test_anticommutator_identity(self, spec):
+        gd = build_group(spec.m, spec.p, spec.n)
+        gens, ops = gd.ideal_generators(), gd.harmonic_generator_operators()
+        table = list(harmonics._anticommutators(gd))
+        assert len(table) == len(gd.ext_derivatives)
+        for d, row in zip(gd.ext_derivatives, table):
+            assert sorted(row) == [j for j, g in enumerate(gens) if g.bidegree()[1]]
+            for j, op in enumerate(ops):
+                if j in row:
+                    assert op @ d + d @ op == partial_operator(row[j]), j
+                else:
+                    assert op @ d == d @ op, j
+
+    @pytest.mark.parametrize(
+        "key", [(1, 1, 3), (1, 1, 4), (2, 1, 3), (3, 3, 3), (2, 2, 3), (3, 1, 3), (4, 2, 3)]
+    )
+    def test_same_verdict_as_the_2n_apply_check(self, key):
+        gd = build_group(*key)
+        rng = random.Random(f"det-certificate {key}")
+        verdicts = []
+        for _ in range(15):
+            bad, what = _corrupted(gd, rng)
+            want = _verdict(reference_det_isotypic_elements, bad)
+            assert _verdict(harmonics._build_det_isotypic_elements, bad) == want, what
+            verdicts.append(want == "refused")
+        assert any(verdicts)
+
+    @pytest.mark.parametrize(
+        "key", [(1, 1, 5), (2, 1, 4), pytest.param((2, 1, 5), marks=slow),
+                pytest.param((1, 1, 6), marks=slow)]
+    )
+    def test_certificate_and_reference_agree_on_stock_data(self, key):
+        gd = build_group(*key)
+        assert harmonics._build_det_isotypic_elements(gd) == reference_det_isotypic_elements(gd)
 
 
 class TestDownSet:

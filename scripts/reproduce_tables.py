@@ -18,7 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from supercoinv import harmonics
+from supercoinv import dimtable, harmonics
 from supercoinv.groups import build_group
 from supercoinv.verify import DESK_SCALE_GROUPS, golden_row
 
@@ -80,7 +80,7 @@ def main():
 
     if args.latex:
         print()
-        print(harmonics.latex_table(rows))
+        print(dimtable.latex_table(rows))
     return 0 if all_ok else 1
 
 

@@ -2,8 +2,8 @@
 of ``harmonics``.
 
 * ``exactness_check``: rank-nullity of the exterior derivative d on the
-  harmonic cells, the Hodge splitting and Hilb(q, -q) = 1; images and
-  targets are read off the checked generator cell matrices.
+  harmonic cells, the Hodge splitting and Hilb(q, -q) = 1; the images of d
+  and d* are tested with the certified f_j operators and d f_j pieces.
 * ``laplacian_spectrum_check``: the Laplacian of the power-sum exterior
   derivative is diagonal on monomials with the predicted eigenvalues.
 * ``fitting_structures``: the ideal of invariant partials I', its harmonic
@@ -16,7 +16,9 @@ They are also importable from ``harmonics``.
 
 from __future__ import annotations
 
+from itertools import groupby
 from math import comb, lcm
+from operator import itemgetter
 
 from . import linalg
 from .groups import GroupData, GroupSpec, IntegrityError
@@ -25,12 +27,15 @@ from .harmonics import (
     FeasibilityError,
     Subspace,
     _cell_index,
-    _check_against_products,
+    _contractions,
+    _f_operators,
     _ideal_rows,
     _operator_entries,
     _poly_row,
     _lower_row,
+    _theta_pieces,
     _walk,
+    _x_images,
     _x_lowering,
     cell_dimension,
     cell_monomials,
@@ -72,45 +77,76 @@ class ExactnessReport(Record):
         )
 
 
-def _image_rank(
-    gd: GroupData,
-    op: Operator,
-    cells: dict[tuple[int, int], Subspace],
-    source: tuple[int, int],
-    targets: dict | None = None,
-) -> tuple[int, bool]:
-    """Rank of op on the harmonic cell at `source`; also whether the image
-    stays inside the harmonics (the generators' target-cell matrix must
-    annihilate it).  Both are read off integer cell matrices; ``targets``
-    keeps the generators' matrix of each target cell across calls."""
+def _images(gd: GroupData, op: Operator, sub: Subspace, source: tuple[int, int]):
+    """(target cell, IntRows over it): the images under op of the basis of
+    the harmonic cell ``sub`` at ``source`` that raise the rank of those
+    before them, so as many as the rank; the others lie in their span."""
     n = gd.n
-    sub = cells.get(source)
-    if sub is None or sub.dimension == 0:
-        return 0, True
     dx, dk = op.bidegree_shift()
     target = (source[0] + dx, source[1] + dk)
     index = _cell_index(n, *target)
-    if targets is None:
-        targets = {}
-    if target not in targets:
-        targets[target] = _cell_entries(gd, *target)
     basis = [linalg.to_int_row(row) for row in sub.basis]
     images = {}
     for (_, mon), hits in linalg.products(_operator_entries([op], n, *source), basis).items():
         for h, v in hits:
             images.setdefault(h, {})[index[mon]] = v
+    el = linalg.IntEliminator(len(index))
     vectors = [linalg.to_int_row(images[h]) for h in sorted(images)]
-    inside = not linalg.products(targets[target], vectors)
-    return linalg.rank(vectors, len(index)), inside
+    return target, [v for v in vectors if el.rank < el.ncols and el.add(v)]
 
 
-def _cell_entries(gd: GroupData, i: int, k: int):
-    """``_operator_entries`` of all the generator operators on the (i, k)
-    cell, every entry checked against the ideal products: the generator
-    matrix of an exactness target."""
-    entries = _operator_entries(gd.harmonic_generator_operators(), gd.n, i, k)
-    _check_against_products(gd, entries, i, k)
-    return entries
+def _image_rank(
+    gd: GroupData,
+    op: Operator,
+    cells: dict[tuple[int, int], Subspace],
+    source: tuple[int, int],
+) -> tuple[int, bool]:
+    """Rank of op on the harmonic cell at `source`; also whether the image
+    stays inside the harmonics (``_harmonic``)."""
+    sub = cells.get(source)
+    if not sub:
+        return 0, True
+    target, vectors = _images(gd, op, sub, source)
+    return len(vectors), _harmonic(gd, target, vectors)
+
+
+def _harmonic(gd: GroupData, target: tuple[int, int], vectors) -> bool:
+    """Whether every generator operator kills every IntRow of ``vectors``
+    over the (i, k) cell ``target``, read off the certified operators alone.
+
+    The f_j operators (``_f_operators``) have no theta, so they must kill
+    each x-slice of a vector, its coefficient of one theta word.  A d f_j
+    operator is sum_l g_l(d_x) d/dtheta_l with x-only pieces g_l
+    (``_theta_pieces``); d/dtheta_l theta_t = sign theta_J
+    (``_contractions``), so its image at theta_J is the sum over l of g_l
+    applied to sign times the slice of theta_t.  One row per vector and J
+    holds those signed slices in block l, where the piece g_l reads them
+    (``_x_images``).  Both operator families are certified for gd's
+    generators first, so a wrong one raises IntegrityError whatever the
+    vectors.
+    """
+    (i, k), n = target, gd.n
+    args = gd.spec, tuple(gd.ideal_generators()), tuple(gd.harmonic_generator_operators())
+    ops, _ = _f_operators(*args)
+    pieces = _theta_pieces(*args)
+    if not vectors:
+        return True
+    size, width = cell_dimension(n, i, 0), comb(n, k)
+    signs = [[] for _ in range(width)]
+    for J, (_, hits) in enumerate(_contractions(n, k)):
+        for l, sign, t in hits:
+            signs[t].append((l * size, sign, J))
+    slices, contracted = {}, {}
+    for h, vec in enumerate(vectors):
+        for col, b in vec:
+            xi, t = divmod(col, width)
+            slices.setdefault((h, t), []).append((xi, b))
+            for off, sign, J in signs[t]:
+                contracted.setdefault((h, J), []).append((off + xi, sign * b))
+    ops = ops + [[(l * size, terms) for _, l, terms in group]
+                 for _, group in groupby(pieces, itemgetter(0))]
+    rows = [*slices.values(), *contracted.values()]
+    return not any(acc for *_, acc in _x_images(n, i, rows, ops))
 
 
 def exactness_check(
@@ -120,24 +156,25 @@ def exactness_check(
 ) -> ExactnessReport:
     """Rank-nullity balance of d on the harmonics, the Hodge splitting
     dim SH^{i,k} = dim d SH^{i+1,k-1} + dim d* SH^{i-1,k+1}, and the
-    alternating Hilbert identity Hilb(q, -q) = 1."""
+    alternating Hilbert identity Hilb(q, -q) = 1.  The images of d and d*
+    are gathered by target cell and each target is tested once
+    (``_harmonic``), in cell order."""
     if cells is None:
         cells = harmonic_cells(gd, budget)
     spec = gd.spec
-    d = gd.exterior_d
-    ddag = gd.exterior_d_adjoint
     dims = {key: sub.dimension for key, sub in cells.items()}
 
     rank_d: dict[tuple[int, int], int] = {}
     rank_ddag: dict[tuple[int, int], int] = {}
-    images_ok = True
-    targets: dict = {}
+    by_target: dict[tuple[int, int], list] = {}
     for key, sub in sorted(cells.items()):
-        if sub.dimension == 0:
+        if not sub:
             continue
-        rank_d[key], ok1 = _image_rank(gd, d, cells, key, targets)
-        rank_ddag[key], ok2 = _image_rank(gd, ddag, cells, key, targets)
-        images_ok = images_ok and ok1 and ok2
+        for op, ranks in ((gd.exterior_d, rank_d), (gd.exterior_d_adjoint, rank_ddag)):
+            target, vectors = _images(gd, op, sub, key)
+            ranks[key] = len(vectors)
+            by_target.setdefault(target, []).extend(vectors)
+    images_ok = all(_harmonic(gd, *item) for item in sorted(by_target.items()))
 
     first_failure = ""
     balance_ok = True

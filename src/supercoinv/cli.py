@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import ENGINE_VERSION, artin, groebner, harmonics, verify
+from . import ENGINE_VERSION, artin, dimtable, groebner, harmonics, verify
 from .groups import GroupSpec, build_group, group_info
 from .harmonics import DEFAULT_CELL_BUDGET, DimTable, FeasibilityError
 from .qseries import format_poly
@@ -317,7 +317,7 @@ def _cmd_hilbert(args, cache: ResultCache) -> int:
     if args.format == "latex":
         sh = cache.get_dim_table("sh-dims", spec, compute_sh)
         closure = cache.get_dim_table("closure-dims", spec, compute_closure)
-        print(harmonics.latex_table([
+        print(dimtable.latex_table([
             (spec.label(), sh.hilbert_z_string(), closure.hilbert_z_string())
         ]))
         return EXIT_OK

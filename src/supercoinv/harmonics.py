@@ -24,24 +24,22 @@ incremental Gauss-Jordan eliminator of ``linalg``, which stops pulling rows
 once the rank reaches the cell dimension; ranks, reduced echelon bases and
 nullspaces all come from that one path.
 
-Every eliminated entry is first checked against the ideal products mu * g
-(``_check_against_products``): under the pairing <x^a theta_I, x^a theta_I>
-= a! the operator-side and ideal-side matrices agree up to diagonal scaling,
-so they have the same rank and the harmonic count equals the quotient-side
-count; a mismatch raises IntegrityError.  The d f_i are checked one factor
-at a time: d_{d f_i} = sum_l (d f_i / d x_l)(d) d/dtheta_l, so each d f_i
-and its operator are split by theta-index into x-only pieces
-(``_theta_pieces``, which refuses any other shape).  An x-only operator of
-degree d is fixed by its row on its own (d, 0) cell, where the check reads:
-its coefficient of d^beta is the generator's of x^beta (beta! cancels).  So
-the f_i operators and the pieces are certified once per presentation on
-their own (d, 0) cells (``_certified``), then applied to H_i (``_x_images``,
-``_theta_products``), and a cell (i, k >= 1) builds its rows from those
-products and the contractions d/dtheta_l theta_I = +-theta_J, whose signs
-are checked once per k against theta_J theta_l (``_contractions``).  The
-check proves equal ranks, not that the one elimination is right (the
-reference-rank tests and the golden table rows cover that), but every H_i
-must have the count of Chevalley's prod_i [d_i]_q.
+The generator operators are certified one way, before any use
+(``_certified``): an f_i operator is x-derivatives of one degree d, and so
+is each piece of d_{d f_i} = sum_l (d f_i / d x_l)(d) d/dtheta_l split by
+theta-index (``_theta_pieces``, which refuses any other shape), so each is
+fixed by its row on its own (d, 0) cell, which must be the ideal product
+1 * g up to the diagonal scaling of the pairing.  They are certified once
+per presentation, then applied to H_i (``_x_images``, ``_theta_products``),
+and a cell (i, k >= 1) builds its rows from those products and the
+contractions d/dtheta_l theta_I = +-theta_J, whose signs are checked once
+per k against theta_J theta_l (``_contractions``).  Every cell's operator
+and ideal matrices then agree up to diagonal scaling, so they have the same
+rank and the harmonic count equals the quotient-side count.  This proves
+equal ranks, not that the one elimination is right (the reference-rank
+tests and the golden table rows cover that), but every H_i must have the
+count of Chevalley's prod_i [d_i]_q.  ``checks.exactness_check`` tests its
+images with the same certified operators.
 ``coinvariant_cell_dimension`` keeps the full quotient-side route.
 
 For S_n (n >= 2) the dimension cells are computed in the reduced presentation
@@ -49,12 +47,12 @@ of ``GroupData.cell_presentation``: the ideal contains f_1 = x_1 + ... + x_n
 and d f_1 = theta_1 + ... + theta_n, and substituting x_n -> -(y_1 + ... +
 y_{n-1}), theta_n -> -(eta_1 + ... + eta_{n-1}) identifies the quotient with
 Q[y, eta]/I' in every bidegree, so a cell has C(i+n-2, n-2) C(n-1, k) columns
-instead of C(i+n-1, n-1) C(n, k).  The pairing argument and the entrywise
-check hold in any polynomial ring, so they run unchanged there, and H_i is
-read off the image of the closed-form basis; the budget estimates stay those
-of the x-presentation.  Bases (``harmonic_cell``, ``harmonic_cells``,
-``kernel_intersection``, exactness, support) stay in x, because they are the
-harmonics themselves.
+instead of C(i+n-1, n-1) C(n, k).  The pairing argument and the
+certificates hold in any polynomial ring, so they run unchanged there, and
+H_i is read off the image of the closed-form basis; the budget estimates
+stay those of the x-presentation.  Bases (``harmonic_cell``,
+``harmonic_cells``, ``kernel_intersection``, exactness, support) stay in x,
+because they are the harmonics themselves.
 
 The support of the harmonics is a down-set: SH is closed under every d/dx_j
 and d/dtheta_j, so a zero at (i-1, k) or (i, k-1) certifies SH^{i,k} = 0.
@@ -91,12 +89,12 @@ from collections import Counter
 from contextlib import ExitStack
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm, perm, prod
+from math import comb, lcm, perm, prod
 from itertools import chain, combinations, product, repeat
 from operator import add
 
 from . import groebner, linalg
-from .dimtable import DimTable, latex_table  # noqa: F401
+from .dimtable import DimTable
 from .groups import GroupData, GroupSpec, IntegrityError, ReducedPresentation
 from .qseries import QPoly, q_integer
 from .records import Value
@@ -249,12 +247,6 @@ def _lower_row(row: linalg.IntRow, lowering, width: int) -> linalg.IntRow:
     return linalg._content_reduce(out)
 
 
-@lru_cache(maxsize=None)
-def _x_factorials(n: int, i: int) -> tuple[int, ...]:
-    """a! of every degree-i x-monomial x^a, by position."""
-    return tuple(prod(map(factorial, xexp)) for xexp in x_monomials(n, i))
-
-
 @lru_cache(maxsize=1)
 def _degree_tables(n: int, i: int) -> dict:
     """The ``_derivative_sources`` tables of x-degree i, filled on first use.
@@ -305,92 +297,6 @@ def _operator_entries(ops, n: int, i: int, k: int):
                     row = rows.setdefault((oi, (tx, tw)), {})
                     row[base + ti] = row.get(base + ti, 0) + sign * v
     return rows
-
-
-def _check_against_products(pres: GroupData | ReducedPresentation, entries, i: int, k: int):
-    """Prove entrywise that the operator-side matrix of the (i, k) cell is
-    the ideal-side one up to diagonal scaling, or raise IntegrityError.
-
-    ``pres`` is a presentation (``GroupData.cell_presentation``, or a
-    GroupData): its ``n`` variables, ideal generators and their operators.
-    ``entries`` is ``_operator_entries`` of its operators.  Under the pairing
-    <x^a theta_I, x^a theta_I> = a!, for a generator g and monomials mu, nu
-        coeff_nu(mu g) nu_x! = eps coeff_mu(d_g nu) mu_x!,
-    where eps = (-1)^(theta-degree of g * theta-degree of mu): -1 exactly when
-    g is a d f_i and mu has odd theta-degree.  Each side has one term per
-    entry, so the generator terms are walked once, every product entry is
-    compared and the counts of nonzero entries must agree.  The two matrices
-    then have the same rank, so the kernel count is also the quotient count.
-    The factorials nu_x! and mu_x! are those of ``_x_factorials``; only the
-    positions of ``_derivative_sources`` are shared with the assembly.
-    """
-    n = pres.n
-    words = [t for _, t in cell_monomials(n, 0, k)]
-    word_index = {w: ti for ti, w in enumerate(words)}
-    width = len(words)
-    nu_facts = _x_factorials(n, i)
-    degrees = {}
-    walked = 0  # rows of ``entries`` met; each (oi, mu) is met at most once
-    for oi, g in enumerate(pres.ideal_generators()):
-        gi, gk = g.bidegree()
-        degrees[oi] = gi, gk
-        terms = _integer_terms(g.terms)
-        # For each theta word of mu: (term, sign, theta offset) of every term
-        # whose product with it is nonzero.
-        merges = []
-        for mt in (t for _, t in cell_monomials(n, 0, k - gk)):
-            hits = []
-            for tj, ((_, gt), _) in enumerate(terms):
-                merged = merge_thetas(mt, gt)
-                if merged is not None:
-                    hits.append((tj, merged[0], word_index[merged[1]]))
-            merges.append((mt, hits))
-        if not merges:
-            continue
-        # the position of mu_x * x^gx for every term, by the position of mu_x
-        targets = [_derivative_sources(n, i, gx)[0] for (gx, _), _ in terms]
-        mu_facts = _x_factorials(n, i - gi)
-        for mi, mx in enumerate(x_monomials(n, i - gi)):
-            products = []
-            for xis, (_, c) in zip(targets, terms):
-                xi = xis[mi]
-                products.append((xi * width, c * nu_facts[xi]))
-            mu_fact = mu_facts[mi]
-            for mt, hits in merges:
-                mu = (mx, mt)
-                row = entries.get((oi, mu), {})
-                scale = -mu_fact if gk * len(mt) & 1 else mu_fact
-                for tj, sign, ti in hits:
-                    base, value = products[tj]
-                    if sign * value != scale * row.get(base + ti, 0):
-                        _integrity_failure(pres, i, k, (oi, mu), base + ti)
-                if row:
-                    walked += 1
-                    if len(row) != len(hits):
-                        cols = [products[tj][0] + ti for tj, _, ti in hits]
-                        _check_no_other_entry(pres, i, k, (oi, mu), row, cols)
-    if walked != len(entries):
-        # Some row lies outside the bidegree (i - gi, k - gk) walked above.
-        for key in sorted(entries):
-            oi, (mx, mt) = key
-            if degrees.get(oi) != (i - sum(mx), k - len(mt)):
-                _check_no_other_entry(pres, i, k, key, entries[key], ())
-
-
-def _check_no_other_entry(
-    pres: GroupData | ReducedPresentation, i: int, k: int, key, row, cols
-):
-    extra = [col for col, v in row.items() if v and col not in cols]
-    if extra:
-        _integrity_failure(pres, i, k, key, min(extra))
-
-
-def _integrity_failure(pres: GroupData | ReducedPresentation, i: int, k: int, key, col):
-    oi, mu = key
-    raise IntegrityError(
-        f"{pres.spec.label()} bidegree ({i},{k}): operator {oi} at target {mu}, "
-        f"column {col}: entry disagrees with the ideal product"
-    )
 
 
 def _ideal_rows(gens, n: int, i: int, k: int):
@@ -509,22 +415,25 @@ def _classical_harmonics(pres: GroupData | ReducedPresentation, i: int) -> list:
 
 
 def _x_images(n: int, i: int, rows, operators):
-    """(operator index, x^t, [(h, value)]): the IntRows ``rows`` over the
-    degree-i x-monomials under each x-only operator, given by its terms
-    (beta, c), at every x-monomial x^t of degree i - |beta| that some row
-    reaches, zero values left out.  Read off ``_derivative_sources`` one
-    target at a time: an operator matrix held (``linalg.products``) more
-    than doubled the peak memory of S_6's theta-degree 0 column."""
+    """(operator index, x^t, [(h, value)]): the IntRows ``rows`` under each
+    operator at every x-monomial x^t that some row reaches, zero values left
+    out.  An operator is a sum of x-only pieces (offset, terms (beta, c)) of
+    one degree; a piece reads the rows at offset plus the positions of the
+    degree-i x-monomials, so a row may hold several such blocks.  Read off
+    ``_derivative_sources`` one target at a time: an operator matrix held
+    (``linalg.products``) more than doubled the peak memory of S_6's
+    theta-degree 0 column."""
     by_x = {}
     for h, vec in enumerate(rows):
         for xi, b in vec:
             by_x.setdefault(xi, []).append((h, b))
-    for oi, terms in enumerate(operators):
-        sources = [(c, *_derivative_sources(n, i, beta)) for beta, c in terms]
-        for r, tx in enumerate(x_monomials(n, i - sum(terms[0][0]))):
+    for oi, pieces in enumerate(operators):
+        sources = [(off, c, *_derivative_sources(n, i, beta))
+                   for off, terms in pieces for beta, c in terms]
+        for r, tx in enumerate(x_monomials(n, i - sum(pieces[0][1][0][0]))):
             acc = {}
-            for c, xis, weights in sources:
-                hits = by_x.get(xis[r])
+            for off, c, xis, weights in sources:
+                hits = by_x.get(off + xis[r])
                 if hits:
                     cw = c * weights[r]
                     for h, b in hits:
@@ -536,10 +445,17 @@ def _x_images(n: int, i: int, rows, operators):
 def _certified(spec: GroupSpec, what: str, oi: int, d: int, gen: dict, op: dict) -> list:
     """The terms (beta, c) of the operator ``op`` of generator ``oi``,
     certified against the generator's terms ``gen`` (both term maps), or
-    IntegrityError.  ``op`` must be x-derivatives of degree d alone, so it is
-    fixed by its (d, 0) cell, where ``_check_against_products`` compares its
-    coefficient of d^beta, times beta!, with that of x^beta in 1 * gen,
-    times beta!: the integers of ``_integer_terms`` must agree."""
+    IntegrityError.
+
+    Under the pairing <x^a theta_I, x^a theta_I> = a!, for a generator g and
+    monomials mu, nu
+        coeff_nu(mu g) nu_x! = eps coeff_mu(d_g nu) mu_x!,
+    eps = (-1)^(theta-degree of g * theta-degree of mu), so the operator-side
+    and ideal-side matrices of a cell agree up to diagonal scaling.  ``op``
+    must be x-derivatives of degree d alone, so it is fixed by its (d, 0)
+    cell, where this reads: its coefficient of d^beta, times beta!, is that
+    of x^beta in 1 * gen, times beta!, so the integers of ``_integer_terms``
+    must agree."""
     terms = {dx: c for (mx, mt, dx, dt), c in _integer_terms(op)
              if not (any(mx) or mt or dt or sum(dx) != d)}
     if len(terms) != len(op):
@@ -554,11 +470,11 @@ def _certified(spec: GroupSpec, what: str, oi: int, d: int, gen: dict, op: dict)
 
 @lru_cache(maxsize=1)
 def _f_operators(spec: GroupSpec, generators: tuple, operators: tuple):
-    """The f_j operators (of the theta-free generators) as their terms
-    (beta, c), certified once for the latest generators and operators on
-    their own (d_j, 0) cells (``_certified``), then applied to every H_i;
-    also Chevalley's prod_j [d_j]_q of the group."""
-    ops = [_certified(spec, "an f_j operator", oi, g.bidegree()[0], g.terms, op.terms)
+    """The f_j operators (of the theta-free generators) as ``_x_images``
+    reads them, [(0, terms (beta, c))], certified once for the latest
+    generators and operators on their own (d_j, 0) cells (``_certified``),
+    then applied to every H_i; also Chevalley's prod_j [d_j]_q of the group."""
+    ops = [[(0, _certified(spec, "an f_j operator", oi, g.bidegree()[0], g.terms, op.terms))]
            for oi, (g, op) in enumerate(zip(generators, operators)) if not g.bidegree()[1]]
     return ops, prod(map(q_integer, spec.degrees), start=QPoly.one())
 
@@ -600,7 +516,7 @@ def _theta_products(pres: GroupData | ReducedPresentation, i: int, classical):
     n, out = pres.n, {}
     pieces = _theta_pieces(pres.spec, tuple(pres.ideal_generators()),
                            tuple(pres.harmonic_generator_operators()))
-    for p, tx, acc in _x_images(n, i, classical, [terms for _, _, terms in pieces]):
+    for p, tx, acc in _x_images(n, i, classical, [[(0, terms)] for *_, terms in pieces]):
         if acc:
             oi, l, _ = pieces[p]
             out.setdefault((oi, tx), {})[l] = acc

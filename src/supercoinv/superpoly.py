@@ -272,26 +272,6 @@ class SuperPoly:
             k >>= 1
         return result
 
-    # -- calculus --------------------------------------------------------
-
-    def theta_derivative(self, i: int) -> "SuperPoly":
-        """Interior product d/dtheta_i, applied term-wise."""
-        if not 1 <= i <= self.n:
-            raise ValueError("theta index out of range")
-        out: dict[Monomial, Fraction] = {}
-        for (xexp, thetas), c in self.terms.items():
-            hit = theta_interior(i, thetas)
-            if hit is None:
-                continue
-            sign, rest = hit
-            key = (xexp, rest)
-            s = out.get(key, Fraction(0)) + sign * c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return unchecked(SuperPoly, self.n, out)
-
     def scalar_ratio(self, other: "SuperPoly") -> Fraction | None:
         """c with self == c * other, or None (zero polys never match nonzero)."""
         self._check(other)

@@ -4,9 +4,12 @@ Saito-type validators of the group data (Jacobian proportional to Delta,
 the composed Orlik-Solomon operators proportional to
 d_{Delta*} theta_1...theta_n), the group elements of the real groups as
 signed permutations and their action on forms, literal span equality
-of canonical RREF bases, the SuperPoly substitution that the integer
-reduced presentation of S_n is pinned to, the whole-cell harmonic
-dimension, kernel and d f_j rows on H_i (x) Lambda^k that the
+of canonical RREF bases, the entrywise check of a whole generator cell
+matrix against the ideal products that the whole-cell references below
+read and that the certificates of the generator operators replaced, the
+SuperPoly substitution that the integer reduced presentation of S_n is
+pinned to, the whole-cell harmonic dimension, kernel and d f_j rows on
+H_i (x) Lambda^k that the
 H_i (x) Lambda^k route and its split of the d f_j by theta-index are
 pinned to, the d f_j products on H_i through operator matrices that the
 certified pieces applied to H_i directly are pinned to, the det-isotypic
@@ -25,11 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, factorial, prod
 from operator import sub
 
-from supercoinv import checks, harmonics, linalg
+from supercoinv import harmonics, linalg
 from supercoinv.artin import is_substaircase
 from supercoinv.groups import GroupData, GroupSpec, IntegrityError, _perm_sign
 from supercoinv.superpoly import (
@@ -37,6 +41,7 @@ from supercoinv.superpoly import (
     Operator,
     SuperPoly,
     falling_factorial,
+    merge_thetas,
     partial_operator,
     x_monomials,
 )
@@ -267,11 +272,112 @@ def reduced_rows(entries):
             yield row
 
 
+@lru_cache(maxsize=None)
+def _x_factorials(n: int, i: int) -> tuple[int, ...]:
+    """a! of every degree-i x-monomial x^a, by position."""
+    return tuple(prod(map(factorial, xexp)) for xexp in x_monomials(n, i))
+
+
+def check_against_products(pres, entries, i: int, k: int):
+    """Prove entrywise that the operator-side matrix of the (i, k) cell is
+    the ideal-side one up to diagonal scaling, or raise IntegrityError.
+
+    ``pres`` is a presentation (``GroupData.cell_presentation``, or a
+    GroupData): its ``n`` variables, ideal generators and their operators.
+    ``entries`` is ``harmonics._operator_entries`` of its operators.  Under
+    the pairing <x^a theta_I, x^a theta_I> = a!, for a generator g and
+    monomials mu, nu
+        coeff_nu(mu g) nu_x! = eps coeff_mu(d_g nu) mu_x!,
+    where eps = (-1)^(theta-degree of g * theta-degree of mu): -1 exactly when
+    g is a d f_i and mu has odd theta-degree.  Each side has one term per
+    entry, so the generator terms are walked once, every product entry is
+    compared and the counts of nonzero entries must agree.  The two matrices
+    then have the same rank, so the kernel count is also the quotient count.
+    The factorials nu_x! and mu_x! are those of ``_x_factorials``; only the
+    positions of ``harmonics._derivative_sources`` are shared with the
+    assembly.
+    """
+    n = pres.n
+    words = [t for _, t in harmonics.cell_monomials(n, 0, k)]
+    word_index = {w: ti for ti, w in enumerate(words)}
+    width = len(words)
+    nu_facts = _x_factorials(n, i)
+    degrees = {}
+    walked = 0  # rows of ``entries`` met; each (oi, mu) is met at most once
+    for oi, g in enumerate(pres.ideal_generators()):
+        gi, gk = g.bidegree()
+        degrees[oi] = gi, gk
+        terms = harmonics._integer_terms(g.terms)
+        # For each theta word of mu: (term, sign, theta offset) of every term
+        # whose product with it is nonzero.
+        merges = []
+        for mt in (t for _, t in harmonics.cell_monomials(n, 0, k - gk)):
+            hits = []
+            for tj, ((_, gt), _) in enumerate(terms):
+                merged = merge_thetas(mt, gt)
+                if merged is not None:
+                    hits.append((tj, merged[0], word_index[merged[1]]))
+            merges.append((mt, hits))
+        if not merges:
+            continue
+        # the position of mu_x * x^gx for every term, by the position of mu_x
+        targets = [harmonics._derivative_sources(n, i, gx)[0] for (gx, _), _ in terms]
+        mu_facts = _x_factorials(n, i - gi)
+        for mi, mx in enumerate(x_monomials(n, i - gi)):
+            products = []
+            for xis, (_, c) in zip(targets, terms):
+                xi = xis[mi]
+                products.append((xi * width, c * nu_facts[xi]))
+            mu_fact = mu_facts[mi]
+            for mt, hits in merges:
+                mu = (mx, mt)
+                row = entries.get((oi, mu), {})
+                scale = -mu_fact if gk * len(mt) & 1 else mu_fact
+                for tj, sign, ti in hits:
+                    base, value = products[tj]
+                    if sign * value != scale * row.get(base + ti, 0):
+                        _integrity_failure(pres, i, k, (oi, mu), base + ti)
+                if row:
+                    walked += 1
+                    if len(row) != len(hits):
+                        cols = [products[tj][0] + ti for tj, _, ti in hits]
+                        _check_no_other_entry(pres, i, k, (oi, mu), row, cols)
+    if walked != len(entries):
+        # Some row lies outside the bidegree (i - gi, k - gk) walked above.
+        for key in sorted(entries):
+            oi, (mx, mt) = key
+            if degrees.get(oi) != (i - sum(mx), k - len(mt)):
+                _check_no_other_entry(pres, i, k, key, entries[key], ())
+
+
+def _check_no_other_entry(pres, i: int, k: int, key, row, cols):
+    extra = [col for col, v in row.items() if v and col not in cols]
+    if extra:
+        _integrity_failure(pres, i, k, key, min(extra))
+
+
+def _integrity_failure(pres, i: int, k: int, key, col):
+    oi, mu = key
+    raise IntegrityError(
+        f"{pres.spec.label()} bidegree ({i},{k}): operator {oi} at target {mu}, "
+        f"column {col}: entry disagrees with the ideal product"
+    )
+
+
+def cell_entries(gd: GroupData, i: int, k: int):
+    """``harmonics._operator_entries`` of all the generator operators on the
+    (i, k) cell, every entry checked against the ideal products
+    (``check_against_products``): the whole generator matrix of a cell."""
+    entries = harmonics._operator_entries(gd.harmonic_generator_operators(), gd.n, i, k)
+    check_against_products(gd, entries, i, k)
+    return entries
+
+
 def eliminated_harmonics(pres, i: int) -> list:
     """H_i of a presentation as the nullspace of its checked (i, 0) cell,
     the f_j rows alone: the route before H_i was read off the closed-form
     Groebner basis."""
-    rows = reduced_rows(checks._cell_entries(pres, i, 0))
+    rows = reduced_rows(cell_entries(pres, i, 0))
     return linalg.nullspace(rows, harmonics.cell_dimension(pres.n, i, 0))
 
 
@@ -287,7 +393,7 @@ def full_cell_dimension(gd: GroupData, i: int, k: int, budget: int) -> int:
     cols = harmonics.cell_dimension(pres.n, i, k)
     if cols == 0:
         return 0
-    rows = reduced_rows(checks._cell_entries(pres, i, k))
+    rows = reduced_rows(cell_entries(pres, i, k))
     return cols - linalg.rank(rows, cols)
 
 
@@ -295,7 +401,7 @@ def full_cell_kernel(pres, i: int, k: int) -> harmonics.Subspace:
     """Reduced-echelon basis of the (i, k) harmonics of a presentation: the
     common kernel of all its generator operators on the whole cell."""
     ambient = harmonics.cell_monomials(pres.n, i, k)
-    rows = reduced_rows(checks._cell_entries(pres, i, k))
+    rows = reduced_rows(cell_entries(pres, i, k))
     return harmonics.Subspace.from_vectors(ambient, linalg.nullspace(rows, len(ambient)))
 
 
@@ -307,7 +413,7 @@ def full_cell_theta_rows(pres, i: int, k: int, classical) -> list:
     h * C(n, k) + t is vector h of ``classical`` times theta word t; zero
     rows are skipped.  The route before the d f_j were split by theta-index."""
     gens = pres.ideal_generators()
-    entries = checks._cell_entries(pres, i, k)
+    entries = cell_entries(pres, i, k)
     width = comb(pres.n, k)
     by_x = {}
     for h, vec in enumerate(classical):

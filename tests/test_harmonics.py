@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from supercoinv import checks, groebner, groups, harmonics, linalg
+from supercoinv import checks, dimtable, groebner, groups, harmonics, linalg
 from supercoinv.checks import (
     bidegree_support_region,
     exactness_check,
@@ -46,6 +46,7 @@ from supercoinv.superpoly import (
 from supercoinv.verify import GOLDEN_TABLE
 from helpers import (
     _x_derivative,
+    check_against_products,
     eliminated_harmonics,
     full_cell_dimension,
     full_cell_kernel,
@@ -357,7 +358,7 @@ class TestDimTables:
         assert [0, 0, 1] in data["dims"]
 
     def test_latex_emitter(self):
-        text = harmonics.latex_table([("S_3", "z^2 + 6*z + 6", "z^2 + 6*z + 6")])
+        text = dimtable.latex_table([("S_3", "z^2 + 6*z + 6", "z^2 + 6*z + 6")])
         assert "(same)" in text
         assert text.startswith(r"\begin{tabular}")
 
@@ -705,26 +706,36 @@ class TestExactness:
         alt = table.hilbert_qz().z_substitute_signed_power(1)
         assert alt == QPoly.one()
 
-    def test_each_target_cell_is_assembled_once(self, monkeypatch):
+    def test_each_target_cell_is_tested_once(self, monkeypatch):
+        # the images are tested with the certified operators: no generator
+        # matrix is assembled, on the way to the cells or after, and every
+        # target cell of d and d* is tested once, in cell order
         gd = build_group(2, 1, 3)
+        assembled, tested = [], []
+        real_entries, real_harmonic = harmonics._operator_entries, checks._harmonic
+
+        def entries(ops, n, i, k):
+            assembled.append(ops)
+            return real_entries(ops, n, i, k)
+
+        def harmonic(gd, target, vectors):
+            tested.append(target)
+            return real_harmonic(gd, target, vectors)
+
+        for module in (harmonics, checks):
+            monkeypatch.setattr(module, "_operator_entries", entries)
+        monkeypatch.setattr(checks, "_harmonic", harmonic)
         cells = harmonic_cells(gd)
-        gens = gd.harmonic_generator_operators()
-        assembled = []
-        real = checks._operator_entries
-
-        def counted(ops, n, i, k):
-            if ops is gens:
-                assembled.append((i, k))
-            return real(ops, n, i, k)
-
-        monkeypatch.setattr(checks, "_operator_entries", counted)
         assert exactness_check(gd, cells).passed
+        assert assembled and all(
+            ops in ([gd.exterior_d], [gd.exterior_d_adjoint]) for ops in assembled
+        )
         targets = {
             (i + dx, k + dk)
             for (i, k), sub in cells.items() if sub.dimension
             for dx, dk in [(-1, 1), (1, -1)]
         }
-        assert sorted(assembled) == sorted(targets)
+        assert tested == sorted(targets)
 
 
 class TestLaplacian:
@@ -829,6 +840,17 @@ class TestImageRank:
         cells = {(1, 0): Subspace.from_vectors(ambient, [{x1: Fraction(1)}])}
         for route in (checks._image_rank, _reference_image_rank):
             assert route(gd, gd.exterior_d, cells, (1, 0)) == (1, False)
+        assert not exactness_check(gd, cells).images_harmonic_ok
+
+    def test_image_outside_the_f_j_kernel_is_reported(self):
+        gd = build_group(1, 1, 3)
+        ambient = cell_monomials(3, 0, 1)
+        # d* theta_1 = x_1, which every d f_j operator kills and
+        # d_{x_1 + x_2 + x_3} does not
+        theta1 = ambient.index(((0, 0, 0), (1,)))
+        cells = {(0, 1): Subspace.from_vectors(ambient, [{theta1: Fraction(1)}])}
+        for route in (checks._image_rank, _reference_image_rank):
+            assert route(gd, gd.exterior_d_adjoint, cells, (0, 1)) == (1, False)
         assert not exactness_check(gd, cells).images_harmonic_ok
 
     def test_harmonic_cells_map_inside(self, d2_cells):
@@ -989,7 +1011,10 @@ EXTRA_ROWS = {
 
 
 class TestIntegrity:
-    """The per-cell entrywise check of the operators against the products."""
+    """The certificates of the generator operators against the generators
+    (each f_j operator and each x-only piece of a d f_j on its own (d, 0)
+    cell), and the entrywise check of a whole cell matrix against the ideal
+    products that the tests keep as a reference (``helpers``)."""
 
     @staticmethod
     def _corrupt(monkeypatch, gd, j, op):
@@ -997,9 +1022,9 @@ class TestIntegrity:
         ops[j] = op
         monkeypatch.setattr(gd, "_generator_ops", ops)
 
-    # Each entry point that reads a generator cell matrix, given the group and
-    # its cells computed before the corruption; (6, 1) is a cell on which
-    # every B_3 operator has entries.
+    # Each entry point that reads the generator operators, given the group
+    # and its cells computed before the corruption; (6, 1) is a cell on
+    # which every B_3 operator has entries.
     ENTRY_POINTS = {
         "sh_dim_table": lambda gd, cells: sh_dim_table(gd),
         "harmonic_cells": lambda gd, cells: harmonic_cells(gd),
@@ -1043,18 +1068,18 @@ class TestIntegrity:
         free = min(set(range(harmonics.cell_dimension(3, 4, 1))) - set(row))
         row[free] = 1
         with pytest.raises(IntegrityError, match=rf"column {free}:"):
-            harmonics._check_against_products(gd, entries, 4, 1)
+            check_against_products(gd, entries, 4, 1)
 
     def test_row_outside_the_generator_bidegree_is_caught(self):
         gd = build_group(2, 1, 3)
         entries = self._entries(gd, 4, 1)
-        harmonics._check_against_products(gd, entries, 4, 1)
+        check_against_products(gd, entries, 4, 1)
         # operator 0 (d_{f_1}, bidegree (2, 0)) cannot reach an x-degree-1 target
         entries[(0, ((1, 0, 0), (1,)))] = {0: 0}
-        harmonics._check_against_products(gd, entries, 4, 1)
+        check_against_products(gd, entries, 4, 1)
         entries[(0, ((1, 0, 0), (1,)))] = {0: 0, 5: 3}
         with pytest.raises(IntegrityError, match=r"operator 0 .*column 5:"):
-            harmonics._check_against_products(gd, entries, 4, 1)
+            check_against_products(gd, entries, 4, 1)
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -1614,17 +1639,51 @@ class TestThetaPieces:
                     assert eliminated == [], (pres.n, j, l)
 
 
+class TestHarmonicPredicate:
+    """``checks._harmonic``, which tests the exactness images with the
+    certified operators, against every generator operator applied to the
+    vector as a polynomial."""
+
+    @pytest.mark.parametrize(
+        "spec", DOWN_SET_GROUPS, ids=lambda spec: f"{spec.m}-{spec.p}-{spec.n}"
+    )
+    def test_equals_the_polynomial_route_on_every_cell(self, spec):
+        # the harmonic basis of each cell, and each basis vector (a unit
+        # vector where the cell has none) with one entry moved
+        gd = build_group(spec.m, spec.p, spec.n)
+        ops = gd.harmonic_generator_operators()
+        rng = random.Random(f"harmonic predicate {spec.m} {spec.p} {spec.n}")
+        verdicts = set()
+        for cell, sub in harmonic_cells(gd).items():
+            ambient = cell_monomials(gd.n, *cell)
+            basis = [linalg.to_int_row(row) for row in sub.basis]
+            moved = []
+            for vec in basis or [[]]:
+                entries = dict(vec)
+                col = rng.randrange(len(ambient))
+                entries[col] = entries.get(col, 0) + rng.choice([-2, -1, 1, 2])
+                moved.append(linalg.to_int_row(entries))
+            expected = []
+            for vec in basis + moved:
+                poly = SuperPoly(gd.n, {ambient[c]: Fraction(v) for c, v in vec})
+                expected.append(not any(op.apply(poly) for op in ops))
+                assert checks._harmonic(gd, cell, [vec]) == expected[-1], (cell, vec)
+            assert all(expected[:len(basis)])
+            assert checks._harmonic(gd, cell, basis + moved) == all(expected), cell
+            verdicts.update(expected)
+        assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize("key", [(2, 1, 3), (1, 1, 4)])
 def test_table_walk_builds_no_operator_matrix(monkeypatch, key):
     # the f_j and the d f_j pieces are certified once on their own cells
-    # and applied to H_i: no x-degree of a table assembles or checks an
-    # operator matrix, not even while the certificates are made
+    # and applied to H_i: no x-degree of a table assembles an operator
+    # matrix, not even while the certificates are made
     gd = build_group(*key)
     calls = []
-    for name in ("_operator_entries", "_check_against_products"):
-        real = getattr(harmonics, name)
-        monkeypatch.setattr(harmonics, name, lambda *args, real=real, name=name: (
-            calls.append((name, *args[2:4])) or real(*args)))
+    real = harmonics._operator_entries
+    monkeypatch.setattr(harmonics, "_operator_entries",
+                        lambda *args: calls.append(args[2:4]) or real(*args))
     harmonics._f_operators.cache_clear()
     harmonics._theta_pieces.cache_clear()
     z = sh_dim_table(gd).z_coefficients_at_q1()

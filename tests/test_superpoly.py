@@ -47,15 +47,15 @@ class TestMultiplication:
 class TestThetaDerivative:
     def test_first_index(self):
         n = 2
-        assert (th(n, 1) * th(n, 2)).theta_derivative(1) == th(n, 2)
+        assert Operator.theta_partial(n, 1).apply(th(n, 1) * th(n, 2)) == th(n, 2)
 
     def test_second_index_sign(self):
         n = 2
-        assert (th(n, 1) * th(n, 2)).theta_derivative(2) == -th(n, 1)
+        assert Operator.theta_partial(n, 2).apply(th(n, 1) * th(n, 2)) == -th(n, 1)
 
     def test_absent_index(self):
         n = 3
-        assert (th(n, 1) * th(n, 2)).theta_derivative(3).is_zero()
+        assert Operator.theta_partial(n, 3).apply(th(n, 1) * th(n, 2)).is_zero()
 
 
 class TestPartialOperator:

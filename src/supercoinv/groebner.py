@@ -15,7 +15,12 @@ when p > 1.  These are already reduced Groebner bases; the engine is used to
 confirm that, and their standard monomials reproduce the Artin bases.  The
 classical harmonics are read off them without elimination
 (`apolar_rows`, one normal-form table per degree); `harmonics` certifies
-them against the group's own operators.
+them against the group's own operators.  That table is keyed by packed
+monomial codes (`superpoly.x_codes`, sum_j a_j 2^(16 j) with a guard bit
+atop each field): a leading monomial divides x^a when no field of
+(code(a) | guard) - code(lm) borrows its guard bit, and a tail term e of
+the reducer shifts x^a by the signed code difference code(e) - code(lm).
+Buchberger and `normal_form` keep exponent tuples.
 """
 
 from __future__ import annotations
@@ -23,12 +28,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
-from math import factorial, prod
+from math import factorial
 from operator import add, sub
 
 from .linalg import _content_reduce
 from .records import Value
-from .superpoly import SuperPoly, unchecked, x_monomials
+from .superpoly import SuperPoly, code_guard, monomial_code, unchecked, x_codes, x_factorials
 
 Exp = tuple[int, ...]
 
@@ -256,35 +261,40 @@ def apolar_rows(basis, n: int, degree: int) -> list[list[tuple[int, int]]]:
     <x^a, x^b> = a! [a = b], so each h^(s) is orthogonal to I.  The normal
     forms are built in increasing lex order: a non-standard x^a is reduced
     once, by the first basis element whose leading monomial divides it, to
-    lex-smaller monomials of the degree.  A standard x^s has NF(x^s) = x^s
+    lex-smaller monomials of the degree.  They are keyed by monomial code
+    (``superpoly.x_codes``): lm divides a iff ((a | guard) - lm) & guard ==
+    guard (``superpoly.code_guard``), and the tail term e of the reducer
+    sends x^a to the code a + (code(e) - lm).  A standard x^s has NF(x^s) = x^s
     and every normal form lies on the standard columns, so each row's only
     standard column is its own: the rows are unitriangular there, hence
     independent, by construction.
     """
-    position = {a: col for col, a in enumerate(x_monomials(n, degree))}
+    position, guard = x_codes(n, degree), code_guard(n)
     steps = []
     for g in basis:
         lm = leading_monomial(g)
-        steps.append((lm, [(tuple(map(sub, e, lm)), -int(c))
-                           for (e, _), c in g.terms.items() if e != lm]))
-    nf, forms = {}, {}  # NF(x^a) and h^(s) by the column of s
+        code = monomial_code(lm)
+        steps.append((code, [(monomial_code(e) - code, -int(c))
+                             for (e, _), c in g.terms.items() if e != lm]))
+    nf, forms = {}, {}  # NF(x^a) by code(a), and h^(s) by the column of s
     for a in reversed(position):
         for lm, tail in steps:
-            if _divides(lm, a):
+            if ((a | guard) - lm) & guard == guard:
                 out = {}
                 for shift, c in tail:
-                    for s, v in nf[tuple(map(add, a, shift))].items():
+                    for s, v in nf[a + shift].items():
                         out[s] = out.get(s, 0) + c * v
                 nf[a] = {s: v for s, v in out.items() if v}
                 break
         else:
             nf[a] = {position[a]: 1}
             forms[position[a]] = {}
-    top = factorial(degree)
+    top, facts = factorial(degree), x_factorials(n, degree)
     for a, row in nf.items():
-        weight = top // prod(map(factorial, a))
+        col = position[a]
+        weight = top // facts[col]
         for s, v in row.items():
-            forms[s][position[a]] = v * weight
+            forms[s][col] = v * weight
     return [_content_reduce(sorted(forms[s].items())) for s in sorted(forms)]
 
 

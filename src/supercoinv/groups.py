@@ -276,8 +276,8 @@ def _vandermonde_in_powers(n: int, m: int) -> SuperPoly:
         xexp = [0] * n
         for i, j in enumerate(perm):
             xexp[j] = m * i
-        terms[(tuple(xexp), ())] = _perm_sign(perm)
-    return SuperPoly(n, terms)
+        terms[(tuple(xexp), ())] = Fraction(_perm_sign(perm))
+    return unchecked(SuperPoly, n, terms)
 
 
 def _times_product_of_all_x(f: SuperPoly, power: int) -> SuperPoly:

@@ -19,7 +19,12 @@ matrices are assembled directly as content-reduced integer rows: the
 generators have integer coefficients (rational ones are first scaled by the
 lcm of their denominators, which leaves every reduced row unchanged), and
 each entry is a falling factorial times a Koszul sign, read from per-degree
-tables (``_derivative_sources``).  The rows are streamed into the
+tables (``_derivative_sources``).  The tables hold no exponent tuples: each
+x-monomial of a degree has one packed integer code (``superpoly.x_codes``,
+sum_j a_j 2^(16 j)), so the position of x^(rest + beta) is one dict lookup
+of code(rest) + code(beta), and the falling factorials prod_j
+perm(a_j, beta_j) are a! / rest! from one factorial table per degree
+(``superpoly.x_factorials``).  The rows are streamed into the
 incremental Gauss-Jordan eliminator of ``linalg``, which stops pulling rows
 once the rank reaches the cell dimension; ranks, reduced echelon bases and
 nullspaces all come from that one path.
@@ -77,7 +82,8 @@ the rows found independent one x-degree higher are differentiated, by one
 x_j at a time.
 Its rows are content-reduced integer rows over the cell columns, and d/dx_j
 maps each column through a cached table of its x-degree (``_x_lowering``:
-the position of x^(a - e_j) and the weight a_j), which keeps rows sorted.
+the position of x^(a - e_j), looked up by the code code(a) - 2^(16 j), and
+the weight a_j, field j of code(a)), which keeps rows sorted.
 
 The named checks (exactness, the Laplacian spectrum, the Fitting apparatus,
 support) live in ``checks`` and are importable from here too.
@@ -89,7 +95,7 @@ from collections import Counter
 from contextlib import ExitStack
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, perm, prod
+from math import comb, lcm, prod
 from itertools import chain, combinations, product, repeat
 from operator import add
 
@@ -99,12 +105,16 @@ from .groups import GroupData, GroupSpec, IntegrityError, ReducedPresentation
 from .qseries import QPoly, q_integer
 from .records import Value
 from .superpoly import (
+    CODE_BITS,
     Monomial,
     SuperPoly,
     merge_thetas,
+    monomial_code,
     partial_operator,
     theta_action,
     unchecked,
+    x_codes,
+    x_factorials,
     x_monomials,
 )
 
@@ -216,20 +226,16 @@ def _cell_index(n: int, i: int, k: int) -> dict[Monomial, int]:
 
 
 @lru_cache(maxsize=None)
-def _x_positions(n: int, i: int) -> dict[tuple[int, ...], int]:
-    return {xexp: xi for xi, xexp in enumerate(x_monomials(n, i))}
-
-
-@lru_cache(maxsize=None)
 def _x_lowering(n: int, i: int) -> tuple[tuple, ...]:
     """d/dx_j on the degree-i x-monomials, for j = 0..n-1: aligned with
     ``x_monomials(n, i)``, the position of x^(a - e_j) among the
-    degree-(i - 1) x-monomials and the weight a_j, or None when a_j = 0."""
-    lower = _x_positions(n, i - 1)
+    degree-(i - 1) x-monomials and the weight a_j, or None when a_j = 0.
+    Read off the monomial codes: the target's code is code(a) - 2^(16 j),
+    and a_j is field j of code(a)."""
+    codes, lower, mask = x_codes(n, i), x_codes(n, i - 1), (1 << CODE_BITS) - 1
     return tuple(
-        tuple((lower[(*a[:j], a[j] - 1, *a[j + 1:])], a[j]) if a[j] else None
-              for a in x_monomials(n, i))
-        for j in range(n)
+        tuple((lower[c - (1 << s)], a) if (a := c >> s & mask) else None for c in codes)
+        for s in range(0, CODE_BITS * n, CODE_BITS)
     )
 
 
@@ -258,14 +264,15 @@ def _degree_tables(n: int, i: int) -> dict:
 def _derivative_sources(n: int, i: int, beta) -> tuple[tuple[int, ...], ...]:
     """(positions, weights), aligned with ``x_monomials(n, i - |beta|)``: for
     each x^rest there, the position of x^a = x^beta * x^rest among the
-    degree-i x-monomials, and the product of the falling factorials
-    perm(a_j, beta_j) that d_x^beta multiplies x^a by."""
+    degree-i x-monomials, one lookup of code(rest) + code(beta) in
+    ``x_codes``, and the factor a! / rest! = prod_j perm(a_j, beta_j) that
+    d_x^beta multiplies x^a by, read from ``x_factorials``."""
     tables = _degree_tables(n, i)
     if beta not in tables:
-        positions = _x_positions(n, i)
-        sources = [tuple(map(add, rest, beta)) for rest in x_monomials(n, i - sum(beta))]
-        tables[beta] = (tuple(positions[a] for a in sources),
-                        tuple(prod(map(perm, a, beta)) for a in sources))
+        positions, b, rest = x_codes(n, i), monomial_code(beta), i - sum(beta)
+        xis = tuple(positions[c + b] for c in x_codes(n, rest))
+        facts = x_factorials(n, i)
+        tables[beta] = xis, tuple(facts[xi] // f for xi, f in zip(xis, x_factorials(n, rest)))
     return tables[beta]
 
 

@@ -24,6 +24,8 @@ from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
 
+from .qseries import add_terms
+
 # A sparse integer row: list of (column, value), sorted by column, no zeros.
 IntRow = list[tuple[int, int]]
 # A sparse rational vector: {column: Fraction}, no zero values.
@@ -36,19 +38,9 @@ def to_int_row(vec) -> IntRow:
     Rational values are cleared to integers by the denominator lcm; the row
     is then content-reduced with positive leading value.
     """
-    items = sorted(vec.items() if isinstance(vec, dict) else vec)
-    items = [(c, v) for c, v in items if v]
-    if not items:
-        return []
-    den = 1
-    for _, v in items:
-        if isinstance(v, Fraction) and v.denominator != 1:
-            den = den * v.denominator // gcd(den, v.denominator)
-    if den != 1:
-        items = [(c, int(v * den)) for c, v in items]
-    else:
-        items = [(c, int(v)) for c, v in items]
-    return _content_reduce(items)
+    items = [(c, v) for c, v in sorted(vec.items() if isinstance(vec, dict) else vec) if v]
+    den = lcm(*(v.denominator for _, v in items))
+    return _content_reduce([(c, v.numerator * (den // v.denominator)) for c, v in items])
 
 
 def _content_reduce(items: IntRow) -> IntRow:
@@ -230,15 +222,9 @@ def residual(rref_rows: list[FracVec], vec: FracVec) -> FracVec:
     """Reduce vec against an RREF family; empty result means membership."""
     work = {c: Fraction(v) for c, v in vec.items() if v}
     for row in rref_rows:
-        c = min(row)
-        a = work.get(c)
+        a = work.get(min(row))
         if a:
-            for k, v in row.items():
-                s = work.get(k, Fraction(0)) - a * v
-                if s:
-                    work[k] = s
-                else:
-                    work.pop(k, None)
+            work = add_terms(work, {k: -a * v for k, v in row.items()})
     return work
 
 

@@ -40,6 +40,31 @@ def format_terms(terms) -> str:
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
+def add_terms(a: dict, b: dict) -> dict:
+    """The term map a + b of two term maps without zero values, zero sums
+    dropped: the sum of `QPoly`, `SuperPoly` and `Operator`."""
+    out = dict(a)
+    for k, v in b.items():
+        s = out.get(k, 0) + v
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def power(base, k: int, one):
+    """base ** k by repeated squaring, from the unit ``one``."""
+    if k < 0:
+        raise ValueError("negative power")
+    while k:
+        if k & 1:
+            one = one * base
+        base = base * base
+        k >>= 1
+    return one
+
+
 def format_power(var: str, e: int) -> str:
     return var if e == 1 else f"{var}^{e}"
 
@@ -108,14 +133,7 @@ class QPoly:
     def __add__(self, other) -> "QPoly":
         if isinstance(other, int):
             other = QPoly({0: other})
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return QPoly._of(out)
+        return QPoly._of(add_terms(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -123,8 +141,6 @@ class QPoly:
         return QPoly._of({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other) -> "QPoly":
-        if isinstance(other, int):
-            other = QPoly({0: other})
         return self + (-other)
 
     def __rsub__(self, other) -> "QPoly":
@@ -138,27 +154,13 @@ class QPoly:
         out: dict[int, int] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return QPoly._of(out)
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        return QPoly._of({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "QPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        result = QPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, QPoly.one())
 
     def stretch(self, r: int) -> "QPoly":
         """Substitute q -> q^r."""
@@ -208,12 +210,7 @@ class QZPoly:
         """Substitute z -> sign * q^j, collapsing to a polynomial in q."""
         out: dict[int, int] = {}
         for (qe, ze), c in self.coeffs.items():
-            e = qe + j * ze
-            s = out.get(e, 0) + c * (sign**ze)
-            if s:
-                out[e] = s
-            else:
-                del out[e]
+            out[qe + j * ze] = out.get(qe + j * ze, 0) + c * sign**ze
         return QPoly(out)
 
     def specialize(self, var: str, value: int) -> dict[int, int]:

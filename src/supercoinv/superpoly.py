@@ -33,10 +33,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, factorial, lcm
 from operator import add, sub
 
-from .qseries import format_power, format_terms
+from .qseries import add_terms, format_power, format_terms, power
 
 XExp = tuple[int, ...]
 Thetas = tuple[int, ...]
@@ -64,6 +64,57 @@ def x_monomials(n: int, d: int) -> tuple[XExp, ...]:
         for rest in x_monomials(n - 1, d - first):
             out.append((first,) + rest)
     return tuple(out)
+
+
+CODE_BITS = 16  # bits per exponent field of a monomial code; the top one is its guard bit
+_CODE_MAX = (1 << CODE_BITS - 1) - 1
+
+
+def monomial_code(a) -> int:
+    """x^a packed into one int, sum_j a_j 2^(16 j): exponent a_j fills the
+    low 15 bits of field j and leaves its guard bit clear, so adding or
+    subtracting codes adds or subtracts exponent vectors.  ValueError if an
+    exponent does not fit its field; no code wraps silently."""
+    if not all(0 <= e <= _CODE_MAX for e in a):
+        raise ValueError(f"exponents {a} do not fit {CODE_BITS - 1}-bit fields")
+    return sum(e << CODE_BITS * j for j, e in enumerate(a))
+
+
+def code_guard(n: int) -> int:
+    """The guard bits of n fields: x^b divides x^a, b <= a entrywise, iff
+    ((code(a) | guard) - code(b)) & guard == guard, since a field with
+    a_j < b_j borrows its guard bit and no other field."""
+    return monomial_code((1,) * n) << CODE_BITS - 1
+
+
+@lru_cache(maxsize=None)
+def x_codes(n: int, d: int) -> dict[int, int]:
+    """{monomial code of x^a: position of x^a in ``x_monomials(n, d)``}, in
+    that order.  ValueError before anything is built if d does not fit a
+    field."""
+    if d > _CODE_MAX:
+        raise ValueError(f"degree {d} does not fit {CODE_BITS - 1}-bit fields")
+    if d < 0:
+        return {}
+    if n == 1:
+        return {d: 0}
+    codes = (first + (rest << CODE_BITS)
+             for first in range(d, -1, -1) for rest in x_codes(n - 1, d - first))
+    return {c: col for col, c in enumerate(codes)}
+
+
+@lru_cache(maxsize=None)
+def x_factorials(n: int, d: int) -> tuple[int, ...]:
+    """a! = prod_j a_j! of every x^a in ``x_monomials(n, d)``, in order; equal
+    values share one int (a degree has few distinct ones)."""
+    if d < 0:
+        return ()
+    if n == 1:
+        return (factorial(d),)
+    seen = {}
+    facts = (factorial(first) * f
+             for first in range(d, -1, -1) for f in x_factorials(n - 1, d - first))
+    return tuple(seen.setdefault(v, v) for v in facts)
 
 
 def merge_thetas(a: Thetas, b: Thetas) -> tuple[int, Thetas] | None:
@@ -217,14 +268,7 @@ class SuperPoly:
         if isinstance(other, (int, Fraction)):
             other = SuperPoly.constant(self.n, other)
         self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, Fraction(0)) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return unchecked(SuperPoly, self.n, out)
+        return unchecked(SuperPoly, self.n, add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -232,8 +276,6 @@ class SuperPoly:
         return unchecked(SuperPoly, self.n, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other) -> "SuperPoly":
-        if isinstance(other, (int, Fraction)):
-            other = SuperPoly.constant(self.n, other)
         return self + (-other)
 
     def __mul__(self, other) -> "SuperPoly":
@@ -250,27 +292,13 @@ class SuperPoly:
                     continue
                 sign, thetas = merged
                 xexp = tuple(a + b for a, b in zip(x1, x2))
-                key = (xexp, thetas)
-                s = out.get(key, Fraction(0)) + sign * c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return unchecked(SuperPoly, self.n, out)
+                out[xexp, thetas] = out.get((xexp, thetas), 0) + sign * c1 * c2
+        return unchecked(SuperPoly, self.n, {k: v for k, v in out.items() if v})
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "SuperPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        result = SuperPoly.one(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, SuperPoly.one(self.n))
 
     def scalar_ratio(self, other: "SuperPoly") -> Fraction | None:
         """c with self == c * other, or None (zero polys never match nonzero)."""
@@ -385,12 +413,8 @@ def _normalize_theta_word(word: tuple) -> tuple[tuple[tuple[Thetas, Thetas], int
             out: dict[tuple[Thetas, Thetas], int] = {}
             for w, c in results.items():
                 for key, c2 in _normalize_theta_word(w):
-                    s = out.get(key, 0) + c * c2
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-            return tuple(sorted(out.items()))
+                    out[key] = out.get(key, 0) + c * c2
+            return tuple(sorted((k, v) for k, v in out.items() if v))
         if k1 == k2 == "m":
             if i1 == i2:
                 return ()
@@ -508,14 +532,7 @@ class Operator:
     def __add__(self, other: "Operator") -> "Operator":
         if self.n != other.n:
             raise ValueError("mismatched variable counts")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, Fraction(0)) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return unchecked(Operator, self.n, out)
+        return unchecked(Operator, self.n, add_terms(self.terms, other.terms))
 
     def __sub__(self, other: "Operator") -> "Operator":
         return self + (-1) * other
@@ -559,13 +576,9 @@ class Operator:
                 for j, b in xders:
                     c *= falling_factorial(xexp[j], b)
                 key = (tuple(map(add, map(sub, xexp, derx), mulx)), act[1])
-                val = out.get(key, 0) + c
-                if val:
-                    out[key] = val
-                else:
-                    del out[key]
+                out[key] = out.get(key, 0) + c
         den = oden * fden
-        return unchecked(SuperPoly, self.n, {k: Fraction(v, den) for k, v in out.items()})
+        return unchecked(SuperPoly, self.n, {k: Fraction(v, den) for k, v in out.items() if v})
 
     __call__ = apply
 
@@ -613,12 +626,8 @@ class Operator:
                     derx = tuple(x + y for x, y in zip(der_mid, d2))
                     for (bt, ct), tsign in theta_terms:
                         key = (mulx, bt, derx, ct)
-                        val = out.get(key, Fraction(0)) + coeff * tsign
-                        if val:
-                            out[key] = val
-                        else:
-                            del out[key]
-        return unchecked(Operator, self.n, out)
+                        out[key] = out.get(key, 0) + coeff * tsign
+        return unchecked(Operator, self.n, {k: v for k, v in out.items() if v})
 
     def bidegree_shift(self) -> tuple[int, int] | None:
         """(x-degree shift, theta-degree shift) if uniform across terms."""

@@ -18,22 +18,21 @@ anticommutator certificate is pinned to, H_i as the
 nullspace of the (i, 0) cell that the closed-form Groebner route to H_i
 is pinned to, the x-derivative by
 exponent subtraction that the derivative closure and its lowering tables
-are pinned to, the rational coefficient vector of a SuperPoly over a cell
-index, and the
-Diagram record with the three-clause pivot condition for G(m, p, n)
-diagrams.
+are pinned to, the exponent-tuple lowering tables, derivative sources and
+apolar rows that their monomial-code versions are pinned to, the rational
+coefficient vector of a SuperPoly over a cell index, and the Diagram record
+with the three-clause pivot condition for G(m, p, n) diagrams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import comb, factorial, prod
-from operator import sub
+from math import comb, factorial, perm, prod
+from operator import add, sub
 
-from supercoinv import harmonics, linalg
+from supercoinv import groebner, harmonics, linalg
 from supercoinv.artin import is_substaircase
 from supercoinv.groups import GroupData, GroupSpec, IntegrityError, _perm_sign
 from supercoinv.superpoly import (
@@ -43,6 +42,7 @@ from supercoinv.superpoly import (
     falling_factorial,
     merge_thetas,
     partial_operator,
+    x_factorials,
     x_monomials,
 )
 
@@ -272,10 +272,58 @@ def reduced_rows(entries):
             yield row
 
 
-@lru_cache(maxsize=None)
-def _x_factorials(n: int, i: int) -> tuple[int, ...]:
-    """a! of every degree-i x-monomial x^a, by position."""
-    return tuple(prod(map(factorial, xexp)) for xexp in x_monomials(n, i))
+def reference_x_lowering(n: int, i: int) -> tuple[tuple, ...]:
+    """``harmonics._x_lowering`` by exponent tuples: for each j, aligned with
+    ``x_monomials(n, i)``, the position of x^(a - e_j) among the
+    degree-(i - 1) x-monomials and the weight a_j, or None when a_j = 0."""
+    lower = {xexp: xi for xi, xexp in enumerate(x_monomials(n, i - 1))}
+    return tuple(
+        tuple((lower[(*a[:j], a[j] - 1, *a[j + 1:])], a[j]) if a[j] else None
+              for a in x_monomials(n, i))
+        for j in range(n)
+    )
+
+
+def reference_derivative_sources(n: int, i: int, beta) -> tuple[tuple[int, ...], ...]:
+    """``harmonics._derivative_sources`` by exponent tuples: for each x^rest
+    of degree i - |beta|, the position of x^(rest + beta) among the degree-i
+    x-monomials and the product of the falling factorials perm(a_j, beta_j)."""
+    positions = {xexp: xi for xi, xexp in enumerate(x_monomials(n, i))}
+    sources = [tuple(map(add, rest, beta)) for rest in x_monomials(n, i - sum(beta))]
+    return (tuple(positions[a] for a in sources),
+            tuple(prod(map(perm, a, beta)) for a in sources))
+
+
+def reference_apolar_rows(basis, n: int, degree: int) -> list[list[tuple[int, int]]]:
+    """``groebner.apolar_rows`` by exponent tuples: the normal-form table is
+    keyed by exponent vector, divisibility is tested entrywise
+    (``groebner._divides``) and each tail term is shifted by adding the
+    exponent difference e - lm."""
+    position = {a: col for col, a in enumerate(x_monomials(n, degree))}
+    steps = []
+    for g in basis:
+        lm = groebner.leading_monomial(g)
+        steps.append((lm, [(tuple(map(sub, e, lm)), -int(c))
+                           for (e, _), c in g.terms.items() if e != lm]))
+    nf, forms = {}, {}
+    for a in reversed(position):
+        for lm, tail in steps:
+            if groebner._divides(lm, a):
+                out = {}
+                for shift, c in tail:
+                    for s, v in nf[tuple(map(add, a, shift))].items():
+                        out[s] = out.get(s, 0) + c * v
+                nf[a] = {s: v for s, v in out.items() if v}
+                break
+        else:
+            nf[a] = {position[a]: 1}
+            forms[position[a]] = {}
+    top = factorial(degree)
+    for a, row in nf.items():
+        weight = top // prod(map(factorial, a))
+        for s, v in row.items():
+            forms[s][position[a]] = v * weight
+    return [linalg._content_reduce(sorted(forms[s].items())) for s in sorted(forms)]
 
 
 def check_against_products(pres, entries, i: int, k: int):
@@ -293,7 +341,7 @@ def check_against_products(pres, entries, i: int, k: int):
     entry, so the generator terms are walked once, every product entry is
     compared and the counts of nonzero entries must agree.  The two matrices
     then have the same rank, so the kernel count is also the quotient count.
-    The factorials nu_x! and mu_x! are those of ``_x_factorials``; only the
+    The factorials nu_x! and mu_x! are those of ``x_factorials``; only the
     positions of ``harmonics._derivative_sources`` are shared with the
     assembly.
     """
@@ -301,7 +349,7 @@ def check_against_products(pres, entries, i: int, k: int):
     words = [t for _, t in harmonics.cell_monomials(n, 0, k)]
     word_index = {w: ti for ti, w in enumerate(words)}
     width = len(words)
-    nu_facts = _x_factorials(n, i)
+    nu_facts = x_factorials(n, i)
     degrees = {}
     walked = 0  # rows of ``entries`` met; each (oi, mu) is met at most once
     for oi, g in enumerate(pres.ideal_generators()):
@@ -322,7 +370,7 @@ def check_against_products(pres, entries, i: int, k: int):
             continue
         # the position of mu_x * x^gx for every term, by the position of mu_x
         targets = [harmonics._derivative_sources(n, i, gx)[0] for (gx, _), _ in terms]
-        mu_facts = _x_factorials(n, i - gi)
+        mu_facts = x_factorials(n, i - gi)
         for mi, mx in enumerate(x_monomials(n, i - gi)):
             products = []
             for xis, (_, c) in zip(targets, terms):

@@ -19,7 +19,9 @@ from supercoinv.groebner import (
     predicted_leading_monomials,
     standard_monomials,
 )
-from supercoinv.superpoly import SuperPoly, pairing, x_monomials
+from supercoinv.groups import GroupSpec
+from supercoinv.superpoly import CODE_BITS, SuperPoly, pairing, x_codes, x_monomials
+from helpers import reference_apolar_rows
 
 GRID = [
     (m, p, n)
@@ -251,6 +253,22 @@ class TestApolarRows:
                 x_a = SuperPoly.monomial(n, a)
                 in_ideal = x_a - normal_form(x_a, gens)
                 assert all(pairing(in_ideal, h) == 0 for h in forms), (d, a)
+
+    @pytest.mark.parametrize("key, variables", [(key, key[2]) for key in GRID] + [
+        ((1, 1, n), n - 1) for n in range(2, 7)])
+    def test_rows_equal_the_tuple_reference(self, key, variables):
+        # every GRID group in x, and S_2..S_6 in their reduced presentation
+        basis = groebner.closed_form_basis(*key, variables)
+        for d in range(GroupSpec.create(*key).degree_of_vandermondian + 2):
+            assert groebner.apolar_rows(basis, variables, d) == \
+                reference_apolar_rows(basis, variables, d), d
+
+    def test_a_degree_past_the_field_raises_before_building(self):
+        basis = groebner.closed_form_basis(1, 1, 2, 2)
+        before = x_codes.cache_info().currsize
+        with pytest.raises(ValueError):
+            groebner.apolar_rows(basis, 2, 1 << CODE_BITS - 1)
+        assert x_codes.cache_info().currsize == before
 
 
 def _brute_force_standard(gb, degree_bound=None):

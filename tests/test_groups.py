@@ -80,7 +80,7 @@ class TestBuildGroup:
         assert gd.vandermondian == SuperPoly.x(2, 2, 2) - SuperPoly.x(2, 1, 2)
         assert gd.spec.coexponents == (1, 1)
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("m", range(1, 5))
     def test_permutation_expansion_is_the_product(self, n, m):
         product = SuperPoly.one(n)

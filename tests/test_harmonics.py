@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from supercoinv import checks, dimtable, groebner, groups, harmonics, linalg
+from supercoinv import checks, dimtable, groebner, groups, harmonics, linalg, superpoly
 from supercoinv.checks import (
     bidegree_support_region,
     exactness_check,
@@ -53,8 +53,10 @@ from helpers import (
     full_cell_theta_rows,
     matrix_theta_products,
     poly_to_vector,
+    reference_derivative_sources,
     reference_det_isotypic_elements,
     reference_reduced_images,
+    reference_x_lowering,
     reduced_rows,
 )
 from test_linalg import reference_rank
@@ -625,6 +627,34 @@ class TestXLowering:
                             (target[mon], c) for mon, c in _x_derivative(terms, beta)
                         )
                         assert harmonics._lower_row(row, lowering, width) == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_table_equals_the_tuple_reference(self, n):
+        for i in range(9):
+            assert harmonics._x_lowering(n, i) == reference_x_lowering(n, i)
+
+
+class TestDerivativeSources:
+    """The per-degree tables of ``_derivative_sources``, read off monomial
+    codes, against the exponent-tuple reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_tables_equal_the_tuple_reference(self, n):
+        for i in range(9):
+            for b in range(i + 1):
+                for beta in x_monomials(n, b):
+                    assert harmonics._derivative_sources(n, i, beta) == \
+                        reference_derivative_sources(n, i, beta), (i, beta)
+
+    def test_a_degree_past_the_field_raises_before_building(self):
+        width = 1 << superpoly.CODE_BITS - 1
+        before = superpoly.x_codes.cache_info().currsize
+        with pytest.raises(ValueError):
+            harmonics._derivative_sources(2, width, (1, 0))
+        with pytest.raises(ValueError):
+            harmonics._x_lowering(2, width)
+        assert superpoly.x_codes.cache_info().currsize == before
+        assert harmonics._degree_tables(2, width) == {}
 
 
 CLOSURE_GROUPS = [

@@ -1,6 +1,7 @@
 """Exact elimination: rank, RREF canonicality, nullspace correctness."""
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
@@ -250,3 +251,30 @@ def test_rows_pulled_stop_at_full_rank(case):
         pulled = 0
         fn(counting(), ncols)
         assert pulled == expected, fn.__name__
+
+
+def _cleared_by_products(vec):
+    """``to_int_row`` by Fraction products: every value times the lcm of the
+    denominators, int(v * den), then content-reduced."""
+    items = [(c, v) for c, v in sorted(vec.items()) if v]
+    den = lcm(*(Fraction(v).denominator for _, v in items))
+    return linalg._content_reduce([(c, int(v * den)) for c, v in items])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(
+    st.integers(0, 30),
+    st.one_of(st.integers(-50, 50), st.fractions(max_denominator=40).map(lambda f: f * 3),
+              st.integers(-50, 50).map(Fraction)),
+    max_size=8,
+))
+def test_to_int_row_scales_numerators_like_fraction_products(vec):
+    assert linalg.to_int_row(vec) == _cleared_by_products(vec)
+
+
+def test_to_int_row_on_integer_rows():
+    rows = [{0: Fraction(-6), 3: Fraction(4), 7: Fraction(10)}, {1: -6, 2: 9}, {4: 0, 5: -3}]
+    for vec in rows:
+        assert linalg.to_int_row(vec) == _cleared_by_products(vec)
+        assert all(type(v) is int for _, v in linalg.to_int_row(vec))
+    assert linalg.to_int_row(rows[0]) == [(0, 3), (3, -2), (7, -5)]

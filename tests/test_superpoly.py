@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -476,3 +477,58 @@ class TestSerialization:
     def test_parse_rejects_unknown_variable(self):
         with pytest.raises(ValueError):
             SuperPoly.parse("x5", 2)
+
+
+class TestMonomialCodes:
+    """The packed monomial codes of ``x_codes`` and their guard-bit
+    divisibility test, against the exponent tuples."""
+
+    @staticmethod
+    def decode(n, code):
+        mask = (1 << superpoly.CODE_BITS) - 1
+        return tuple(code >> superpoly.CODE_BITS * j & mask for j in range(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_codes_round_trip_to_x_monomials(self, n):
+        for d in range(-1, 9):
+            codes = superpoly.x_codes(n, d)
+            mons = superpoly.x_monomials(n, d)
+            assert list(codes.values()) == list(range(len(mons)))
+            assert [self.decode(n, c) for c in codes] == list(mons)
+            assert list(codes) == [superpoly.monomial_code(a) for a in mons]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_factorials_are_those_of_the_exponents(self, n):
+        for d in range(-1, 9):
+            assert superpoly.x_factorials(n, d) == tuple(
+                prod(map(factorial, a)) for a in superpoly.x_monomials(n, d))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_guard_bit_test_is_divisibility(self, n):
+        from supercoinv.groebner import _divides
+
+        mons = [a for d in range(7) for a in superpoly.x_monomials(n, d)]
+        guard = superpoly.code_guard(n)
+        codes = [superpoly.monomial_code(a) for a in mons]
+        for b, cb in zip(mons, codes):
+            for a, ca in zip(mons, codes):
+                assert (((ca | guard) - cb) & guard == guard) == _divides(b, a), (b, a)
+
+    def test_guard_bit_test_at_the_field_limit(self):
+        top = (1 << superpoly.CODE_BITS - 1) - 1
+        guard, code = superpoly.code_guard(3), superpoly.monomial_code
+        for b, a in [((top, 0, top), (top, 1, top)), ((top, 1, 0), (top, 0, top)),
+                     ((0, 0, 1), (top, top, 0)), ((1, 0, 0), (0, top, top))]:
+            divides = all(x <= y for x, y in zip(b, a))
+            assert (((code(a) | guard) - code(b)) & guard == guard) == divides
+
+    def test_an_exponent_past_the_field_raises_before_building(self):
+        width = 1 << superpoly.CODE_BITS - 1
+        before = superpoly.x_codes.cache_info().currsize
+        with pytest.raises(ValueError):
+            superpoly.x_codes(2, width)
+        assert superpoly.x_codes.cache_info().currsize == before
+        for a in [(width,), (0, width), (-1, 2)]:
+            with pytest.raises(ValueError):
+                superpoly.monomial_code(a)
+        assert superpoly.monomial_code((width - 1, 1)) == width - 1 + (1 << superpoly.CODE_BITS)

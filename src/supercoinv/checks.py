@@ -11,13 +11,17 @@ of ``harmonics``.
 * ``support_check``: the bidegree and total-degree support of the harmonics
   against the predicted bounds, and the top total-degree slice.
 
+The exactness images and the Laplacian check apply one operator straight to
+integer rows (``_apply_rows``): the harmonic basis vectors, and the unit
+rows of each cell; no operator matrix of a whole cell is built.
+
 They are also importable from ``harmonics``.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
-from math import comb, lcm
+from math import comb
 from operator import itemgetter
 
 from . import linalg
@@ -30,7 +34,6 @@ from .harmonics import (
     _contractions,
     _f_operators,
     _ideal_rows,
-    _operator_entries,
     _poly_row,
     _lower_row,
     _theta_pieces,
@@ -43,13 +46,18 @@ from .harmonics import (
     harmonic_cell_dimension,
     harmonic_cells,
 )
-from .qseries import QPoly, QZPoly
+from .qseries import QPoly, QZPoly, clear_denominators
 from .records import Record
 from .superpoly import (
     Operator,
     SuperPoly,
+    code_guard,
     falling_factorial,
+    monomial_code,
     partial_operator,
+    theta_action,
+    x_codes,
+    x_factorials,
     x_monomials,
 )
 
@@ -77,21 +85,53 @@ class ExactnessReport(Record):
         )
 
 
+def _apply_rows(n: int, op: Operator, i: int, k: int, rows):
+    """(target cell, images): op, scaled by the lcm of its denominators,
+    applied to each IntRow of ``rows`` over the (i, k) cell; one IntRow over
+    the target cell per row, not content-reduced, empty where op kills the
+    row.  A column is x-position * C(n, k) + theta word.
+
+    Read off the monomial codes: a term d_x^beta kills x^a unless x^beta
+    divides it (the guard-bit test of ``code_guard``), and then sends it to
+    the code code(a) - code(beta) + code(mulx) of the target degree with the
+    weight a! / (a - beta)! (``x_factorials``); its theta part acts on each
+    word through ``theta_action``.  ValueError before any row is read if op
+    is not bi-homogeneous."""
+    dx, dk = op.bidegree_shift() or (0, 0)
+    target, width = (i + dx, k + dk), comb(n, k)
+    words = {w: t for t, (_, w) in enumerate(cell_monomials(n, 0, k + dk))}
+    codes, facts, guard = list(x_codes(n, i)), x_factorials(n, i), code_guard(n)
+    tcodes, terms = x_codes(n, i + dx), []
+    for (mulx, multheta, derx, dertheta), c in clear_denominators(op.terms)[1]:
+        b, rest = monomial_code(derx), i - sum(derx)
+        rcodes, rfacts, shift = x_codes(n, rest), x_factorials(n, rest), monomial_code(mulx) - b
+        xs = [(tcodes[a + shift] * len(words), c * f // rfacts[rcodes[a - b]])
+              if ((a | guard) - b) & guard == guard else None for a, f in zip(codes, facts)]
+        acts = (theta_action(multheta, dertheta, w) for _, w in cell_monomials(n, 0, k))
+        terms.append((xs, [act and (act[0], words[act[1]]) for act in acts]))
+    images = []
+    for row in rows:
+        acc = {}
+        for col, v in row:
+            xi, t = divmod(col, width)
+            for xs, acts in terms:
+                hit, act = xs[xi], acts[t]
+                if hit and act:
+                    key = hit[0] + act[1]
+                    acc[key] = acc.get(key, 0) + act[0] * hit[1] * v
+        images.append(sorted((col, v) for col, v in acc.items() if v))
+    return target, images
+
+
 def _images(gd: GroupData, op: Operator, sub: Subspace, source: tuple[int, int]):
     """(target cell, IntRows over it): the images under op of the basis of
-    the harmonic cell ``sub`` at ``source`` that raise the rank of those
-    before them, so as many as the rank; the others lie in their span."""
-    n = gd.n
-    dx, dk = op.bidegree_shift()
-    target = (source[0] + dx, source[1] + dk)
-    index = _cell_index(n, *target)
+    the harmonic cell ``sub`` at ``source`` (``_apply_rows``) that raise the
+    rank of those before them, so as many as the rank; the others lie in
+    their span."""
     basis = [linalg.to_int_row(row) for row in sub.basis]
-    images = {}
-    for (_, mon), hits in linalg.products(_operator_entries([op], n, *source), basis).items():
-        for h, v in hits:
-            images.setdefault(h, {})[index[mon]] = v
-    el = linalg.IntEliminator(len(index))
-    vectors = [linalg.to_int_row(images[h]) for h in sorted(images)]
+    target, images = _apply_rows(gd.n, op, *source, basis)
+    el = linalg.IntEliminator(cell_dimension(gd.n, *target))
+    vectors = [linalg._content_reduce(v) for v in images if v]
     return target, [v for v in vectors if el.rank < el.ncols and el.add(v)]
 
 
@@ -223,18 +263,17 @@ def laplacian_spectrum_check(N: int, n: int, degree_bound: int) -> bool:
         sum_{j not in I} ff(alpha_j, N) + sum_{j in I} ff(alpha_j + N, N)
     with ff the falling factorial; the kernel is exactly the x^alpha with all
     alpha_j < N and I empty.  Verified on every monomial with x-degree up to
-    degree_bound: the integer cell matrices of the Laplacian must be
-    diagonal with these eigenvalues.
+    degree_bound: the Laplacian, applied to the unit row of each column of a
+    cell (``_apply_rows``), must give that column times the eigenvalue.
     """
     d = Operator.power_exterior_derivative(n, N)
     lap = d.adjoint() @ d + d @ d.adjoint()
-    # The cell matrix holds lap scaled by the lcm of its denominators.
-    den = lcm(*(c.denominator for c in lap.terms.values()))
+    # The images are those of lap scaled by the lcm of its denominators.
+    den = clear_denominators(lap.terms)[0]
     for k in range(n + 1):
         for i in range(degree_bound + 1):
-            diagonal = {}
-            for col, mon in enumerate(cell_monomials(n, i, k)):
-                alpha, thetas = mon
+            expected = []
+            for col, (alpha, thetas) in enumerate(cell_monomials(n, i, k)):
                 eig = sum(
                     falling_factorial(alpha[j] + N, N)
                     if (j + 1) in thetas
@@ -243,14 +282,9 @@ def laplacian_spectrum_check(N: int, n: int, degree_bound: int) -> bool:
                 )
                 if (eig == 0) != (not thetas and all(a < N for a in alpha)):
                     return False
-                if eig:
-                    diagonal[(0, mon)] = {col: eig * den}
-            matrix = {}
-            for key, row in _operator_entries([lap], n, i, k).items():
-                row = {col: v for col, v in row.items() if v}
-                if row:
-                    matrix[key] = row
-            if matrix != diagonal:
+                expected.append([(col, eig * den)] if eig else [])
+            units = [[(col, 1)] for col in range(len(expected))]
+            if _apply_rows(n, lap, i, k, units) != ((i, k), expected):
                 return False
     return True
 

@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="recompute everything, touch no cache files")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker processes for the dimension-table cells; "
-                        "slower than 1 below B_4/S_5-sized tables")
+                        "slower than 1 on tables under a second (S_5, B_4)")
     parser.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET,
                         help="max matrix entries per bidegree cell before "
                         "refusing (default %(default)s)")

@@ -29,11 +29,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import factorial
-from operator import add, sub
+from operator import sub
 
 from .linalg import _content_reduce
 from .records import Value
 from .superpoly import SuperPoly, code_guard, monomial_code, unchecked, x_codes, x_factorials
+from .superpoly import x_shift
 
 Exp = tuple[int, ...]
 
@@ -53,13 +54,6 @@ def monic(f: SuperPoly) -> SuperPoly:
         return f
     inv = 1 / f.terms[max(f.terms)]
     return unchecked(SuperPoly, f.n, {k: c * inv for k, c in f.terms.items()})
-
-
-def _shift(f: SuperPoly, exp: Exp, coeff=1) -> SuperPoly:
-    """coeff * x^exp * f, by adding exp to every x-exponent."""
-    return unchecked(SuperPoly, f.n, {
-        (tuple(map(add, e, exp)), t): c * coeff for (e, t), c in f.terms.items()
-    })
 
 
 def _divides(a: Exp, b: Exp) -> bool:
@@ -107,7 +101,7 @@ def normal_form(f: SuperPoly, basis, lms=None) -> SuperPoly:
 def s_polynomial(f: SuperPoly, g: SuperPoly) -> SuperPoly:
     lf, lg = leading_monomial(f), leading_monomial(g)
     lcm = _lcm(lf, lg)
-    return _shift(f, tuple(map(sub, lcm, lf)), 1 / f.terms[(lf, ())]) - _shift(
+    return x_shift(f, tuple(map(sub, lcm, lf)), 1 / f.terms[(lf, ())]) - x_shift(
         g, tuple(map(sub, lcm, lg)), 1 / g.terms[(lg, ())]
     )
 
@@ -232,7 +226,7 @@ def groebner_generators(m: int, p: int, n: int) -> list[SuperPoly]:
     mp = m // p
     for j in range(1, n + 1):
         tail = (0,) * (j - 1) + (mp,) * (n - j + 1)
-        gens.append(_shift(complete_homogeneous(j - 1, range(j, n + 1), n, power=m), tail))
+        gens.append(x_shift(complete_homogeneous(j - 1, range(j, n + 1), n, power=m), tail))
     return gens
 
 

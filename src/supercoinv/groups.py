@@ -23,12 +23,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 from operator import add
 
+from .qseries import clear_denominators
 from .records import Value
 from .superpoly import Operator, SuperPoly, merge_thetas, partial_operator
-from .superpoly import unchecked, x_monomials
+from .superpoly import unchecked, x_monomials, x_shift
 
 
 class IntegrityError(RuntimeError):
@@ -232,10 +233,9 @@ def _substitute_last(f: SuperPoly, x_powers: list, theta_image: dict) -> SuperPo
     theta_n is the last factor of a canonical theta word, so it is replaced
     by multiplying theta_image on the right."""
     n = f.n
-    den = lcm(*(c.denominator for c in f.terms.values()))
+    den, terms = clear_denominators(f.terms)
     out: dict = {}
-    for (xexp, thetas), c in f.terms.items():
-        c = c.numerator * (den // c.denominator)
+    for (xexp, thetas), c in terms:
         words = [(thetas, c)]
         if thetas and thetas[-1] == n:
             hits = ((merge_thetas(thetas[:-1], (j,)), b) for j, b in theta_image.items())
@@ -280,14 +280,6 @@ def _vandermonde_in_powers(n: int, m: int) -> SuperPoly:
     return unchecked(SuperPoly, n, terms)
 
 
-def _times_product_of_all_x(f: SuperPoly, power: int) -> SuperPoly:
-    """f (x_1...x_n)^power, as a shift of every x-exponent."""
-    if not power:
-        return f
-    shifted = {(tuple(e + power for e in x), t): c for (x, t), c in f.terms.items()}
-    return unchecked(SuperPoly, f.n, shifted)
-
-
 def _power_sum(n: int, k: int) -> SuperPoly:
     powers = (tuple(k * (i == j) for i in range(n)) for j in range(n))
     return unchecked(SuperPoly, n, {(x, ()): Fraction(1) for x in powers})
@@ -309,12 +301,12 @@ def build_group(m: int, p: int, n: int) -> GroupData:
             invariants.append(SuperPoly.monomial(n, (m // p,) * n))
 
     vdm = _vandermonde_in_powers(n, m)
-    vmd = _times_product_of_all_x(vdm, m // p - 1)
+    vmd = x_shift(vdm, (m // p - 1,) * n)
     co_power = 0 if m == 1 or p == m else 1
     if co_power == m // p - 1:  # S_n, D_n, B_n
         covmd = vmd
     else:
-        covmd = _times_product_of_all_x(vdm, co_power)
+        covmd = x_shift(vdm, (co_power,) * n)
 
     if m == 1:
         ops = [Operator.power_exterior_derivative(n, i) for i in range(1, n)]

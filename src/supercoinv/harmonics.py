@@ -95,14 +95,14 @@ from collections import Counter
 from contextlib import ExitStack
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, prod
+from math import comb, prod
 from itertools import chain, combinations, product, repeat
 from operator import add
 
 from . import groebner, linalg
 from .dimtable import DimTable
 from .groups import GroupData, GroupSpec, IntegrityError, ReducedPresentation
-from .qseries import QPoly, q_integer
+from .qseries import QPoly, clear_denominators, q_integer
 from .records import Value
 from .superpoly import (
     CODE_BITS,
@@ -200,17 +200,6 @@ def cell_dimension(n: int, i: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _integer_terms(terms: dict) -> list:
-    """(key, int) pairs proportional to a term map with rational values.
-
-    The factor is the lcm of the denominators, a positive scalar, so every
-    content-reduced row assembled from the result is the same as from the
-    rational terms.
-    """
-    den = lcm(*(c.denominator for c in terms.values()))
-    return [(key, c.numerator * (den // c.denominator)) for key, c in terms.items()]
-
-
 def _reduced_row(entries) -> linalg.IntRow:
     """Content-reduced IntRow from (column, int) pairs with distinct columns."""
     return linalg._content_reduce(sorted((col, v) for col, v in entries if v))
@@ -218,7 +207,7 @@ def _reduced_row(entries) -> linalg.IntRow:
 
 def _poly_row(f: SuperPoly, index: dict[Monomial, int]) -> linalg.IntRow:
     """Content-reduced IntRow of f over the monomial columns of index."""
-    return _reduced_row((index[mon], c) for mon, c in _integer_terms(f.terms))
+    return _reduced_row((index[mon], c) for mon, c in clear_denominators(f.terms)[1])
 
 
 def _cell_index(n: int, i: int, k: int) -> dict[Monomial, int]:
@@ -276,36 +265,6 @@ def _derivative_sources(n: int, i: int, beta) -> tuple[tuple[int, ...], ...]:
     return tables[beta]
 
 
-def _operator_entries(ops, n: int, i: int, k: int):
-    """Entries of the stacked operators on the (i, k) cell, unreduced.
-
-    Maps (operator index, target monomial) to {source column: int}; the
-    integers are those of the operators scaled by the lcm of their
-    denominators.  A term with x-derivative derx kills every x-monomial that
-    x^derx does not divide, so it visits only the sources x^derx * x^rest,
-    rest of degree i - |derx| (``_derivative_sources``).
-    """
-    words = [t for _, t in cell_monomials(n, 0, k)]
-    width = len(words)
-    rows: dict[tuple[int, Monomial], dict[int, int]] = {}
-    for oi, op in enumerate(ops):
-        for (mulx, multheta, derx, dertheta), c in _integer_terms(op.terms):
-            acts = (theta_action(multheta, dertheta, w) for w in words)
-            actions = [(ti, act) for ti, act in enumerate(acts) if act is not None]
-            if not actions:
-                continue
-            shift = any(mulx)
-            rests = x_monomials(n, i - sum(derx))
-            for rest, xi, weight in zip(rests, *_derivative_sources(n, i, derx)):
-                v = c * weight
-                base = xi * width
-                tx = tuple(map(add, rest, mulx)) if shift else rest
-                for ti, (sign, tw) in actions:
-                    row = rows.setdefault((oi, (tx, tw)), {})
-                    row[base + ti] = row.get(base + ti, 0) + sign * v
-    return rows
-
-
 def _ideal_rows(gens, n: int, i: int, k: int):
     """Rows of the products mu * g that span the ideal's part of the (i, k) cell.
 
@@ -315,7 +274,7 @@ def _ideal_rows(gens, n: int, i: int, k: int):
     index = _cell_index(n, i, k)
     for g in gens:
         gi, gk = g.bidegree()
-        terms = _integer_terms(g.terms)
+        terms = clear_denominators(g.terms)[1]
         for mx, mt in cell_monomials(n, i - gi, k - gk):
             row = []
             for (gx, gt), c in terms:
@@ -427,9 +386,9 @@ def _x_images(n: int, i: int, rows, operators):
     out.  An operator is a sum of x-only pieces (offset, terms (beta, c)) of
     one degree; a piece reads the rows at offset plus the positions of the
     degree-i x-monomials, so a row may hold several such blocks.  Read off
-    ``_derivative_sources`` one target at a time: an operator matrix held
-    (``linalg.products``) more than doubled the peak memory of S_6's
-    theta-degree 0 column."""
+    ``_derivative_sources`` one target at a time, with no operator matrix
+    held: one more than doubled the peak memory of S_6's theta-degree 0
+    column."""
     by_x = {}
     for h, vec in enumerate(rows):
         for xi, b in vec:
@@ -461,14 +420,14 @@ def _certified(spec: GroupSpec, what: str, oi: int, d: int, gen: dict, op: dict)
     and ideal-side matrices of a cell agree up to diagonal scaling.  ``op``
     must be x-derivatives of degree d alone, so it is fixed by its (d, 0)
     cell, where this reads: its coefficient of d^beta, times beta!, is that
-    of x^beta in 1 * gen, times beta!, so the integers of ``_integer_terms``
+    of x^beta in 1 * gen, times beta!, so the integers of ``clear_denominators``
     must agree."""
-    terms = {dx: c for (mx, mt, dx, dt), c in _integer_terms(op)
+    terms = {dx: c for (mx, mt, dx, dt), c in clear_denominators(op)[1]
              if not (any(mx) or mt or dt or sum(dx) != d)}
     if len(terms) != len(op):
         raise IntegrityError(f"{spec.label()}: {what} acts on theta or is not x-derivatives "
                              f"of its degree alone (operator {oi})")
-    wrong = terms.items() ^ {gx: c for (gx, _), c in _integer_terms(gen)}.items()
+    wrong = terms.items() ^ {gx: c for (gx, _), c in clear_denominators(gen)[1]}.items()
     if wrong:
         raise IntegrityError(f"{spec.label()} bidegree ({d},0): {what} disagrees with the "
                              f"ideal product at column x^{min(wrong)[0]} (operator {oi})")
@@ -502,9 +461,9 @@ def _theta_pieces(spec: GroupSpec, generators: tuple, operators: tuple):
         if not k:
             continue
         gens, ops = {}, {}
-        for (gx, gt), c in _integer_terms(g.terms):
+        for (gx, gt), c in clear_denominators(g.terms)[1]:
             gens.setdefault(gt, {})[gx, ()] = c
-        for (mx, mt, dx, dt), c in _integer_terms(op.terms):
+        for (mx, mt, dx, dt), c in clear_denominators(op.terms)[1]:
             ops.setdefault(dt, {})[mx, mt, dx, ()] = c
         if k != 1 or gens.keys() != ops.keys():
             raise IntegrityError(f"{spec.label()}: operator {oi} is not its generator's "
@@ -769,7 +728,7 @@ def _anticommutators(gd: GroupData):
     for i, op in enumerate(gd.ext_derivatives, 1):
         if any(any(mx) or len(mt) != 1 or dt for mx, mt, _, dt in op.terms):
             raise IntegrityError(f"{gd.spec.label()}: d_{i} is not theta_l times x-derivatives")
-        row, terms = {oi: Counter() for oi, _, _ in pieces}, _integer_terms(op.terms)
+        row, terms = {oi: Counter() for oi, _, _ in pieces}, clear_denominators(op.terms)[1]
         for oi, l, piece in pieces:
             for (_, mt, gamma, _), c in terms:
                 for beta, b in piece if mt == (l,) else ():

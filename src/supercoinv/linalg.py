@@ -24,7 +24,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
 
-from .qseries import add_terms
+from .qseries import add_terms, clear_denominators
 
 # A sparse integer row: list of (column, value), sorted by column, no zeros.
 IntRow = list[tuple[int, int]]
@@ -38,9 +38,8 @@ def to_int_row(vec) -> IntRow:
     Rational values are cleared to integers by the denominator lcm; the row
     is then content-reduced with positive leading value.
     """
-    items = [(c, v) for c, v in sorted(vec.items() if isinstance(vec, dict) else vec) if v]
-    den = lcm(*(v.denominator for _, v in items))
-    return _content_reduce([(c, v.numerator * (den // v.denominator)) for c, v in items])
+    items = {c: v for c, v in (vec.items() if isinstance(vec, dict) else vec) if v}
+    return _content_reduce(sorted(clear_denominators(items)[1]))
 
 
 def _content_reduce(items: IntRow) -> IntRow:
@@ -226,24 +225,3 @@ def residual(rref_rows: list[FracVec], vec: FracVec) -> FracVec:
         if a:
             work = add_terms(work, {k: -a * v for k, v in row.items()})
     return work
-
-
-def products(matrix: dict, rows: list[IntRow]) -> dict:
-    """{key: [(h, value)]}: every row {column: value} of a sparse matrix
-    {key: row} dotted with every IntRow rows[h], zero products left out.
-    Only the columns some rows[h] holds are visited.
-    """
-    by_col = {}
-    for h, vec in enumerate(rows):
-        for c, b in vec:
-            by_col.setdefault(c, []).append((h, b))
-    out = {}
-    for key, row in matrix.items():
-        acc = {}
-        for c, v in row.items():
-            for h, b in by_col.get(c, ()):
-                acc[h] = acc.get(h, 0) + v * b
-        acc = sorted((h, v) for h, v in acc.items() if v)
-        if acc:
-            out[key] = acc
-    return out

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 # Exact scalar type used throughout the package.  Always reduced, positive
 # denominator, never a float.
@@ -51,6 +52,14 @@ def add_terms(a: dict, b: dict) -> dict:
         else:
             out.pop(k, None)
     return out
+
+
+def clear_denominators(terms: dict) -> tuple[int, list]:
+    """(den, [(key, int)]): den is the lcm of the denominators of a term map
+    with rational values, and each value times den is an integer, its
+    numerator times den // its denominator."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, [(key, c.numerator * (den // c.denominator)) for key, c in terms.items()]
 
 
 def power(base, k: int, one):

@@ -33,10 +33,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import add, sub
 
-from .qseries import add_terms, format_power, format_terms, power
+from .qseries import add_terms, clear_denominators, format_power, format_terms, power
 
 XExp = tuple[int, ...]
 Thetas = tuple[int, ...]
@@ -556,19 +556,14 @@ class Operator:
         theta word of f."""
         if f.n != self.n:
             raise ValueError("mismatched variable counts")
-        oden = lcm(*(c.denominator for c in self.terms.values()))
-        fden = lcm(*(c.denominator for c in f.terms.values()))
-        fterms = [
-            (xexp, thetas, c.numerator * (fden // c.denominator))
-            for (xexp, thetas), c in f.terms.items()
-        ]
-        words = {thetas for _, thetas, _ in fterms}
+        oden, oterms = clear_denominators(self.terms)
+        fden, fterms = clear_denominators(f.terms)
+        words = {thetas for (_, thetas), _ in fterms}
         out: dict[Monomial, int] = {}
-        for (mulx, multheta, derx, dertheta), oc in self.terms.items():
-            oc = oc.numerator * (oden // oc.denominator)
+        for (mulx, multheta, derx, dertheta), oc in oterms:
             xders = [(j, b) for j, b in enumerate(derx) if b]
             acts = {w: theta_action(multheta, dertheta, w) for w in words}
-            for xexp, thetas, c in fterms:
+            for (xexp, thetas), c in fterms:
                 act = acts[thetas]
                 if act is None or any(xexp[j] < b for j, b in xders):
                     continue
@@ -643,6 +638,16 @@ class Operator:
 
     def __repr__(self):
         return f"Operator({self.n}, {len(self.terms)} terms)"
+
+
+def x_shift(f: SuperPoly, exp, coeff=1) -> SuperPoly:
+    """coeff * x^exp * f, by adding exp to every x-exponent; f itself when
+    that is f."""
+    if coeff == 1 and not any(exp):
+        return f
+    return unchecked(SuperPoly, f.n, {
+        (tuple(map(add, e, exp)), t): c * coeff for (e, t), c in f.terms.items()
+    })
 
 
 def partial_operator(omega: SuperPoly) -> Operator:

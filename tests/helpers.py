@@ -4,9 +4,11 @@ Saito-type validators of the group data (Jacobian proportional to Delta,
 the composed Orlik-Solomon operators proportional to
 d_{Delta*} theta_1...theta_n), the group elements of the real groups as
 signed permutations and their action on forms, literal span equality
-of canonical RREF bases, the entrywise check of a whole generator cell
-matrix against the ideal products that the whole-cell references below
-read and that the certificates of the generator operators replaced, the
+of canonical RREF bases, the entry map of operators on a whole cell that
+the whole-cell references below read and that the operators applied to
+integer rows (``checks._apply_rows``) are pinned to, the entrywise check of
+a whole generator cell matrix against the ideal products that the
+certificates of the generator operators replaced, the
 SuperPoly substitution that the integer reduced presentation of S_n is
 pinned to, the whole-cell harmonic dimension, kernel and d f_j rows on
 H_i (x) Lambda^k that the
@@ -35,6 +37,7 @@ from operator import add, sub
 from supercoinv import groebner, harmonics, linalg
 from supercoinv.artin import is_substaircase
 from supercoinv.groups import GroupData, GroupSpec, IntegrityError, _perm_sign
+from supercoinv.qseries import clear_denominators
 from supercoinv.superpoly import (
     Monomial,
     Operator,
@@ -42,6 +45,7 @@ from supercoinv.superpoly import (
     falling_factorial,
     merge_thetas,
     partial_operator,
+    theta_action,
     x_factorials,
     x_monomials,
 )
@@ -326,13 +330,46 @@ def reference_apolar_rows(basis, n: int, degree: int) -> list[list[tuple[int, in
     return [linalg._content_reduce(sorted(forms[s].items())) for s in sorted(forms)]
 
 
+def _reference_operator_entries(ops, n, i, k):
+    """The entry map of the stacked operators on the (i, k) cell, unreduced,
+    through a loop over every source x-monomial of the cell for every
+    operator term: {(operator index, target monomial): {source column:
+    int}}, the integers of the operators scaled by the lcm of their
+    denominators.  The whole-cell references below read it; the program
+    builds no operator matrix of a cell."""
+    words = [t for _, t in harmonics.cell_monomials(n, 0, k)]
+    width = len(words)
+    rows = {}
+    for oi, op in enumerate(ops):
+        terms = [
+            (mulx, derx, [(j, b) for j, b in enumerate(derx) if b],
+             [theta_action(multheta, dertheta, w) for w in words], c)
+            for (mulx, multheta, derx, dertheta), c in clear_denominators(op.terms)[1]
+        ]
+        for xi, xexp in enumerate(x_monomials(n, i)):
+            base = xi * width
+            for mulx, derx, xders, actions, c in terms:
+                for j, b in xders:
+                    c *= falling_factorial(xexp[j], b)
+                if not c:
+                    continue
+                tx = tuple(map(add, map(sub, xexp, derx), mulx))
+                for ti, act in enumerate(actions):
+                    if act is None:
+                        continue
+                    sign, tw = act
+                    row = rows.setdefault((oi, (tx, tw)), {})
+                    row[base + ti] = row.get(base + ti, 0) + sign * c
+    return rows
+
+
 def check_against_products(pres, entries, i: int, k: int):
     """Prove entrywise that the operator-side matrix of the (i, k) cell is
     the ideal-side one up to diagonal scaling, or raise IntegrityError.
 
     ``pres`` is a presentation (``GroupData.cell_presentation``, or a
     GroupData): its ``n`` variables, ideal generators and their operators.
-    ``entries`` is ``harmonics._operator_entries`` of its operators.  Under
+    ``entries`` is ``_reference_operator_entries`` of its operators.  Under
     the pairing <x^a theta_I, x^a theta_I> = a!, for a generator g and
     monomials mu, nu
         coeff_nu(mu g) nu_x! = eps coeff_mu(d_g nu) mu_x!,
@@ -355,7 +392,7 @@ def check_against_products(pres, entries, i: int, k: int):
     for oi, g in enumerate(pres.ideal_generators()):
         gi, gk = g.bidegree()
         degrees[oi] = gi, gk
-        terms = harmonics._integer_terms(g.terms)
+        terms = clear_denominators(g.terms)[1]
         # For each theta word of mu: (term, sign, theta offset) of every term
         # whose product with it is nonzero.
         merges = []
@@ -413,10 +450,10 @@ def _integrity_failure(pres, i: int, k: int, key, col):
 
 
 def cell_entries(gd: GroupData, i: int, k: int):
-    """``harmonics._operator_entries`` of all the generator operators on the
+    """``_reference_operator_entries`` of all the generator operators on the
     (i, k) cell, every entry checked against the ideal products
     (``check_against_products``): the whole generator matrix of a cell."""
-    entries = harmonics._operator_entries(gd.harmonic_generator_operators(), gd.n, i, k)
+    entries = _reference_operator_entries(gd.harmonic_generator_operators(), gd.n, i, k)
     check_against_products(gd, entries, i, k)
     return entries
 
@@ -486,22 +523,25 @@ def matrix_theta_products(pres, i: int, classical) -> dict:
     """The d f_j products on H_i through operator matrices: each d f_j
     operator split by theta-index into x-only Operators (with the integers
     of the whole operator), their entries on the (i, 0) cell
-    (``harmonics._operator_entries``) dotted with ``classical``
-    (``linalg.products``), keyed as ``harmonics._theta_products``.  The
-    route before the pieces were applied to H_i directly."""
+    (``_reference_operator_entries``) dotted with ``classical``, keyed as
+    ``harmonics._theta_products``.  The route before the pieces were
+    applied to H_i directly."""
     gens = pres.ideal_generators()
     out = {}
     for oi, op in enumerate(pres.harmonic_generator_operators()):
         if not gens[oi].bidegree()[1]:
             continue
         pieces = {}
-        for (mx, mt, dx, (l,)), c in harmonics._integer_terms(op.terms):
+        for (mx, mt, dx, (l,)), c in clear_denominators(op.terms)[1]:
             pieces.setdefault(l, {})[mx, mt, dx, ()] = c
         ls = sorted(pieces)
         ops = [Operator(pres.n, pieces[l]) for l in ls]
-        entries = harmonics._operator_entries(ops, pres.n, i, 0)
-        for (pi, (tx, _)), acc in linalg.products(entries, classical).items():
-            out.setdefault((oi, tx), {})[ls[pi]] = acc
+        for (pi, (tx, _)), row in _reference_operator_entries(ops, pres.n, i, 0).items():
+            dots = ((h, sum(row.get(xi, 0) * b for xi, b in vec))
+                    for h, vec in enumerate(classical))
+            acc = [(h, v) for h, v in dots if v]
+            if acc:
+                out.setdefault((oi, tx), {})[ls[pi]] = acc
     return out
 
 

@@ -6,7 +6,7 @@ import pickle
 import random
 from fractions import Fraction
 from math import comb
-from operator import add, sub
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -34,17 +34,16 @@ from supercoinv.harmonics import (
     kernel_intersection,
     sh_dim_table,
 )
-from supercoinv.qseries import QPoly, q_integer
+from supercoinv.qseries import QPoly, clear_denominators, q_integer
 from supercoinv.superpoly import (
     Operator,
     SuperPoly,
-    falling_factorial,
     partial_operator,
-    theta_action,
     x_monomials,
 )
-from supercoinv.verify import GOLDEN_TABLE
+from supercoinv.verify import GOLDEN_TABLE, GRID
 from helpers import (
+    _reference_operator_entries,
     _x_derivative,
     check_against_products,
     eliminated_harmonics,
@@ -96,9 +95,23 @@ class TestKernelIntersection:
         assert sub == harmonic_cell(gd, 1, 0)
 
 
+def _applied_entries(ops, n, i, k):
+    """The entry map of ops on the (i, k) cell read off ``checks._apply_rows``
+    on the unit rows: {(operator index, target monomial): {source column:
+    int}}."""
+    entries = {}
+    units = [[(col, 1)] for col in range(harmonics.cell_dimension(n, i, k))]
+    for oi, op in enumerate(ops):
+        target, images = checks._apply_rows(n, op, i, k, units)
+        for col, image in enumerate(images):
+            for tcol, v in image:
+                entries.setdefault((oi, cell_monomials(n, *target)[tcol]), {})[col] = v
+    return entries
+
+
 def _kernel_rows(ops, n, i, k):
     """The program's content-reduced equation rows of ops on a cell."""
-    return reduced_rows(harmonics._operator_entries(ops, n, i, k))
+    return reduced_rows(_applied_entries(ops, n, i, k))
 
 
 def _reference_operator_rows(ops, n, i, k):
@@ -112,34 +125,11 @@ def _reference_operator_rows(ops, n, i, k):
     return [linalg.to_int_row(rows[key]) for key in sorted(rows)]
 
 
-def _reference_operator_entries(ops, n, i, k):
-    """The entry map through a loop over every source x-monomial of the cell
-    for every operator term (the assembly before it visited only the sources
-    a term's x-derivative keeps)."""
-    words = [t for _, t in cell_monomials(n, 0, k)]
-    width = len(words)
-    rows = {}
-    for oi, op in enumerate(ops):
-        terms = [
-            (mulx, derx, [(j, b) for j, b in enumerate(derx) if b],
-             [theta_action(multheta, dertheta, w) for w in words], c)
-            for (mulx, multheta, derx, dertheta), c in harmonics._integer_terms(op.terms)
-        ]
-        for xi, xexp in enumerate(x_monomials(n, i)):
-            base = xi * width
-            for mulx, derx, xders, actions, c in terms:
-                for j, b in xders:
-                    c *= falling_factorial(xexp[j], b)
-                if not c:
-                    continue
-                tx = tuple(map(add, map(sub, xexp, derx), mulx))
-                for ti, act in enumerate(actions):
-                    if act is None:
-                        continue
-                    sign, tw = act
-                    row = rows.setdefault((oi, (tx, tw)), {})
-                    row[base + ti] = row.get(base + ti, 0) + sign * c
-    return rows
+def _nonzero_entries(ops, n, i, k):
+    """``_reference_operator_entries`` without zero entries or empty rows."""
+    entries = {key: {col: v for col, v in row.items() if v}
+               for key, row in _reference_operator_entries(ops, n, i, k).items()}
+    return {key: row for key, row in entries.items() if row}
 
 
 def _reference_ideal_rows(gens, n, i, k):
@@ -194,23 +184,24 @@ class TestIntegerAssembly:
 
 
 class TestOperatorEntries:
-    """The entry map equals the loop over every source monomial."""
+    """The operators applied to the unit rows of a cell give the entry map of
+    the loop over every source monomial."""
 
     @pytest.mark.parametrize("key", [(1, 1, 3), (2, 1, 3), (2, 2, 3), (3, 3, 3)])
     def test_every_cell_of_the_x_presentation(self, key):
         gd = build_group(*key)
         ops = gd.harmonic_generator_operators()
         for i, k in harmonics._cell_range(gd):
-            got = harmonics._operator_entries(ops, gd.n, i, k)
-            assert got == _reference_operator_entries(ops, gd.n, i, k), (i, k)
+            got = _applied_entries(ops, gd.n, i, k)
+            assert got == _nonzero_entries(ops, gd.n, i, k), (i, k)
 
     def test_every_cell_of_the_reduced_s4(self):
         gd = build_group(1, 1, 4)
         pres = gd.cell_presentation()
         ops = pres.harmonic_generator_operators()
         for i, k in harmonics._cell_range(gd):
-            got = harmonics._operator_entries(ops, pres.n, i, k)
-            assert got == _reference_operator_entries(ops, pres.n, i, k), (i, k)
+            got = _applied_entries(ops, pres.n, i, k)
+            assert got == _nonzero_entries(ops, pres.n, i, k), (i, k)
 
     @pytest.mark.parametrize("N", [1, 2])
     def test_laplacian_and_exterior_derivatives(self, N):
@@ -219,8 +210,17 @@ class TestOperatorEntries:
         ops = [d.adjoint() @ d + d @ d.adjoint(), d, d.adjoint()]
         for k in range(4):
             for i in range(5):
-                got = harmonics._operator_entries(ops, 3, i, k)
-                assert got == _reference_operator_entries(ops, 3, i, k), (i, k)
+                got = _applied_entries(ops, 3, i, k)
+                assert got == _nonzero_entries(ops, 3, i, k), (i, k)
+
+    def test_inhomogeneous_operator_is_refused_before_any_row(self):
+        def rows():
+            raise AssertionError("a row was read")
+            yield
+
+        op = Operator.x_partial(3, 1) + Operator.x_partial(3, 2, 2)
+        with pytest.raises(ValueError, match="not bi-homogeneous"):
+            checks._apply_rows(3, op, 4, 1, rows())
 
 
 class TestReducedPresentation:
@@ -569,7 +569,7 @@ def _reference_derivative_closure(gd, budget=harmonics.DEFAULT_CELL_BUDGET):
     by_cell = {}
     for subset, elem in sorted(det_isotypic_elements(gd).items()):
         i0, k = elem.bidegree()
-        terms = harmonics._integer_terms(elem.terms)
+        terms = clear_denominators(elem.terms)[1]
         for drop in range(i0 + 1):
             for beta in x_monomials(n, drop):
                 de = _x_derivative(terms, beta)
@@ -737,28 +737,27 @@ class TestExactness:
         assert alt == QPoly.one()
 
     def test_each_target_cell_is_tested_once(self, monkeypatch):
-        # the images are tested with the certified operators: no generator
-        # matrix is assembled, on the way to the cells or after, and every
+        # the images are tested with the certified operators: only d and d*
+        # are applied to rows, on the way to the cells or after, and every
         # target cell of d and d* is tested once, in cell order
         gd = build_group(2, 1, 3)
-        assembled, tested = [], []
-        real_entries, real_harmonic = harmonics._operator_entries, checks._harmonic
+        applied, tested = [], []
+        real_apply, real_harmonic = checks._apply_rows, checks._harmonic
 
-        def entries(ops, n, i, k):
-            assembled.append(ops)
-            return real_entries(ops, n, i, k)
+        def apply_rows(n, op, i, k, rows):
+            applied.append(op)
+            return real_apply(n, op, i, k, rows)
 
         def harmonic(gd, target, vectors):
             tested.append(target)
             return real_harmonic(gd, target, vectors)
 
-        for module in (harmonics, checks):
-            monkeypatch.setattr(module, "_operator_entries", entries)
+        monkeypatch.setattr(checks, "_apply_rows", apply_rows)
         monkeypatch.setattr(checks, "_harmonic", harmonic)
         cells = harmonic_cells(gd)
         assert exactness_check(gd, cells).passed
-        assert assembled and all(
-            ops in ([gd.exterior_d], [gd.exterior_d_adjoint]) for ops in assembled
+        assert applied and all(
+            op in (gd.exterior_d, gd.exterior_d_adjoint) for op in applied
         )
         targets = {
             (i + dx, k + dk)
@@ -810,18 +809,18 @@ class TestLaplacian:
         assert not laplacian_spectrum_check(N, 2, 4)
 
     def test_one_off_diagonal_entry_is_caught(self, monkeypatch):
-        real = harmonics._operator_entries
+        real = checks._apply_rows
 
-        def skewed(ops, n, i, k):
-            entries = real(ops, n, i, k)
+        def skewed(n, op, i, k, rows):
+            target, images = real(n, op, i, k, rows)
             if (i, k) == (2, 1):
-                # Every other entry of the matrix stays as it is.
-                (_, mu), row = next(iter(entries.items()))
-                row[1 - cell_monomials(n, i, k).index(mu) % 2] = 1
-            return entries
+                # The image of column 0 gains an entry at column 1; every
+                # other entry stays as it is.
+                images[0] = images[0] + [(1, 1)]
+            return target, images
 
         assert laplacian_spectrum_check(2, 2, 3)
-        monkeypatch.setattr(checks, "_operator_entries", skewed)
+        monkeypatch.setattr(checks, "_apply_rows", skewed)
         assert not laplacian_spectrum_check(2, 2, 3)
 
     @pytest.mark.parametrize("factor", [2, Fraction(1, 2), -1])
@@ -852,7 +851,41 @@ def _reference_image_rank(gd, op, cells, source):
     return reference_rank(vectors, len(index)), inside
 
 
+def _matrix_images(gd, op, sub, source):
+    """``checks._images`` through the whole-cell matrix of op
+    (``_reference_operator_entries``), read by column and multiplied into
+    the basis vectors: the route before op was applied to the rows."""
+    dx, dk = op.bidegree_shift()
+    index = harmonics._cell_index(gd.n, source[0] + dx, source[1] + dk)
+    columns = {}
+    for (_, mon), row in _reference_operator_entries([op], gd.n, *source).items():
+        for col, v in row.items():
+            columns.setdefault(col, []).append((index[mon], v))
+    el, vectors = linalg.IntEliminator(len(index)), []
+    for row in sub.basis:
+        image = {}
+        for col, b in linalg.to_int_row(row):
+            for t, v in columns.get(col, ()):
+                image[t] = image.get(t, 0) + v * b
+        image = linalg.to_int_row(image)
+        if image and el.rank < el.ncols and el.add(image):
+            vectors.append(image)
+    return (source[0] + dx, source[1] + dk), vectors
+
+
 class TestImageRank:
+    @pytest.mark.parametrize(
+        "key", [key for key in GRID if key[2] <= 3] + [(1, 1, 4), (2, 2, 4), (2, 1, 4)],
+        ids=lambda key: "-".join(map(str, key)),
+    )
+    def test_images_equal_the_matrix_route(self, key):
+        gd = build_group(*key)
+        cells = harmonic_cells(gd, budget=10**9)
+        for source, sub in cells.items():
+            for op in (gd.exterior_d, gd.exterior_d_adjoint):
+                got = checks._images(gd, op, sub, source)
+                assert got == _matrix_images(gd, op, sub, source), source
+
     @pytest.mark.parametrize("key", [(1, 1, 3), (2, 1, 3), (2, 2, 3), (3, 1, 2), (4, 2, 2)])
     def test_equals_the_polynomial_route_on_every_cell(self, key):
         gd = build_group(*key)
@@ -1089,7 +1122,7 @@ class TestIntegrity:
 
     @staticmethod
     def _entries(gd, i, k):
-        return harmonics._operator_entries(gd.harmonic_generator_operators(), gd.n, i, k)
+        return _reference_operator_entries(gd.harmonic_generator_operators(), gd.n, i, k)
 
     def test_extra_entry_in_a_row_is_caught(self):
         gd = build_group(2, 1, 3)
@@ -1510,7 +1543,7 @@ class TestThetaCells:
     @staticmethod
     def _record_assemblies(monkeypatch, log, gens):
         real_cell, real_products = harmonics._classical_harmonics, harmonics._theta_products
-        real_entries = harmonics._operator_entries
+        real_apply = checks._apply_rows
 
         def record(line):
             with open(log, "a") as out:
@@ -1524,16 +1557,16 @@ class TestThetaCells:
             record(f"pieces {i}")
             return real_products(pres, i, classical)
 
-        def entries(ops, n, i, k):
-            # all the generator operators at once (compared by value: the
+        def apply_rows(n, op, i, k, rows):
+            # a generator operator on a whole cell (compared by value: the
             # workers hold unpickled copies)
-            if ops == gens:
+            if op in gens:
                 record(f"whole {i} {k}")
-            return real_entries(ops, n, i, k)
+            return real_apply(n, op, i, k, rows)
 
         monkeypatch.setattr(harmonics, "_classical_harmonics", cell)
         monkeypatch.setattr(harmonics, "_theta_products", products)
-        monkeypatch.setattr(harmonics, "_operator_entries", entries)
+        monkeypatch.setattr(checks, "_apply_rows", apply_rows)
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -1711,8 +1744,8 @@ def test_table_walk_builds_no_operator_matrix(monkeypatch, key):
     # matrix, not even while the certificates are made
     gd = build_group(*key)
     calls = []
-    real = harmonics._operator_entries
-    monkeypatch.setattr(harmonics, "_operator_entries",
+    real = checks._apply_rows
+    monkeypatch.setattr(checks, "_apply_rows",
                         lambda *args: calls.append(args[2:4]) or real(*args))
     harmonics._f_operators.cache_clear()
     harmonics._theta_pieces.cache_clear()

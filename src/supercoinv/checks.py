@@ -128,26 +128,10 @@ def _images(gd: GroupData, op: Operator, sub: Subspace, source: tuple[int, int])
     the harmonic cell ``sub`` at ``source`` (``_apply_rows``) that raise the
     rank of those before them, so as many as the rank; the others lie in
     their span."""
-    basis = [linalg.to_int_row(row) for row in sub.basis]
-    target, images = _apply_rows(gd.n, op, *source, basis)
+    target, images = _apply_rows(gd.n, op, *source, sub.basis)
     el = linalg.IntEliminator(cell_dimension(gd.n, *target))
     vectors = [linalg._content_reduce(v) for v in images if v]
     return target, [v for v in vectors if el.rank < el.ncols and el.add(v)]
-
-
-def _image_rank(
-    gd: GroupData,
-    op: Operator,
-    cells: dict[tuple[int, int], Subspace],
-    source: tuple[int, int],
-) -> tuple[int, bool]:
-    """Rank of op on the harmonic cell at `source`; also whether the image
-    stays inside the harmonics (``_harmonic``)."""
-    sub = cells.get(source)
-    if not sub:
-        return 0, True
-    target, vectors = _images(gd, op, sub, source)
-    return len(vectors), _harmonic(gd, target, vectors)
 
 
 def _harmonic(gd: GroupData, target: tuple[int, int], vectors) -> bool:

@@ -141,15 +141,16 @@ class FeasibilityError(RuntimeError):
 
 
 class Subspace(Value):
-    """Subspace of a bidegree cell in reduced row echelon form.
+    """Subspace of a bidegree cell, held by its canonical basis.
 
-    ambient: the ordered monomial basis of the cell; basis: RREF rows as
-    sparse {column: Fraction} maps.  RREF is canonical, so equality of
-    subspaces is equality of this data.
+    ambient: the ordered monomial basis of the cell; basis: the IntRows of
+    ``linalg.rref``, each the primitive integer multiple, with a positive
+    pivot, of a row of the reduced row echelon form.  That form is
+    canonical, so equality of subspaces is equality of this data.
     """
 
     ambient: tuple[Monomial, ...]
-    basis: tuple[tuple[tuple[int, Fraction], ...], ...]
+    basis: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def dimension(self) -> int:
@@ -159,20 +160,20 @@ class Subspace(Value):
         return bool(self.basis)
 
     def vectors(self, n: int) -> list[SuperPoly]:
-        return [SuperPoly(n, {self.ambient[c]: v for c, v in row}) for row in self.basis]
+        """The reduced row echelon rows: each basis row over its pivot."""
+        return [SuperPoly(n, {self.ambient[c]: Fraction(v, row[0][1]) for c, v in row})
+                for row in self.basis]
 
     def contains(self, f: SuperPoly) -> bool:
         index = {mon: i for i, mon in enumerate(self.ambient)}
         if any(mon not in index for mon in f.terms):
             return False
-        vec = {index[mon]: c for mon, c in f.terms.items()}
-        return not linalg.residual([dict(row) for row in self.basis], vec)
+        return not linalg.residual(self.basis, {index[mon]: c for mon, c in f.terms.items()})
 
     @staticmethod
     def from_vectors(ambient, vectors) -> "Subspace":
         rows = linalg.rref(vectors, len(ambient))
-        frozen = tuple(tuple(sorted(r.items())) for r in rows)
-        return Subspace(tuple(ambient), frozen)
+        return Subspace(tuple(ambient), tuple(map(tuple, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +563,8 @@ def kernel_intersection(
 
 
 def harmonic_cell(gd: GroupData, i: int, k: int, budget: int = DEFAULT_CELL_BUDGET) -> Subspace:
+    if cell_dimension(gd.n, i, k) == 0:
+        return Subspace((), ())
     check_cell_budget(gd, i, k, budget)
     return kernel_intersection(gd, i, k)
 

@@ -11,9 +11,10 @@ An incoming row is reduced in one pass over its own pivot-column entries;
 what is left lies on free columns only.  If it is zero the row is dependent,
 otherwise its smallest column becomes a new pivot, and that column is cleared
 from exactly the pivot rows that hold it, found through a column -> pivot-rows
-index.  ``rref`` and ``nullspace`` read the canonical form directly;
-``nullspace`` gives integer rows, which ``rref`` takes back without
-conversion.
+index.  ``rref`` returns the pivot rows themselves and ``nullspace`` reads
+its basis off them; both give IntRows, which the eliminator takes back
+without conversion, and ``residual`` reduces a vector against pivot rows
+through it.
 Row consumption stops with the row that brings the rank to ncols; every later
 row is dependent and is never pulled (with ncols = 0, no row is).
 """
@@ -21,15 +22,12 @@ row is dependent and is never pulled (with ncols = 0, no row is).
 from __future__ import annotations
 
 from collections.abc import Iterable
-from fractions import Fraction
 from math import gcd, lcm
 
-from .qseries import add_terms, clear_denominators
+from .qseries import clear_denominators
 
 # A sparse integer row: list of (column, value), sorted by column, no zeros.
 IntRow = list[tuple[int, int]]
-# A sparse rational vector: {column: Fraction}, no zero values.
-FracVec = dict[int, Fraction]
 
 
 def to_int_row(vec) -> IntRow:
@@ -159,16 +157,11 @@ class IntEliminator:
         lead[c] = b
         return True
 
-    def rref(self) -> list[FracVec]:
-        """Canonical RREF rows (pivot entries 1), sorted by pivot column."""
-        out = []
-        for c in sorted(self.pivots):
-            b = self.lead[c]
-            row = {c: Fraction(1)}
-            for k, v in sorted(self.pivots[c].items()):
-                row[k] = Fraction(v, b)
-            out.append(row)
-        return out
+    def rref(self) -> list[IntRow]:
+        """The pivot rows as IntRows, sorted by pivot column: each is the
+        primitive integer multiple, with a positive pivot, of its canonical
+        RREF row, so they are as canonical as the RREF."""
+        return [[(c, self.lead[c]), *sorted(self.pivots[c].items())] for c in sorted(self.pivots)]
 
     def nullspace(self) -> list[IntRow]:
         """One basis vector per free column f, in increasing f: 1 at f and
@@ -203,8 +196,9 @@ def rank(rows: Iterable, ncols: int) -> int:
     return _eliminate(rows, ncols).rank
 
 
-def rref(rows: Iterable, ncols: int) -> list[FracVec]:
-    """Canonical reduced row echelon form of the row span (pivot entries 1)."""
+def rref(rows: Iterable, ncols: int) -> list[IntRow]:
+    """Canonical basis of the row span: the rows of its reduced row echelon
+    form, each scaled to a content-reduced IntRow with a positive pivot."""
     return _eliminate(rows, ncols).rref()
 
 
@@ -217,11 +211,11 @@ def nullspace(rows: Iterable, ncols: int) -> list[IntRow]:
     return _eliminate(rows, ncols).nullspace()
 
 
-def residual(rref_rows: list[FracVec], vec: FracVec) -> FracVec:
-    """Reduce vec against an RREF family; empty result means membership."""
-    work = {c: Fraction(v) for c, v in vec.items() if v}
+def residual(rref_rows: Iterable[IntRow], vec) -> dict[int, int]:
+    """vec, a mapping or (column, value) iterable, reduced against the pivot
+    rows of ``rref`` and scaled by a positive integer; empty means
+    membership."""
+    el = IntEliminator(0)
     for row in rref_rows:
-        a = work.get(min(row))
-        if a:
-            work = add_terms(work, {k: -a * v for k, v in row.items()})
-    return work
+        el.add(row)
+    return el._reduce(to_int_row(vec))

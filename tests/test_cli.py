@@ -195,6 +195,22 @@ class TestHarmonicsCommand:
         assert code == EXIT_OK
         assert out.strip().splitlines() == ["x1*t1 - x2*t2", "x1*t2 - x2*t1"]
 
+    @pytest.mark.parametrize("cell", [("-1", "0"), ("0", "-1"), ("2", "5")])
+    def test_empty_bidegree_prints_nothing(self, capsys, cache_dir, cell):
+        code, out, err = run(capsys, "harmonics", "--m", "2", "--n", "2", "--bidegree", *cell)
+        assert (code, out, err) == (EXIT_OK, "", "")
+
+    def test_pinned_bases_at_desk_scale(self, capsys):
+        # the stdout of every nonzero cell of verify.DESK_SCALE_GROUPS, byte
+        # for byte: a change of the basis format must not move a printed
+        # coefficient
+        path = Path(__file__).parent / "data" / "harmonics_cli.jsonl"
+        pinned = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(pinned) == 128
+        for case in pinned:
+            code, out, _ = run(capsys, "--no-cache", *case["argv"])
+            assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
+
 
 class TestThreads:
     def test_worker_pool_produces_same_table(self, capsys, cache_dir):

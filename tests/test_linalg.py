@@ -1,7 +1,7 @@
 """Exact elimination: rank, RREF canonicality, nullspace correctness."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from hypothesis import given, settings, strategies as st
 
@@ -127,8 +127,8 @@ def test_rref_is_canonical():
 def test_rational_inputs_are_cleared():
     rows = [{0: Fraction(1, 2), 1: Fraction(1, 3)}]
     assert linalg.rank(rows, 2) == 1
-    rr = linalg.rref(rows, 2)
-    assert rr[0][0] == 1 and rr[0][1] == Fraction(2, 3)
+    # the RREF row (1, 2/3) as its primitive integer multiple
+    assert linalg.rref(rows, 2) == [[(0, 3), (1, 2)]]
 
 
 def test_residual_membership():
@@ -213,8 +213,13 @@ def test_rref_matches_dense_reference(case):
     got = linalg.rref(rows, ncols)
     want = dense_rref(rows, ncols)
     assert len(got) == len(want)
+    # each row is content-reduced with a positive pivot, and over its pivot
+    # it is the canonical RREF row
     for g, w in zip(got, want):
-        assert sorted(g.items()) == sorted(w.items())
+        pivot = g[0][1]
+        assert all(type(v) is int for _, v in g)
+        assert pivot > 0 and gcd(*(v for _, v in g)) == 1
+        assert [(k, Fraction(v, pivot)) for k, v in g] == sorted(w.items())
 
 
 @settings(max_examples=200, deadline=None)

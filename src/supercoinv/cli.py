@@ -136,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute everything, touch no cache files")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for the dimension-table cells; "
-                        "slower than 1 on tables under a second (S_5, B_4)")
+                        help="worker processes for the dimension-table rows; "
+                        "slower than 1 on the smallest tables (S_4, D_4)")
     parser.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET,
                         help="max matrix entries per bidegree cell before "
                         "refusing (default %(default)s)")
@@ -206,6 +206,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads < 1:
+            parser.error(f"argument --threads: must be at least 1, not {args.threads}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()

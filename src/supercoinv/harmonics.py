@@ -60,15 +60,17 @@ stay those of the x-presentation.  Bases (``harmonic_cell``,
 because they are the harmonics themselves.
 
 The support of the harmonics is a down-set: SH is closed under every d/dx_j
-and d/dtheta_j, so a zero at (i-1, k) or (i, k-1) certifies SH^{i,k} = 0.
-One walker, ``_walk``, serves the whole-table entry points (``sh_dim_table``,
-``harmonic_cells``, the top row of ``checks.fitting_structures``): it records
-such cells as zero without building them, and hands the per-x-degree data
-(H_i, and the d f_i products on it) of each cell to the later cells of the
-same walk, never beyond it, until no later cell of that x-degree is left.
-Cells whose matrices would exceed the cell budget (rows x columns entries)
-are refused with a size estimate; the walker checks every cell, skipped or
-not, before it computes the first one.
+and d/dtheta_j, so a zero at (i', k') certifies SH^{i,k} = 0 for i >= i',
+k >= k'.  One walker, ``_walk``, serves the whole-table entry points
+(``sh_dim_table``, ``harmonic_cells``, the top row of
+``checks.fitting_structures``): it goes one x-degree at a time, in
+increasing i, and computes a row's cells in increasing k up to its first
+zero, or up to the smallest k of a zero in an earlier row; the cells past
+it are recorded as zero without being built.  H_i and the d f_i products on
+it are needed by row i alone, so they are held for the length of that row
+(``_walk_row``) and never beyond it.  Cells whose matrices would exceed the
+cell budget (rows x columns entries) are refused with a size estimate; the
+walker checks every cell, skipped or not, before it computes the first one.
 
 The det-isotypic elements e_S = d_{i_1}...d_{i_k} Delta are certified
 harmonic by one identity, not by 2n operator applications each: an ext
@@ -92,7 +94,6 @@ support) live in ``checks`` and are importable from here too.
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import ExitStack
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
@@ -163,12 +164,6 @@ class Subspace(Value):
         """The reduced row echelon rows: each basis row over its pivot."""
         return [SuperPoly(n, {self.ambient[c]: Fraction(v, row[0][1]) for c, v in row})
                 for row in self.basis]
-
-    def contains(self, f: SuperPoly) -> bool:
-        index = {mon: i for i, mon in enumerate(self.ambient)}
-        if any(mon not in index for mon in f.terms):
-            return False
-        return not linalg.residual(self.basis, {index[mon]: c for mon, c in f.terms.items()})
 
     @staticmethod
     def from_vectors(ambient, vectors) -> "Subspace":
@@ -247,7 +242,8 @@ def _lower_row(row: linalg.IntRow, lowering, width: int) -> linalg.IntRow:
 def _degree_tables(n: int, i: int) -> dict:
     """The ``_derivative_sources`` tables of x-degree i, filled on first use.
     The f_j check of H_i builds them and the d f_j pieces applied to H_i,
-    which come next, read them; only the latest x-degree is kept."""
+    which come next, read them; only the latest x-degree is kept, which a
+    walk visits in one row, so it builds each degree's tables once."""
     return {}
 
 
@@ -338,17 +334,17 @@ def harmonic_cell_dimension(
     return cols - linalg.rank(_theta_rows(pres.n, k, products), cols)
 
 
-# The x-degree data of ``_degree_data`` held by ``_walk_cell`` for one cell
-# call and reset when it returns or raises; None outside a walk.  Walks run
-# cells one at a time per process.
-_walk_held: dict | None = None
+# The x-degree data of ``_degree_data`` for the row that ``_walk_row`` is
+# computing, set for the length of its call and reset when it returns or
+# raises; None outside a walk.
+_row_data: dict | None = None
 
 
 def _degree_data(pres: GroupData | ReducedPresentation, i: int, k: int):
     """(H_i, products): H_i from ``_classical_harmonics``; for k >= 1 and
     H_i != 0, products are ``_theta_products`` on it, else None.  Inside a
-    walk both are taken from, or left for, ``_walk_cell``."""
-    held = {} if _walk_held is None else _walk_held
+    walk both are taken from, or left for, the later cells of the row."""
+    held = {} if _row_data is None else _row_data
     data = held.get(i)
     if data is None:
         data = held[i] = _classical_harmonics(pres, i), None
@@ -576,70 +572,61 @@ def _cell_range(gd: GroupData):
             yield i, k
 
 
-def _implied_zero(zeros, i: int, k: int) -> bool:
-    """Whether a zero neighbour certifies SH^{i,k} = 0.
-
-    ``zeros`` holds the cells known to be zero so far.  SH is closed under
-    every d/dx_j and d/dtheta_j (each commutes, up to sign, with g(d) for
-    every g in the ideal), and in characteristic 0 a nonzero form of
-    x-degree i > 0 (theta-degree k > 0) has a nonzero d/dx_j (d/dtheta_j),
-    so SH^{i-1,k} = 0 or SH^{i,k-1} = 0 forces SH^{i,k} = 0.
-    """
-    return (i - 1, k) in zeros or (i, k - 1) in zeros
-
-
 def _walk(gd: GroupData, cells, budget: int, compute, mapper=map) -> dict:
     """``compute(gd, i, k, budget)`` on every cell the down-set leaves open.
 
-    Every cell's budget, skipped or not, is checked before the first one is
-    computed.  The cells are then walked in waves of equal i + k, each wave
-    through one ``mapper`` call (``pool.map`` or the builtin ``map``) of
-    ``_walk_cell``, which hands the x-degree data of ``_degree_data`` to the
-    later cells of the same x-degree: H_i from the (i, 0) cell, and the d f_j
-    products on it from the first cell (i, k >= 1) that builds them, so each
-    is computed once per walk; the data of x-degree i is dropped after the
-    last wave that may compute a cell (i, k).  A cell next to a zero of the
-    previous wave is zero by ``_implied_zero`` and is skipped.  A computed
-    value is zero when it is falsy (a dimension 0, the zero Subspace).
-    Returns the computed values in the order of ``cells``; the skipped
-    cells, all zero, are left out.
+    SH is closed under every d/dx_j and d/dtheta_j (each commutes, up to
+    sign, with g(d) for every g in the ideal), and in characteristic 0 a
+    nonzero form of x-degree i > 0 (theta-degree k > 0) has a nonzero
+    d/dx_j (d/dtheta_j), so SH^{i',k'} = 0 forces SH^{i,k} = 0 for every
+    i >= i', k >= k'.  Every cell's budget, skipped or not, is checked
+    before the first one is computed.  The cells are then grouped into rows
+    of one x-degree, handed in increasing i to one ``mapper`` call
+    (``pool_map`` or the builtin ``map``) of ``_walk_row``, which stops a
+    row at its first zero.  A row's ks are cut, as it is handed out, below
+    the smallest k of a zero found in an earlier row: the builtin ``map``
+    asks for row i only after row i - 1 has returned, so a serial walk
+    computes no cell past a zero of an earlier row; a pool collects every
+    row at once, so its rows stop only at their own zeros, and the extra
+    cells it computes are zeros.  A computed value is zero when it is falsy
+    (a dimension 0, the zero Subspace).  Returns the computed values in the
+    order of ``cells``; the skipped cells, all zero, are left out.
     """
     for i, k in cells:
         check_cell_budget(gd, i, k, budget)
-    found, zeros, held = {}, set(), {}
-    for s in sorted({i + k for i, k in cells}):
-        wave = [(i, k) for i, k in cells if i + k == s]
-        zeros.update([cell for cell in wave if _implied_zero(zeros, *cell)])
-        todo = [cell for cell in wave if cell not in zeros]
-        results = mapper(
-            _walk_cell, repeat(compute), repeat(gd), [i for i, _ in todo],
-            [k for _, k in todo], repeat(budget), [held.get(i) for i, _ in todo],
-        )
-        for (i, k), (value, data) in zip(todo, results):
+    rows = {}
+    for i, k in sorted(cells):
+        rows.setdefault(i, []).append(k)
+    stop, found = gd.n + 1, {}
+
+    def handed():
+        for ks in rows.values():
+            yield [k for k in ks if k < stop]
+
+    results = mapper(_walk_row, repeat(compute), repeat(gd), rows, handed(), repeat(budget))
+    for i, values in zip(rows, results):
+        for k, value in values.items():
             found[i, k] = value
-            if data is not None:
-                held[i] = data
             if not value:
-                zeros.add((i, k))
-        # keep the data of the x-degrees that a later wave may still compute:
-        # past a zero (i, k), every (i, k + 1), ... is zero
-        later = {i for i, k in cells if i + k > s} - {i for i, _ in zeros}
-        held = {i: data for i, data in held.items() if i in later}
+                stop = min(stop, k)
     return {cell: found[cell] for cell in cells if cell in found}
 
 
-def _walk_cell(compute, gd: GroupData, i: int, k: int, budget: int, data):
-    """``compute(gd, i, k, budget)`` given the x-degree data of
-    ``_degree_data`` that the walk holds for i, or None; returns the value and
-    the data for i if the call computed any (it comes back from a worker
-    process with the value), else None."""
-    global _walk_held
-    held = _walk_held = {} if data is None else {i: data}
+def _walk_row(compute, gd: GroupData, i: int, ks, budget: int) -> dict:
+    """{k: ``compute(gd, i, k, budget)``} for the ks in increasing order, up
+    to the first zero.  ``_degree_data`` keeps the x-degree data of the row
+    (H_i, and the d f_j products on it) for the length of this call, so each
+    is computed once per row."""
+    global _row_data
+    _row_data, values = {}, {}
     try:
-        value = compute(gd, i, k, budget)
-        return value, None if held.get(i) is data else held[i]
+        for k in ks:
+            values[k] = compute(gd, i, k, budget)
+            if not values[k]:
+                break
+        return values
     finally:
-        _walk_held = None
+        _row_data = None
 
 
 def sh_dim_table(
@@ -653,24 +640,21 @@ def sh_dim_table(
     zero there and the cells are quotients of its tensor layers), so they are
     recorded as zero without computation.  The cells are computed (in
     ``gd.cell_presentation()``, see ``harmonic_cell_dimension``) by
-    ``_walk``, each wave through ``pool.map`` over ``threads`` worker
-    processes (the pool starts on the first wave, so a refusal starts
-    none) or through the builtin ``map``; every computed cell is certified
-    (each H_i has the count of Chevalley's prod_i [d_i]_q).
+    ``_walk``, one x-degree row at a time, through the builtin ``map`` or,
+    for threads > 1, through ``pool_map`` on min(threads, number of rows)
+    worker processes, which start after every budget check, so a refusal
+    starts none; every computed cell is certified (each H_i has the count
+    of Chevalley's prod_i [d_i]_q).
     """
-    pool = None
+    def pool_map(fn, *iterables):
+        from concurrent.futures import ProcessPoolExecutor
 
-    def pool_map(*args):
-        nonlocal pool
-        if pool is None:  # the first wave, after _walk has checked every budget
-            from concurrent.futures import ProcessPoolExecutor
+        tasks = list(zip(*iterables))
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+            return list(pool.map(fn, *zip(*tasks)))
 
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=threads))
-        return pool.map(*args)
-
-    with ExitStack() as stack:
-        dims = _walk(gd, list(_cell_range(gd)), budget, harmonic_cell_dimension,
-                     pool_map if threads > 1 else map)
+    dims = _walk(gd, list(_cell_range(gd)), budget, harmonic_cell_dimension,
+                 pool_map if threads > 1 else map)
     table = DimTable(gd.spec)
     for (i, k), dim in dims.items():
         table.set(i, k, dim)

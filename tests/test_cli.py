@@ -222,6 +222,13 @@ class TestThreads:
         assert code1 == code2 == EXIT_OK
         assert out1 == out2
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_thread_count_below_one_is_a_usage_error(self, capsys, cache_dir, threads):
+        code, out, err = run(capsys, "--no-cache", "--threads", threads,
+                             "hilbert", "--m", "1", "--n", "3")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "--threads" in err
+
     def test_refusal_in_a_worker_exits_infeasible(self, capsys, cache_dir):
         code = main(["--no-cache", "--threads", "2", "--cell-budget", "100000",
                      "hilbert", "--m", "1", "--n", "4"])

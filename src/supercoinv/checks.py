@@ -32,14 +32,13 @@ from .harmonics import (
     Subspace,
     _cell_index,
     _contractions,
+    _derivative_ranks,
     _f_operators,
     _ideal_rows,
     _poly_row,
-    _lower_row,
     _theta_pieces,
     _walk,
     _x_images,
-    _x_lowering,
     cell_dimension,
     cell_monomials,
     det_isotypic_elements,
@@ -58,7 +57,6 @@ from .superpoly import (
     theta_action,
     x_codes,
     x_factorials,
-    x_monomials,
 )
 
 
@@ -317,6 +315,11 @@ def fitting_structures(gd: GroupData, budget: int = DEFAULT_CELL_BUDGET) -> Fitt
     """The ideal of invariant partials, its harmonic complement, and the
     double-det harmonic Gamma = d_{Delta*} Delta.
 
+    The I' budget of every x-degree and the budget of every cell of the top
+    row are checked before any elimination.  The Ann(Gamma) ranks are read
+    off one top-down walk of the derivatives of Gamma
+    (``harmonics._derivative_ranks``), the walk of the derivative closure.
+
     Requires m > 1 (no invariant vectors, rank n): for S_n the first basic
     invariant has degree 1 and the apparatus degenerates.
     """
@@ -339,29 +342,24 @@ def fitting_structures(gd: GroupData, budget: int = DEFAULT_CELL_BUDGET) -> Fitt
     if gamma.is_zero():
         raise IntegrityError(f"Gamma of {spec.label()} vanished")
 
-    hprime_dims: dict[int, int] = {}
-    ann_matches = True
-    for d in range(dmax + 1):
-        mons = x_monomials(n, d)
-        amb = len(mons)
+    sizes = [cell_dimension(n, d, 0) for d in range(dmax + 1)]
+    for d, amb in enumerate(sizes):
         if amb * amb > budget:
             raise FeasibilityError(spec, (d, "x"), amb * amb, budget)
-        iprime_rank = linalg.rank(_ideal_rows(gens, n, d, 0), amb)
-        hprime = amb - iprime_rank
-        if hprime:
-            hprime_dims[d] = hprime
-        # Ann(Gamma) in degree d: kernel of mu -> d_{x^mu} Gamma.  Its
-        # dimension is amb - rank(psi); equality with I' in this degree
-        # means rank(psi) == dim H'.
-        psi_rank = _gamma_map_rank(gamma, mons, n, d)
-        if amb - psi_rank != iprime_rank:
-            ann_matches = False
-
-    # Top theta-degree: only the i-neighbour of a cell lies in the row.
+    # Top theta-degree: only the i-neighbour of a cell lies in the row, and
+    # the walk checks the budget of every cell of the row before the first.
     top = _walk(gd, [(i, n) for i in range(dmax + 1)], budget, harmonic_cell_dimension)
     sh_top_dims = {i: dim for (i, _), dim in top.items() if dim}
 
-    observed_top = max(sh_top_dims, default=0)
+    hprime_dims = {d: hprime for d, amb in enumerate(sizes)
+                   if (hprime := amb - linalg.rank(_ideal_rows(gens, n, d, 0), amb))}
+    # Ann(Gamma) in degree d is the kernel of mu -> d_{x^mu} Gamma on the
+    # degree-d monomials.  That map's rank is the dimension of the span of
+    # the derivatives of Gamma in x-degree deg Gamma - d (0 past deg Gamma),
+    # and Ann(Gamma) equals I' in degree d iff the rank is dim H'.
+    gdeg = gamma.bidegree()[0]
+    spans = _derivative_ranks(n, 0, {gdeg: [_poly_row(gamma, _cell_index(n, gdeg, 0))]})
+
     return FittingData(
         group=spec,
         iprime_generators=gens,
@@ -369,30 +367,11 @@ def fitting_structures(gd: GroupData, budget: int = DEFAULT_CELL_BUDGET) -> Fitt
         hprime_dims=hprime_dims,
         sh_top_dims=sh_top_dims,
         top_harmonics_match=(sh_top_dims == hprime_dims),
-        ann_gamma_equals_iprime=ann_matches,
-        observed_top_xdeg=observed_top,
+        ann_gamma_equals_iprime=all(spans.get(gdeg - d, 0) == hprime_dims.get(d, 0)
+                                    for d in range(dmax + 1)),
+        observed_top_xdeg=max(sh_top_dims, default=0),
         predicted_top_xdeg=predicted_top_xdeg(spec),
     )
-
-
-def _gamma_map_rank(gamma: SuperPoly, mons, n: int, d: int) -> int:
-    """Rank of the map (degree-d monomial mu) -> d_{x^mu} Gamma: Gamma's
-    (i, 0) row lowered mu_j times by each x_j (``_lower_row``)."""
-    gdeg = gamma.bidegree()[0]
-    if d > gdeg:
-        return 0
-    top = _poly_row(gamma, _cell_index(n, gdeg, 0))
-
-    def derivative(mu):
-        row, i = top, gdeg
-        for j, b in enumerate(mu):
-            for _ in range(b):
-                row = _lower_row(row, _x_lowering(n, i)[j], 1)
-                i -= 1
-        return row
-
-    # Rank of the column family equals rank of the matrix.
-    return linalg.rank(map(derivative, mons), cell_dimension(n, gdeg - d, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,16 @@ def default_cache_dir() -> Path:
     return base / "supercoinv"
 
 
+def _at_least(least: int):
+    """argparse type: an int no smaller than ``least``."""
+    def integer(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, not {value}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="supercoinv",
@@ -135,10 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "$SUPERCOINV_CACHE or ~/.cache/supercoinv)")
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute everything, touch no cache files")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=_at_least(1), default=1,
                         help="worker processes for the dimension-table rows; "
                         "slower than 1 on the smallest tables (S_4, D_4)")
-    parser.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET,
+    parser.add_argument("--cell-budget", type=_at_least(0), default=DEFAULT_CELL_BUDGET,
                         help="max matrix entries per bidegree cell before "
                         "refusing (default %(default)s)")
 
@@ -193,11 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("suite", choices=sorted(verify.SUITES))
     sp.add_argument("--m", type=int)
     sp.add_argument("--p", type=int)
-    sp.add_argument("--n", type=int)
+    sp.add_argument("--n", type=_at_least(1))
     sp.add_argument("--family", choices=["A", "B"], default="A")
-    sp.add_argument("--j", type=int)
-    sp.add_argument("--N", type=int)
-    sp.add_argument("--degree", type=int)
+    sp.add_argument("--j", type=_at_least(1))
+    sp.add_argument("--N", type=_at_least(1))
+    sp.add_argument("--degree", type=_at_least(0))
     sp.add_argument("--format", choices=["json", "text"], default="text")
     return parser
 
@@ -206,8 +216,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            parser.error(f"argument --threads: must be at least 1, not {args.threads}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()

@@ -79,9 +79,10 @@ g_l(d_x) d/dtheta_l satisfy G D + D G = h(d_x), h = sum c x^gamma g_l, and D
 commutes with the f_j operators, so e_S = D e' is harmonic iff every h(d_x)
 kills the harmonic e'.  Operators of other shapes are refused.
 
-Their derivative closure is computed one x-degree at a time, top down: only
-the rows found independent one x-degree higher are differentiated, by one
-x_j at a time.
+Their derivative closure is walked one x-degree at a time, top down
+(``_derivative_ranks``): only the rows found independent one x-degree higher
+are differentiated, by one x_j at a time.  Seeded with Gamma alone, the same
+walk gives the Ann(Gamma) ranks of ``checks.fitting_structures``.
 Its rows are content-reduced integer rows over the cell columns, and d/dx_j
 maps each column through a cached table of its x-degree (``_x_lowering``:
 the position of x^(a - e_j), looked up by the code code(a) - 2^(16 j), and
@@ -786,21 +787,19 @@ def derivative_closure(gd: GroupData, budget: int = DEFAULT_CELL_BUDGET) -> DimT
 
     d^beta = d/dx_j d^(beta - e_j), so the span W_{i,k} of the derivatives
     of bidegree (i, k) is spanned by the elements of that bidegree and
-    d/dx_j W_{i+1,k}, j = 1..n.  Each theta-degree is walked down from its top
-    x-degree; the rows that raise a cell's rank are a basis of W_{i,k}, and
-    only they are differentiated for the next cell.  Rows are IntRows over
-    the columns x-position * C(n, k) + theta-word, the elements mapped once;
-    d/dx_j reads each column's target and weight from ``_x_lowering``.
-    Every cell's budget is checked first: cols x (number of nonzero d^beta e
-    in the cell), which are the beta under some distinct x-exponent of e
-    (d^beta is injective on the monomials it does not kill).
+    d/dx_j W_{i+1,k}, j = 1..n: ``_derivative_ranks`` walks each theta-degree
+    down from its top x-degree, seeded with the IntRows of its elements over
+    the columns x-position * C(n, k) + theta-word.  Every cell's budget is
+    checked first: cols x (number of nonzero d^beta e in the cell), which are
+    the beta under some distinct x-exponent of e (d^beta is injective on the
+    monomials it does not kill).
     """
     n = gd.n
-    seeds: dict[tuple[int, int], list[linalg.IntRow]] = {}
+    seeds = {}  # theta-degree -> x-degree -> IntRows of the elements
     counts: Counter[tuple[int, int]] = Counter()
     for _, elem in sorted(det_isotypic_elements(gd).items()):
         i0, k = elem.bidegree()
-        seeds.setdefault((i0, k), []).append(_poly_row(elem, _cell_index(n, i0, k)))
+        seeds.setdefault(k, {}).setdefault(i0, []).append(_poly_row(elem, _cell_index(n, i0, k)))
         xexps = {xexp for xexp, _ in elem.terms}
         boxes = (product(*(range(a + 1) for a in xexp)) for xexp in xexps)
         counts.update((i0 - sum(beta), k) for beta in set(chain.from_iterable(boxes)))
@@ -809,18 +808,30 @@ def derivative_closure(gd: GroupData, budget: int = DEFAULT_CELL_BUDGET) -> DimT
         if estimate > budget:
             raise FeasibilityError(gd.spec, (i, k), estimate, budget)
     table = DimTable(gd.spec)
-    for k in sorted({k for _, k in seeds}):
-        width = comb(n, k)
-        basis: list[linalg.IntRow] = []
-        for i in range(max(i for i, kk in seeds if kk == k), -1, -1):
-            rows = seeds.get((i, k), []) + [
-                _lower_row(row, lowering, width)
-                for row in basis for lowering in _x_lowering(n, i + 1)
-            ]
-            el = linalg.IntEliminator(cell_dimension(n, i, k))
-            basis = [row for row in rows if row and el.add(row)]
-            table.set(i, k, el.rank)
+    for k, level in sorted(seeds.items()):
+        for i, rank in _derivative_ranks(n, k, level).items():
+            table.set(i, k, rank)
     return table
+
+
+def _derivative_ranks(n: int, k: int, seeds) -> dict[int, int]:
+    """{i: dim W_i} for i from the top x-degree of ``seeds`` down to 0.
+
+    ``seeds`` maps an x-degree to IntRows over that degree's theta-degree-k
+    cell.  W_i, the span of the x-derivatives of x-degree i of the seeds, is
+    spanned by the seeds of x-degree i and d/dx_j W_{i+1}, j = 1..n, so only
+    the rows that raised the rank of W_{i+1} are differentiated, each column
+    through ``_x_lowering``."""
+    width, basis, ranks = comb(n, k), [], {}
+    for i in range(max(seeds), -1, -1):
+        rows = seeds.get(i, []) + [
+            _lower_row(row, lowering, width)
+            for row in basis for lowering in _x_lowering(n, i + 1)
+        ]
+        el = linalg.IntEliminator(cell_dimension(n, i, k))
+        basis = [row for row in rows if row and el.add(row)]
+        ranks[i] = el.rank
+    return ranks
 
 
 # The named checks live in ``checks``, which reads the cell engine above.

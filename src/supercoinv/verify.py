@@ -157,6 +157,13 @@ def _groups(m, p, n, default, **extra) -> list[tuple[tuple[int, int, int], dict]
     return [(key, {"m": key[0], "p": key[1], "n": key[2], **extra}) for key in keys]
 
 
+def _fixed_group(suite, m, p, mm=None):
+    """ValueError unless the given m and p select G(mm, 1, n), the only
+    groups the suite runs; with mm None the suite takes no group."""
+    if m not in (None, mm) or p not in (None, 1 if mm else None):
+        raise ValueError(f"{suite} does not run the groups of m={m} p={p}")
+
+
 def _each(claim, cases, check) -> list[CheckReport]:
     """check(key, params) -> CheckReport for every case; a case the cell
     budget refuses is reported skipped with the refusal, under ``claim`` or,
@@ -384,18 +391,23 @@ def _suite_operator_top(ctx: _Context, m=None, p=None, n=None, **_) -> list[Chec
 
 def _suite_no_dice(ctx: _Context, m=None, p=None, n=None, **_) -> list[CheckReport]:
     """Strictness witnesses: for the excluded groups the top theta-degree
-    harmonics strictly exceed their det-isotypic part."""
+    harmonics SH^r strictly exceed their det part, the derivative closure
+    K[d_x] e of the one det-isotypic element e of theta-degree r; for the
+    others the two are equal."""
 
     def check(key, params):
         spec = GroupSpec.create(*key)
         if spec.m == 1:
             return _skip("lem:no_dice", params, "needs m > 1")
-        fit = checks.fitting_structures(build_group(*key), budget=ctx.budget)
+        gd = build_group(*key)
+        fit = checks.fitting_structures(gd, budget=ctx.budget)
         sh_total = sum(fit.sh_top_dims.values())
-        det_part = 1  # exactly one det-isotypic element at theta-degree r
+        # the theta-degree-r part of the derivative closure of the det-isotypic forms
+        closure = harmonics.derivative_closure(gd, budget=ctx.budget)
+        det_part = closure.z_coefficients_at_q1()[spec.rank]
         excluded = not _theorem_a_holds(spec)
         strict = sh_total > det_part
-        ok = strict == excluded and fit.ann_gamma_equals_iprime == (not excluded)
+        ok = strict == excluded and fit.ann_gamma_equals_iprime != excluded
         return CheckReport(
             "lem:no_dice",
             params,
@@ -452,6 +464,7 @@ def _suite_closure(ctx: _Context, m=None, p=None, n=None, **_) -> list[CheckRepo
 def _suite_zabrocki(ctx: _Context, m=None, p=None, n=None, family="A", **_) -> list[CheckReport]:
     claim = "conj:Hilb_type_A" if family == "A" else "conj:Hilb_type_B"
     mm, ns = (1, [2, 3, 4]) if family == "A" else (2, [2, 3])
+    _fixed_group("zabrocki", m, p, mm)
 
     def check(key, params):
         spec = GroupSpec.create(*key)
@@ -475,12 +488,14 @@ def _suite_zabrocki(ctx: _Context, m=None, p=None, n=None, family="A", **_) -> l
         )
 
     cases = [
-        c for nn in ([n] if n else ns) for c in _groups(mm, 1, nn, (), family=family)
+        c for nn in (ns if n is None else [n]) for c in _groups(mm, 1, nn, (), family=family)
     ]
     return _each(claim, cases, check)
 
 
 def _suite_hilb_alt(ctx: _Context, m=None, p=None, n=None, j=None, **_) -> list[CheckReport]:
+    _fixed_group("hilb-alt", m, p, 1)
+
     def check(key, params):
         lhs = ctx.table(key).hilbert_qz().z_substitute_signed_power(params["j"])
         rhs = qseries.alternating_sum(key[2], "A", params["j"])
@@ -495,20 +510,19 @@ def _suite_hilb_alt(ctx: _Context, m=None, p=None, n=None, j=None, **_) -> list[
 
     cases = [
         c
-        for nn in ([n] if n else [2, 3, 4])
-        for jj in ([j] if j else range(1, nn))
+        for nn in ([2, 3, 4] if n is None else [n])
+        for jj in (range(1, nn) if j is None else [j])
         for c in _groups(1, 1, nn, (), j=jj)
     ]
     return _each("conj:Hilb_alt", cases, check)
 
 
-def _suite_laplacian(ctx, N=None, n=None, degree=None, **_) -> list[CheckReport]:
+def _suite_laplacian(ctx, m=None, p=None, N=None, n=None, degree=None, **_) -> list[CheckReport]:
+    _fixed_group("laplacian", m, p)
     reports = []
-    Ns = [N] if N else [1, 2, 3]
-    ns = [n] if n else [1, 2, 3]
-    bound = degree if degree else 6
-    for NN in Ns:
-        for nn in ns:
+    bound = 6 if degree is None else degree
+    for NN in [1, 2, 3] if N is None else [N]:
+        for nn in [1, 2, 3] if n is None else [n]:
             ok = checks.laplacian_spectrum_check(NN, nn, bound)
             reports.append(
                 CheckReport(
@@ -523,11 +537,11 @@ def _suite_laplacian(ctx, N=None, n=None, degree=None, **_) -> list[CheckReport]
     return reports
 
 
-def _suite_qseries(ctx, n=None, **_) -> list[CheckReport]:
+def _suite_qseries(ctx, m=None, p=None, n=None, **_) -> list[CheckReport]:
+    _fixed_group("qseries", m, p)
     reports = []
-    ns = [n] if n else list(range(1, 9))
     for family in ("A", "B"):
-        for nn in ns:
+        for nn in range(1, 9) if n is None else [n]:
             got = qseries.alternating_sum(nn, family, 1)
             ok = got == QPoly.one()
             reports.append(
@@ -572,11 +586,16 @@ def run_suite(
     budget: int = DEFAULT_CELL_BUDGET,
     threads: int = 1,
 ) -> list[CheckReport]:
-    """Run a named suite; deterministic for fixed inputs."""
+    """Run a named suite; deterministic for fixed inputs.  Only None means an
+    option is not given.  ValueError, before any case is run, for a group the
+    suite does not run or a selection with no case."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     ctx = _Context(budget=budget, threads=threads)
-    return SUITES[name](ctx, m=m, p=p, n=n, family=family, j=j, N=N, degree=degree)
+    reports = SUITES[name](ctx, m=m, p=p, n=n, family=family, j=j, N=N, degree=degree)
+    if not reports:
+        raise ValueError(f"{name}: the options select no case")
+    return reports
 
 
 def summary_lines(reports: list[CheckReport]) -> list[str]:

@@ -20,7 +20,9 @@ anticommutator certificate is pinned to, H_i as the
 nullspace of the (i, 0) cell that the closed-form Groebner route to H_i
 is pinned to, the x-derivative by
 exponent subtraction that the derivative closure and its lowering tables
-are pinned to, the exponent-tuple lowering tables, derivative sources and
+are pinned to, the rank of mu -> d_{x^mu} Gamma by one chain of single
+lowerings per monomial that the Fitting check's Ann(Gamma) ranks are
+pinned to, the exponent-tuple lowering tables, derivative sources and
 apolar rows that their monomial-code versions are pinned to, the rational
 coefficient vector of a SuperPoly over a cell index, and the Diagram record
 with the three-clause pivot condition for G(m, p, n) diagrams.
@@ -286,6 +288,26 @@ def reference_x_lowering(n: int, i: int) -> tuple[tuple, ...]:
               for a in x_monomials(n, i))
         for j in range(n)
     )
+
+
+def reference_gamma_map_rank(gamma: SuperPoly, mons, n: int, d: int) -> int:
+    """Rank of the map (degree-d monomial mu) -> d_{x^mu} Gamma: Gamma's
+    (i, 0) row lowered mu_j times by each x_j (``_lower_row``)."""
+    gdeg = gamma.bidegree()[0]
+    if d > gdeg:
+        return 0
+    top = harmonics._poly_row(gamma, harmonics._cell_index(n, gdeg, 0))
+
+    def derivative(mu):
+        row, i = top, gdeg
+        for j, b in enumerate(mu):
+            for _ in range(b):
+                row = harmonics._lower_row(row, harmonics._x_lowering(n, i)[j], 1)
+                i -= 1
+        return row
+
+    # Rank of the column family equals rank of the matrix.
+    return linalg.rank(map(derivative, mons), harmonics.cell_dimension(n, gdeg - d, 0))
 
 
 def reference_derivative_sources(n: int, i: int, beta) -> tuple[tuple[int, ...], ...]:

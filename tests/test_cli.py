@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from supercoinv import cli
+from supercoinv import checks, cli, harmonics, qseries
 from supercoinv.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INFEASIBLE,
@@ -263,6 +263,65 @@ class TestUsageErrors:
         code, out, err = run(capsys, "group-info", "--m", "4", "--p", "3", "--n", "2")
         assert code == EXIT_USAGE
         assert "error" in err
+
+    @pytest.mark.parametrize("budget", ["-1", "-20000000"])
+    def test_negative_cell_budget_is_a_usage_error(self, capsys, cache_dir, monkeypatch,
+                                                    budget):
+        monkeypatch.setattr(cli, "build_group", lambda *a: pytest.fail("built a group"))
+        code, out, err = run(capsys, "--no-cache", "--cell-budget", budget,
+                             "hilbert", "--m", "1", "--n", "3")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "--cell-budget" in err
+
+    def test_zero_cell_budget_is_a_refusal(self, capsys, cache_dir):
+        code, out, err = run(capsys, "--no-cache", "--cell-budget", "0",
+                             "hilbert", "--m", "1", "--n", "3")
+        assert (code, out) == (EXIT_INFEASIBLE, "")
+        assert "over the cell budget 0" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["laplacian", "--N", "0"],
+        ["laplacian", "--n", "0"],
+        ["laplacian", "--degree", "-1"],
+        ["laplacian", "--m", "1"],
+        ["qseries", "--n", "0"],
+        ["qseries", "--m", "2", "--n", "3"],
+        ["qseries", "--p", "1"],
+        ["zabrocki", "--n", "0"],
+        ["zabrocki", "--m", "3", "--n", "3"],
+        ["zabrocki", "--family", "B", "--m", "1", "--n", "3"],
+        ["zabrocki", "--family", "B", "--m", "2", "--p", "2", "--n", "3"],
+        ["hilb-alt", "--j", "0"],
+        ["hilb-alt", "--n", "1"],
+        ["hilb-alt", "--m", "2", "--p", "2", "--n", "4"],
+        ["exactness", "--m", "2", "--n", "0"],
+    ])
+    def test_verify_option_out_of_range_is_a_usage_error(self, capsys, cache_dir,
+                                                          monkeypatch, argv):
+        # refused before any table is built or any case is checked
+        def computed(*args, **kwargs):
+            pytest.fail("computed a case")
+
+        for module, name in [(harmonics, "sh_dim_table"), (harmonics, "harmonic_cells"),
+                             (checks, "laplacian_spectrum_check"),
+                             (qseries, "alternating_sum")]:
+            monkeypatch.setattr(module, name, computed)
+        code, out, err = run(capsys, "--no-cache", "verify", *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "error: " in err
+
+    @pytest.mark.parametrize("argv, params", [
+        (["laplacian", "--degree", "0", "--N", "2", "--n", "1"], {"N": 2, "n": 1, "degree": 0}),
+        (["zabrocki", "--family", "B", "--m", "2", "--n", "2"],
+         {"m": 2, "p": 1, "n": 2, "family": "B"}),
+        (["zabrocki", "--m", "1", "--p", "1", "--n", "2"],
+         {"m": 1, "p": 1, "n": 2, "family": "A"}),
+        (["hilb-alt", "--m", "1", "--n", "2"], {"m": 1, "p": 1, "n": 2, "j": 1}),
+    ])
+    def test_verify_runs_the_selected_case(self, capsys, cache_dir, argv, params):
+        code, out, _ = run(capsys, "--no-cache", "verify", *argv, "--format", "json")
+        assert code == EXIT_OK
+        assert [json.loads(line)["params"] for line in out.splitlines()] == [params]
 
     def test_exit_code_mapping_for_failures(self, capsys, cache_dir, monkeypatch):
         # force a failing report through the CLI path

@@ -54,6 +54,7 @@ from helpers import (
     poly_to_vector,
     reference_derivative_sources,
     reference_det_isotypic_elements,
+    reference_gamma_map_rank,
     reference_reduced_images,
     reference_x_lowering,
     reduced_rows,
@@ -981,6 +982,42 @@ class TestFitting:
         fit = fitting_structures(build_group(*key))
         assert fit.observed_top_xdeg == fit.predicted_top_xdeg
         assert fit.top_harmonics_match
+
+    @pytest.mark.parametrize("key", [key for key in GRID if GroupSpec.create(*key).m > 1])
+    def test_ann_gamma_ranks_equal_the_reference(self, key):
+        # the rank of mu -> d_{x^mu} Gamma on the degree-d monomials is the
+        # dimension of the derivative span of Gamma in x-degree deg Gamma - d
+        gd = build_group(*key)
+        n, degrees = gd.n, range(gd.spec.degree_of_vandermondian + 1)
+        fit = fitting_structures(gd, budget=10**13)
+        gdeg = fit.gamma.bidegree()[0]
+        row = harmonics._poly_row(fit.gamma, harmonics._cell_index(n, gdeg, 0))
+        spans = harmonics._derivative_ranks(n, 0, {gdeg: [row]})
+        want = [reference_gamma_map_rank(fit.gamma, x_monomials(n, d), n, d) for d in degrees]
+        assert [spans.get(gdeg - d, 0) for d in degrees] == want
+        assert fit.ann_gamma_equals_iprime == (want == [fit.hprime_dims.get(d, 0) for d in degrees])
+
+    @pytest.mark.parametrize("budget, bidegree", [
+        (None, (9, 3)), (10, (2, "x")), (100, (4, "x")), (1000, (7, "x")),
+    ])
+    def test_refusal_comes_before_any_elimination(self, monkeypatch, budget, bidegree):
+        # B_3: the I' budget of every x-degree and the budget of every top-row
+        # cell are checked before the first row is eliminated
+        gd = build_group(2, 1, 3)
+        top = harmonics._estimate_kernel_entries(gd, 9, 3)
+        budget = top - 1 if budget is None else budget
+        adds = []
+        real_add = linalg.IntEliminator.add
+        monkeypatch.setattr(
+            linalg.IntEliminator, "add", lambda el, row: adds.append(row) or real_add(el, row)
+        )
+        with pytest.raises(FeasibilityError) as err:
+            fitting_structures(gd, budget=budget)
+        assert adds == []
+        i, k = bidegree
+        estimate = top if k == 3 else harmonics.cell_dimension(3, i, 0) ** 2
+        assert (err.value.bidegree, err.value.estimate, err.value.budget) == (
+            bidegree, estimate, budget)
 
 
 class TestSupport:

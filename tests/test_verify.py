@@ -7,12 +7,14 @@ from pathlib import Path
 import pytest
 
 from supercoinv import groebner, harmonics
-from supercoinv.groups import build_group
+from supercoinv.groups import GroupSpec, build_group
 from supercoinv.superpoly import SuperPoly
 from supercoinv.verify import (
     GOLDEN_TABLE,
+    GRID,
     SUITES,
     CheckReport,
+    _theorem_a_holds,
     closed_form_basis_check,
     run_suite,
     summary_lines,
@@ -47,6 +49,38 @@ def test_no_dice_witness():
     reports = run_suite("no-dice")
     assert [r.verdict for r in reports] == ["pass"]
     assert "dim SH^r = 6 vs det part 1" in reports[0].computed
+
+
+# (dim SH^r, dim of the closure K[d_x] e of the det-isotypic form e of
+# theta-degree r); G(3,1,4) (16, 16) and G(4,1,4) (81, 81) take seconds
+# each and run in the CI step on the stretch groups
+NO_DICE = {
+    (2, 1, 1): (1, 1), (2, 1, 2): (1, 1), (2, 1, 3): (1, 1), (2, 1, 4): (1, 1),
+    (2, 2, 2): (1, 1), (2, 2, 3): (1, 1), (2, 2, 4): (1, 1),
+    (3, 1, 1): (2, 2), (3, 1, 2): (4, 4), (3, 1, 3): (8, 8),
+    (3, 3, 2): (1, 1), (3, 3, 3): (4, 1), (3, 3, 4): (11, 1),
+    (4, 1, 1): (3, 3), (4, 1, 2): (9, 9), (4, 1, 3): (27, 27), (4, 2, 1): (1, 1),
+    (4, 2, 2): (6, 1), (4, 2, 3): (23, 1), (4, 2, 4): (76, 1),
+    (4, 4, 2): (1, 1), (4, 4, 3): (7, 1), (4, 4, 4): (33, 1),
+    (5, 1, 2): (16, 16), (5, 1, 3): (64, 64), (6, 1, 2): (25, 25),
+    (6, 2, 2): (17, 4), (6, 3, 2): (10, 1), (6, 6, 2): (1, 1),
+}
+
+
+def test_no_dice_covers_the_grid():
+    grid = {key for key in GRID if GroupSpec.create(*key).m > 1}
+    assert grid - set(NO_DICE) == {(3, 1, 4), (4, 1, 4)}
+
+
+@pytest.mark.parametrize("key, dims", sorted(NO_DICE.items()))
+def test_no_dice_strict_exactly_where_theorem_a_fails(key, dims):
+    # for G(m,1,n) with m >= 3 the harmonics SH^r are the closure of the
+    # det-isotypic form, not that one form alone, so a strict containment
+    # is a witness only for the groups that Theorem A excludes
+    (rep,) = run_suite("no-dice", *key, budget=10**13)
+    assert rep.computed.startswith(f"dim SH^r = {dims[0]} vs det part {dims[1]}; ")
+    assert (dims[0] > dims[1]) != _theorem_a_holds(GroupSpec.create(*key))
+    assert rep.verdict == "pass"
 
 
 def test_zabrocki_example_columns():

@@ -4,7 +4,9 @@ published values.
 
 By default runs the desk-scale groups (under a second in total).  --stretch
 adds the rows of S_5, B_4 and D_4 (about 3 s in total on a 2-core machine,
-S_5 the slowest); --group m p n runs a single group.  Each row ends with the
+S_5 the slowest); --group m p n runs a single group; --all runs every
+row of ``verify.GOLDEN_TABLE``, S_6 and B_5 included (minutes), at the cell
+budget 10^13 unless one is given.  Each row ends with the
 seconds of its table and of its derivative closure, and the process's peak
 resident memory after the row (the getrusage high-water mark, in MB).  Exit
 status 0 iff every computed row matches its golden row.
@@ -20,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from supercoinv import dimtable, harmonics
 from supercoinv.groups import build_group
-from supercoinv.verify import DESK_SCALE_GROUPS, golden_row
+from supercoinv.verify import DESK_SCALE_GROUPS, GOLDEN_TABLE, golden_row
 
 STRETCH_GROUPS = [(1, 1, 5), (2, 1, 4), (2, 2, 4)]
 
@@ -46,13 +48,21 @@ def main():
     parser.add_argument("--stretch", action="store_true",
                         help="include S_5, B_4, D_4 (seconds)")
     parser.add_argument("--group", type=int, nargs=3, metavar=("M", "P", "N"))
-    parser.add_argument("--cell-budget", type=int, default=10**9)
+    parser.add_argument("--all", action="store_true",
+                        help="every golden row, S_6 and B_5 included (minutes)")
+    parser.add_argument("--cell-budget", type=int,
+                        help="default 10^9, or 10^13 with --all")
     parser.add_argument("--latex", action="store_true",
                         help="also print the LaTeX table")
     args = parser.parse_args()
 
+    budget = args.cell_budget
+    if budget is None:
+        budget = 10**13 if args.all else 10**9
     if args.group:
         keys = [tuple(args.group)]
+    elif args.all:
+        keys = list(GOLDEN_TABLE)
     else:
         keys = list(DESK_SCALE_GROUPS)
         if args.stretch:
@@ -61,7 +71,7 @@ def main():
     rows = []
     all_ok = True
     for key in keys:
-        table, closure, (table_s, closure_s) = run_group(key, args.cell_budget)
+        table, closure, (table_s, closure_s) = run_group(key, budget)
         label = table.group.label()
         sh = table.z_coefficients_at_q1()
         cl = closure.z_coefficients_at_q1()

@@ -318,7 +318,9 @@ def fitting_structures(gd: GroupData, budget: int = DEFAULT_CELL_BUDGET) -> Fitt
     The I' budget of every x-degree and the budget of every cell of the top
     row are checked before any elimination.  The Ann(Gamma) ranks are read
     off one top-down walk of the derivatives of Gamma
-    (``harmonics._derivative_ranks``), the walk of the derivative closure.
+    (``harmonics._derivative_ranks``), the walk of the derivative closure,
+    in standard coordinates; Gamma is certified harmonic first
+    (``_harmonic``), or IntegrityError.
 
     Requires m > 1 (no invariant vectors, rank n): for S_n the first basic
     invariant has degree 1 and the apparatus degenerates.
@@ -358,7 +360,9 @@ def fitting_structures(gd: GroupData, budget: int = DEFAULT_CELL_BUDGET) -> Fitt
     # the derivatives of Gamma in x-degree deg Gamma - d (0 past deg Gamma),
     # and Ann(Gamma) equals I' in degree d iff the rank is dim H'.
     gdeg = gamma.bidegree()[0]
-    spans = _derivative_ranks(n, 0, {gdeg: [_poly_row(gamma, _cell_index(n, gdeg, 0))]})
+    if not _harmonic(gd, (gdeg, 0), [_poly_row(gamma, _cell_index(n, gdeg, 0))]):
+        raise IntegrityError(f"Gamma of {spec.label()} is not harmonic")
+    spans = _derivative_ranks(gd, 0, {gdeg: [gamma]})
 
     return FittingData(
         group=spec,

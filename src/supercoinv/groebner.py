@@ -12,14 +12,18 @@ The closed-form generating families for the coinvariant ideals of G(m, p, n)
 live here too (`groebner_generators`): complete homogeneous pieces
 h_j(x_j^m, ..., x_n^m), plus h_{j-1}(x_j^m, ..., x_n^m) (x_j...x_n)^{m/p}
 when p > 1.  These are already reduced Groebner bases; the engine is used to
-confirm that, and their standard monomials reproduce the Artin bases.  The
-classical harmonics are read off them without elimination
-(`apolar_rows`, one normal-form table per degree); `harmonics` certifies
-them against the group's own operators.  That table is keyed by packed
-monomial codes (`superpoly.x_codes`, sum_j a_j 2^(16 j) with a guard bit
-atop each field): a leading monomial divides x^a when no field of
-(code(a) | guard) - code(lm) borrows its guard bit, and a tail term e of
-the reducer shifts x^a by the signed code difference code(e) - code(lm).
+confirm that, and their standard monomials reproduce the Artin bases.
+
+One normal-form table per degree (`normal_forms`) has two readers: the
+classical harmonics, read off it without elimination (`apolar_rows`) and
+certified by `harmonics` against the group's own operators, and the
+derivative closure of `harmonics`, which differentiates harmonic forms in
+the coordinates of the standard monomials.  It is built once per degree of
+the latest basis and keyed by packed monomial codes (`superpoly.x_codes`,
+sum_j a_j 2^(16 j) with a guard bit atop each field): a leading monomial
+divides x^a when no field of (code(a) | guard) - code(lm) borrows its
+guard bit, and a tail term e of the reducer shifts x^a by the signed code
+difference code(e) - code(lm).
 Buchberger and `normal_form` keep exponent tuples.
 """
 
@@ -246,23 +250,35 @@ def closed_form_basis(m: int, p: int, n: int, variables: int) -> tuple[SuperPoly
                  for g in gens[1:])
 
 
-def apolar_rows(basis, n: int, degree: int) -> list[list[tuple[int, int]]]:
-    """One content-reduced integer row over ``x_monomials(n, degree)`` per
-    standard monomial x^s of the degree, in order, for a monic, homogeneous,
-    integer lex Groebner basis of an ideal I: the form
-        h^(s) = sum_a NF(x^a)_s degree!/a! x^a.
-    x^a - NF(x^a) lies in I and <x^a, h> = a! h_a under the pairing
-    <x^a, x^b> = a! [a = b], so each h^(s) is orthogonal to I.  The normal
-    forms are built in increasing lex order: a non-standard x^a is reduced
-    once, by the first basis element whose leading monomial divides it, to
-    lex-smaller monomials of the degree.  They are keyed by monomial code
-    (``superpoly.x_codes``): lm divides a iff ((a | guard) - lm) & guard ==
-    guard (``superpoly.code_guard``), and the tail term e of the reducer
-    sends x^a to the code a + (code(e) - lm).  A standard x^s has NF(x^s) = x^s
-    and every normal form lies on the standard columns, so each row's only
-    standard column is its own: the rows are unitriangular there, hence
-    independent, by construction.
+@lru_cache(maxsize=1)
+def _held(basis: tuple, n: int) -> dict:
+    """{degree: ``normal_forms``} of the latest basis, compared by value,
+    filled on first use."""
+    return {}
+
+
+def normal_forms(basis, n: int, degree: int) -> tuple[dict, list[int]]:
+    """(nf, standard) of the degree for a monic, homogeneous, integer lex
+    Groebner basis in n variables: nf maps code(a) (``superpoly.x_codes``)
+    of every x^a of the degree to NF(x^a) as pairs (code(s), int) over the
+    standard monomials x^s, and standard lists their codes in
+    ``x_monomials`` order.  Built in increasing lex order: a non-standard
+    x^a is reduced once, by the first basis element whose leading monomial
+    divides it, to lex-smaller monomials of the degree.  Keyed by monomial
+    code: lm divides a iff ((a | guard) - lm) & guard == guard
+    (``superpoly.code_guard``), and the tail term e of the reducer sends x^a
+    to the code a + (code(e) - lm).  Each degree is built once and kept
+    while the basis, compared by value, is the latest one asked for; both
+    ``apolar_rows`` and the derivative closure of ``harmonics`` read it.
+    A degree that does not fit a code field raises before anything is built.
     """
+    held = _held(tuple(basis), n)
+    if degree not in held:
+        held[degree] = _normal_forms(basis, n, degree)
+    return held[degree]
+
+
+def _normal_forms(basis, n: int, degree: int) -> tuple[dict, list[int]]:
     position, guard = x_codes(n, degree), code_guard(n)
     steps = []
     for g in basis:
@@ -270,26 +286,43 @@ def apolar_rows(basis, n: int, degree: int) -> list[list[tuple[int, int]]]:
         code = monomial_code(lm)
         steps.append((code, [(monomial_code(e) - code, -int(c))
                              for (e, _), c in g.terms.items() if e != lm]))
-    nf, forms = {}, {}  # NF(x^a) by code(a), and h^(s) by the column of s
+    nf, standard = {}, []
     for a in reversed(position):
         for lm, tail in steps:
             if ((a | guard) - lm) & guard == guard:
                 out = {}
                 for shift, c in tail:
-                    for s, v in nf[a + shift].items():
+                    for s, v in nf[a + shift]:
                         out[s] = out.get(s, 0) + c * v
-                nf[a] = {s: v for s, v in out.items() if v}
+                nf[a] = tuple((s, v) for s, v in out.items() if v)
                 break
         else:
-            nf[a] = {position[a]: 1}
-            forms[position[a]] = {}
-    top, facts = factorial(degree), x_factorials(n, degree)
+            nf[a] = ((a, 1),)
+            standard.append(a)
+    return nf, standard[::-1]
+
+
+def apolar_rows(basis, n: int, degree: int) -> list[list[tuple[int, int]]]:
+    """One content-reduced integer row over ``x_monomials(n, degree)`` per
+    standard monomial x^s of the degree, in order, for a monic, homogeneous,
+    integer lex Groebner basis of an ideal I: the form
+        h^(s) = sum_a NF(x^a)_s degree!/a! x^a,
+    read off the degree's normal-form table (``normal_forms``).
+    x^a - NF(x^a) lies in I and <x^a, h> = a! h_a under the pairing
+    <x^a, x^b> = a! [a = b], so each h^(s) is orthogonal to I.  A standard
+    x^s has NF(x^s) = x^s and every normal form lies on the standard
+    columns, so each row's only standard column is its own: the rows are
+    unitriangular there, hence independent, by construction.
+    """
+    nf, standard = normal_forms(basis, n, degree)
+    position, facts, top = x_codes(n, degree), x_factorials(n, degree), factorial(degree)
+    forms = {s: {} for s in standard}
     for a, row in nf.items():
         col = position[a]
         weight = top // facts[col]
-        for s, v in row.items():
+        for s, v in row:
             forms[s][col] = v * weight
-    return [_content_reduce(sorted(forms[s].items())) for s in sorted(forms)]
+    return [_content_reduce(sorted(form.items())) for form in forms.values()]
 
 
 def predicted_leading_monomials(m: int, p: int, n: int) -> set[Exp]:

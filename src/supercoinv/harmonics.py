@@ -81,12 +81,17 @@ kills the harmonic e'.  Operators of other shapes are refused.
 
 Their derivative closure is walked one x-degree at a time, top down
 (``_derivative_ranks``): only the rows found independent one x-degree higher
-are differentiated, by one x_j at a time.  Seeded with Gamma alone, the same
-walk gives the Ann(Gamma) ranks of ``checks.fitting_structures``.
-Its rows are content-reduced integer rows over the cell columns, and d/dx_j
-maps each column through a cached table of its x-degree (``_x_lowering``:
-the position of x^(a - e_j), looked up by the code code(a) - 2^(16 j), and
-the weight a_j, field j of code(a)), which keeps rows sorted.
+are differentiated, by one x_j at a time, and a level stops once its rank
+fills its columns.  Seeded with Gamma alone, the same walk gives the
+Ann(Gamma) ranks of ``checks.fitting_structures``.  It runs in the standard
+coordinates of the cell presentation: a harmonic v of x-degree i is kept as
+u_s = s! v_s over the standard monomials x^s of the closed-form Groebner
+basis (for S_n the x_n-free ones), which fixes v, and d/dx_j is the
+transpose of multiplication by x_j on Q[x]/I, read off the normal forms
+that H_i is read off (``groebner.normal_forms``, one table per degree with
+two readers).  A row has dim H_i * C(n, k) columns, not those of the whole
+cell, and the tables are built once per x-degree for every theta-degree
+(``_standard_level``); each degree's standard count must be Chevalley's.
 
 The named checks (exactness, the Laplacian spectrum, the Fitting apparatus,
 support) live in ``checks`` and are importable from here too.
@@ -97,7 +102,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb, factorial, prod
 from itertools import chain, combinations, product, repeat
 from operator import add
 
@@ -209,34 +214,6 @@ def _poly_row(f: SuperPoly, index: dict[Monomial, int]) -> linalg.IntRow:
 
 def _cell_index(n: int, i: int, k: int) -> dict[Monomial, int]:
     return {mon: col for col, mon in enumerate(cell_monomials(n, i, k))}
-
-
-@lru_cache(maxsize=None)
-def _x_lowering(n: int, i: int) -> tuple[tuple, ...]:
-    """d/dx_j on the degree-i x-monomials, for j = 0..n-1: aligned with
-    ``x_monomials(n, i)``, the position of x^(a - e_j) among the
-    degree-(i - 1) x-monomials and the weight a_j, or None when a_j = 0.
-    Read off the monomial codes: the target's code is code(a) - 2^(16 j),
-    and a_j is field j of code(a)."""
-    codes, lower, mask = x_codes(n, i), x_codes(n, i - 1), (1 << CODE_BITS) - 1
-    return tuple(
-        tuple((lower[c - (1 << s)], a) if (a := c >> s & mask) else None for c in codes)
-        for s in range(0, CODE_BITS * n, CODE_BITS)
-    )
-
-
-def _lower_row(row: linalg.IntRow, lowering, width: int) -> linalg.IntRow:
-    """d/dx_j of an IntRow over the columns x-position * width + theta-word of
-    one x-degree, through the entry for j of that degree's ``_x_lowering``;
-    content-reduced.  Subtracting e_j keeps the lex order of the
-    x-monomials, so the result is sorted as built."""
-    out = []
-    for col, v in row:
-        xi, t = divmod(col, width)
-        hit = lowering[xi]
-        if hit:
-            out.append((hit[0] * width + t, hit[1] * v))
-    return linalg._content_reduce(out)
 
 
 @lru_cache(maxsize=1)
@@ -440,7 +417,13 @@ def _f_operators(spec: GroupSpec, generators: tuple, operators: tuple):
     then applied to every H_i; also Chevalley's prod_j [d_j]_q of the group."""
     ops = [[(0, _certified(spec, "an f_j operator", oi, g.bidegree()[0], g.terms, op.terms))]
            for oi, (g, op) in enumerate(zip(generators, operators)) if not g.bidegree()[1]]
-    return ops, prod(map(q_integer, spec.degrees), start=QPoly.one())
+    return ops, _chevalley(spec.degrees)
+
+
+@lru_cache(maxsize=None)
+def _chevalley(degrees: tuple[int, ...]) -> QPoly:
+    """Chevalley's prod_j [d_j]_q: dim H_i is its q^i coefficient."""
+    return prod(map(q_integer, degrees), start=QPoly.one())
 
 
 @lru_cache(maxsize=1)
@@ -781,57 +764,126 @@ def det_isotypic_basis(gd: GroupData) -> dict[int, Subspace]:
     return out
 
 
-def derivative_closure(gd: GroupData, budget: int = DEFAULT_CELL_BUDGET) -> DimTable:
+def derivative_closure(gd: GroupData, budget: int = DEFAULT_CELL_BUDGET,
+                       k: int | None = None) -> DimTable:
     """Bidegree dimensions of the span of all x-derivatives of the
-    det-isotypic elements.
+    det-isotypic elements; of those of theta-degree k alone if k is given.
 
     d^beta = d/dx_j d^(beta - e_j), so the span W_{i,k} of the derivatives
     of bidegree (i, k) is spanned by the elements of that bidegree and
-    d/dx_j W_{i+1,k}, j = 1..n: ``_derivative_ranks`` walks each theta-degree
-    down from its top x-degree, seeded with the IntRows of its elements over
-    the columns x-position * C(n, k) + theta-word.  Every cell's budget is
-    checked first: cols x (number of nonzero d^beta e in the cell), which are
-    the beta under some distinct x-exponent of e (d^beta is injective on the
-    monomials it does not kill).
+    d/dx_j W_{i+1,k}: ``_derivative_ranks`` walks each theta-degree down
+    from its top x-degree, seeded with its elements, in the standard
+    coordinates of ``gd.cell_presentation()``; the walks share one table
+    per x-degree.  Every walked cell's budget is checked first, in x: cols
+    x (number of nonzero d^beta e in the cell), which are the beta under
+    some distinct x-exponent of e (d^beta is injective on the monomials it
+    does not kill).
     """
     n = gd.n
-    seeds = {}  # theta-degree -> x-degree -> IntRows of the elements
+    seeds = {}  # theta-degree -> x-degree -> elements
     counts: Counter[tuple[int, int]] = Counter()
     for _, elem in sorted(det_isotypic_elements(gd).items()):
-        i0, k = elem.bidegree()
-        seeds.setdefault(k, {}).setdefault(i0, []).append(_poly_row(elem, _cell_index(n, i0, k)))
+        i0, ek = elem.bidegree()
+        if k is not None and ek != k:
+            continue
+        seeds.setdefault(ek, {}).setdefault(i0, []).append(elem)
         xexps = {xexp for xexp, _ in elem.terms}
         boxes = (product(*(range(a + 1) for a in xexp)) for xexp in xexps)
-        counts.update((i0 - sum(beta), k) for beta in set(chain.from_iterable(boxes)))
-    for (i, k), count in sorted(counts.items()):
-        estimate = cell_dimension(n, i, k) * count
+        counts.update((i0 - sum(beta), ek) for beta in set(chain.from_iterable(boxes)))
+    for (i, ek), count in sorted(counts.items()):
+        estimate = cell_dimension(n, i, ek) * count
         if estimate > budget:
-            raise FeasibilityError(gd.spec, (i, k), estimate, budget)
-    table = DimTable(gd.spec)
-    for k, level in sorted(seeds.items()):
-        for i, rank in _derivative_ranks(n, k, level).items():
-            table.set(i, k, rank)
+            raise FeasibilityError(gd.spec, (i, ek), estimate, budget)
+    table, levels = DimTable(gd.spec), {}
+    for ek, level in sorted(seeds.items()):
+        for i, rank in _derivative_ranks(gd.cell_presentation(), ek, level, levels).items():
+            table.set(i, ek, rank)
     return table
 
 
-def _derivative_ranks(n: int, k: int, seeds) -> dict[int, int]:
+def _standard_level(pres: GroupData | ReducedPresentation, levels: dict, i: int):
+    """({code(s): h}, lowering) of x-degree i, kept in ``levels``: h indexes
+    the standard monomials x^s of the closed-form basis of ``pres`` in
+    ``x_monomials`` order, and lowering[j][h] lists the (h', NF(x^(s' +
+    e_j))_s) over the standard x^s' of degree i - 1, the transpose of
+    multiplication by x_j on Q[x]/I.  The normal forms are those of
+    ``groebner.normal_forms``.  IntegrityError unless the standard monomials
+    are as many as the q^i coefficient of Chevalley's prod_j [d_j]_q."""
+    if i not in levels:
+        spec, n = pres.spec, pres.n
+        basis = groebner.closed_form_basis(spec.m, spec.p, spec.n, n)
+        nf, standard = groebner.normal_forms(basis, n, i)
+        want = _chevalley(spec.degrees).coefficient(i)
+        if len(standard) != want:
+            raise IntegrityError(f"{spec.label()}: x-degree {i} has {len(standard)} standard "
+                                 f"monomials, not {want} as prod [d]_q over {spec.degrees}")
+        index = {s: h for h, s in enumerate(standard)}
+        lowering = [[[] for _ in standard] for _ in range(n)]
+        for target, below in enumerate(groebner.normal_forms(basis, n, i - 1)[1] if i else ()):
+            for j, table in enumerate(lowering):
+                for s, v in nf[below + (1 << CODE_BITS * j)]:
+                    table[index[s]].append((target, v))
+        levels[i] = index, lowering
+    return levels[i]
+
+
+def _standard_derivative(row: linalg.IntRow, table, width: int) -> linalg.IntRow:
+    """d/dx_j of a row over the columns h * width + theta-word, through the
+    entry for j of its x-degree's ``_standard_level``; content-reduced."""
+    out = {}
+    for col, v in row:
+        h, t = divmod(col, width)
+        for target, c in table[h]:
+            key = target * width + t
+            out[key] = out.get(key, 0) + c * v
+    return linalg._content_reduce(sorted((key, v) for key, v in out.items() if v))
+
+
+def _derivative_ranks(pres: GroupData | ReducedPresentation, k: int, seeds,
+                      levels: dict | None = None) -> dict[int, int]:
     """{i: dim W_i} for i from the top x-degree of ``seeds`` down to 0.
 
-    ``seeds`` maps an x-degree to IntRows over that degree's theta-degree-k
-    cell.  W_i, the span of the x-derivatives of x-degree i of the seeds, is
-    spanned by the seeds of x-degree i and d/dx_j W_{i+1}, j = 1..n, so only
-    the rows that raised the rank of W_{i+1} are differentiated, each column
-    through ``_x_lowering``."""
-    width, basis, ranks = comb(n, k), [], {}
+    ``seeds`` maps an x-degree to harmonic forms of that x-degree and
+    theta-degree k, in the n variables of the group.  A harmonic v of
+    x-degree i is fixed by u_s = s! v_s over the standard monomials x^s of
+    ``pres`` (for S_n the x_n-free ones): x^a - NF(x^a) lies in the ideal,
+    so a! v_a = sum_s NF(x^a)_s u_s; slice by theta-word, this holds on
+    H_i (x) Lambda^k too.  There d/dx_j is u'_s' = sum_s NF(x^(s' + e_j))_s
+    u_s for j < ``pres.n`` (``_standard_level``); for S_n, d/dx_n = -sum_j
+    d/dx_j on harmonics adds nothing.  W_i, the span of the x-derivatives
+    of x-degree i of the seeds, is spanned by the seeds of x-degree i and
+    d/dx_j W_{i+1}, so only the rows that raised the rank of W_{i+1} are
+    differentiated, and a level pulls no row once its rank is its dim H_i
+    C(n, k) columns.  ``levels`` holds the tables of one closure's walks."""
+    levels = {} if levels is None else levels
+    n = next(iter(seeds.values()))[0].n
+    width, words = comb(n, k), {t: c for c, (_, t) in enumerate(cell_monomials(n, 0, k))}
+    basis, ranks, lowering = [], {}, []
     for i in range(max(seeds), -1, -1):
-        rows = seeds.get(i, []) + [
-            _lower_row(row, lowering, width)
-            for row in basis for lowering in _x_lowering(n, i + 1)
-        ]
-        el = linalg.IntEliminator(cell_dimension(n, i, k))
-        basis = [row for row in rows if row and el.add(row)]
-        ranks[i] = el.rank
+        index, below = _standard_level(pres, levels, i)
+        cols = len(index) * width
+        above, basis = basis, []
+        rows = chain((_standard_row(f, index, words, width) for f in seeds.get(i, ())),
+                     (_standard_derivative(row, table, width)
+                      for table in lowering for row in above))
+        el = linalg.IntEliminator(cols)
+        for row in rows:
+            if el.add(row):
+                basis.append(row)
+                if el.rank == cols:
+                    break
+        ranks[i], lowering = el.rank, below
     return ranks
+
+
+def _standard_row(f: SuperPoly, index: dict, words: dict, width: int) -> linalg.IntRow:
+    """The content-reduced row of u = s! f[x^s theta_t] at the columns
+    index[code(s)] * width + words[t]; only the standard x^s are read, by
+    their exponents in f's n variables, decoded from the codes."""
+    mask = (1 << CODE_BITS) - 1
+    hs = {tuple(s >> CODE_BITS * j & mask for j in range(f.n)): h for s, h in index.items()}
+    return _reduced_row((hs[x] * width + words[t], c * prod(map(factorial, x)))
+                        for (x, t), c in clear_denominators(f.terms)[1] if x in hs)
 
 
 # The named checks live in ``checks``, which reads the cell engine above.

@@ -402,8 +402,8 @@ def _suite_no_dice(ctx: _Context, m=None, p=None, n=None, **_) -> list[CheckRepo
         gd = build_group(*key)
         fit = checks.fitting_structures(gd, budget=ctx.budget)
         sh_total = sum(fit.sh_top_dims.values())
-        # the theta-degree-r part of the derivative closure of the det-isotypic forms
-        closure = harmonics.derivative_closure(gd, budget=ctx.budget)
+        # the derivative closure of the one det-isotypic form of theta-degree r
+        closure = harmonics.derivative_closure(gd, budget=ctx.budget, k=spec.rank)
         det_part = closure.z_coefficients_at_q1()[spec.rank]
         excluded = not _theorem_a_holds(spec)
         strict = sh_total > det_part

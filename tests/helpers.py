@@ -20,7 +20,9 @@ anticommutator certificate is pinned to, H_i as the
 nullspace of the (i, 0) cell that the closed-form Groebner route to H_i
 is pinned to, the x-derivative by
 exponent subtraction that the derivative closure and its lowering tables
-are pinned to, the rank of mu -> d_{x^mu} Gamma by one chain of single
+are pinned to, the derivative-span walk over whole x-monomial cells (its
+d/dx_j tables and row lowering) that the walk in standard-monomial
+coordinates is pinned to, the rank of mu -> d_{x^mu} Gamma by one chain of single
 lowerings per monomial that the Fitting check's Ann(Gamma) ranks are
 pinned to, the exponent-tuple lowering tables, derivative sources and
 apolar rows that their monomial-code versions are pinned to, the rational
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial, perm, prod
 from operator import add, sub
@@ -41,6 +44,7 @@ from supercoinv.artin import is_substaircase
 from supercoinv.groups import GroupData, GroupSpec, IntegrityError, _perm_sign
 from supercoinv.qseries import clear_denominators
 from supercoinv.superpoly import (
+    CODE_BITS,
     Monomial,
     Operator,
     SuperPoly,
@@ -48,6 +52,7 @@ from supercoinv.superpoly import (
     merge_thetas,
     partial_operator,
     theta_action,
+    x_codes,
     x_factorials,
     x_monomials,
 )
@@ -278,8 +283,68 @@ def reduced_rows(entries):
             yield row
 
 
+@lru_cache(maxsize=None)
+def x_lowering(n: int, i: int) -> tuple[tuple, ...]:
+    """d/dx_j on the degree-i x-monomials, for j = 0..n-1: aligned with
+    ``x_monomials(n, i)``, the position of x^(a - e_j) among the
+    degree-(i - 1) x-monomials and the weight a_j, or None when a_j = 0.
+    Read off the monomial codes: the target's code is code(a) - 2^(16 j),
+    and a_j is field j of code(a)."""
+    codes, lower, mask = x_codes(n, i), x_codes(n, i - 1), (1 << CODE_BITS) - 1
+    return tuple(
+        tuple((lower[c - (1 << s)], a) if (a := c >> s & mask) else None for c in codes)
+        for s in range(0, CODE_BITS * n, CODE_BITS)
+    )
+
+
+def lower_row(row: linalg.IntRow, lowering, width: int) -> linalg.IntRow:
+    """d/dx_j of an IntRow over the columns x-position * width + theta-word of
+    one x-degree, through the entry for j of that degree's ``x_lowering``;
+    content-reduced.  Subtracting e_j keeps the lex order of the
+    x-monomials, so the result is sorted as built."""
+    out = []
+    for col, v in row:
+        xi, t = divmod(col, width)
+        hit = lowering[xi]
+        if hit:
+            out.append((hit[0] * width + t, hit[1] * v))
+    return linalg._content_reduce(out)
+
+
+def x_derivative_ranks(n: int, k: int, seeds) -> dict[int, int]:
+    """The derivative-span walk over whole x-monomial cells that the walk in
+    standard coordinates (``harmonics._derivative_ranks``) is pinned to:
+    {i: dim W_i} for i from the top x-degree of ``seeds`` down to 0, where
+    ``seeds`` maps an x-degree to IntRows over that degree's
+    theta-degree-k cell, and only the rows that raised the rank of W_{i+1}
+    are differentiated, each column through ``x_lowering``."""
+    width, basis, ranks = comb(n, k), [], {}
+    for i in range(max(seeds), -1, -1):
+        rows = seeds.get(i, []) + [
+            lower_row(row, lowering, width)
+            for row in basis for lowering in x_lowering(n, i + 1)
+        ]
+        el = linalg.IntEliminator(harmonics.cell_dimension(n, i, k))
+        basis = [row for row in rows if row and el.add(row)]
+        ranks[i] = el.rank
+    return ranks
+
+
+def x_walk_closure(gd: GroupData) -> dict:
+    """The derivative-closure table entries by ``x_derivative_ranks``, one
+    walk per theta-degree seeded with the IntRows of its det-isotypic
+    elements over their whole cells, with no budget."""
+    seeds = {}
+    for _, elem in sorted(harmonics.det_isotypic_elements(gd).items()):
+        i0, k = elem.bidegree()
+        row = harmonics._poly_row(elem, harmonics._cell_index(gd.n, i0, k))
+        seeds.setdefault(k, {}).setdefault(i0, []).append(row)
+    return {(i, k): rank for k, level in seeds.items()
+            for i, rank in x_derivative_ranks(gd.n, k, level).items() if rank}
+
+
 def reference_x_lowering(n: int, i: int) -> tuple[tuple, ...]:
-    """``harmonics._x_lowering`` by exponent tuples: for each j, aligned with
+    """``x_lowering`` by exponent tuples: for each j, aligned with
     ``x_monomials(n, i)``, the position of x^(a - e_j) among the
     degree-(i - 1) x-monomials and the weight a_j, or None when a_j = 0."""
     lower = {xexp: xi for xi, xexp in enumerate(x_monomials(n, i - 1))}
@@ -292,7 +357,7 @@ def reference_x_lowering(n: int, i: int) -> tuple[tuple, ...]:
 
 def reference_gamma_map_rank(gamma: SuperPoly, mons, n: int, d: int) -> int:
     """Rank of the map (degree-d monomial mu) -> d_{x^mu} Gamma: Gamma's
-    (i, 0) row lowered mu_j times by each x_j (``_lower_row``)."""
+    (i, 0) row lowered mu_j times by each x_j (``lower_row``)."""
     gdeg = gamma.bidegree()[0]
     if d > gdeg:
         return 0
@@ -302,7 +367,7 @@ def reference_gamma_map_rank(gamma: SuperPoly, mons, n: int, d: int) -> int:
         row, i = top, gdeg
         for j, b in enumerate(mu):
             for _ in range(b):
-                row = harmonics._lower_row(row, harmonics._x_lowering(n, i)[j], 1)
+                row = lower_row(row, x_lowering(n, i)[j], 1)
                 i -= 1
         return row
 

@@ -5,7 +5,7 @@ import os
 import pickle
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from operator import sub
 from pathlib import Path
 
@@ -41,7 +41,7 @@ from supercoinv.superpoly import (
     partial_operator,
     x_monomials,
 )
-from supercoinv.verify import GOLDEN_TABLE, GRID
+from supercoinv.verify import GOLDEN_TABLE, GRID, golden_row
 from helpers import (
     _reference_operator_entries,
     _x_derivative,
@@ -50,6 +50,7 @@ from helpers import (
     full_cell_dimension,
     full_cell_kernel,
     full_cell_theta_rows,
+    lower_row,
     matrix_theta_products,
     poly_to_vector,
     reference_derivative_sources,
@@ -58,8 +59,13 @@ from helpers import (
     reference_reduced_images,
     reference_x_lowering,
     reduced_rows,
+    x_lowering,
+    x_walk_closure,
 )
 from test_linalg import reference_rank
+
+SLOW = os.environ.get("SUPERCOINV_SLOW") == "1"
+slow = pytest.mark.skipif(not SLOW, reason="set SUPERCOINV_SLOW=1")
 
 
 @pytest.fixture(scope="module")
@@ -600,14 +606,16 @@ def _reference_derivative_closure(gd, budget=harmonics.DEFAULT_CELL_BUDGET):
 
 
 class TestXLowering:
-    """The per-degree d/dx_j tables and the row lowering of the derivative
-    closure, against exponent subtraction (``helpers._x_derivative``)."""
+    """The per-degree d/dx_j tables and the row lowering of the x-side
+    derivative-span walk (``helpers.x_derivative_ranks``), the reference of
+    the walk in standard coordinates, against exponent subtraction
+    (``helpers._x_derivative``)."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_table_is_exponent_subtraction(self, n):
         for i in range(7):
             lower = list(x_monomials(n, i - 1))
-            table = harmonics._x_lowering(n, i)
+            table = x_lowering(n, i)
             assert len(table) == n
             for j, entries in enumerate(table):
                 assert len(entries) == len(x_monomials(n, i))
@@ -631,17 +639,17 @@ class TestXLowering:
                     cols = sorted(rng.sample(range(len(source)), min(len(source), 6)))
                     row = [(c, rng.choice([-1, 1]) * rng.randint(1, 9)) for c in cols]
                     terms = [(source[c], v) for c, v in row]
-                    for j, lowering in enumerate(harmonics._x_lowering(n, i)):
+                    for j, lowering in enumerate(x_lowering(n, i)):
                         beta = tuple(int(l == j) for l in range(n))
                         want = harmonics._reduced_row(
                             (target[mon], c) for mon, c in _x_derivative(terms, beta)
                         )
-                        assert harmonics._lower_row(row, lowering, width) == want
+                        assert lower_row(row, lowering, width) == want
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_table_equals_the_tuple_reference(self, n):
         for i in range(9):
-            assert harmonics._x_lowering(n, i) == reference_x_lowering(n, i)
+            assert x_lowering(n, i) == reference_x_lowering(n, i)
 
 
 class TestDerivativeSources:
@@ -662,7 +670,7 @@ class TestDerivativeSources:
         with pytest.raises(ValueError):
             harmonics._derivative_sources(2, width, (1, 0))
         with pytest.raises(ValueError):
-            harmonics._x_lowering(2, width)
+            x_lowering(2, width)
         assert superpoly.x_codes.cache_info().currsize == before
         assert harmonics._degree_tables(2, width) == {}
 
@@ -732,6 +740,113 @@ class TestDerivativeClosure:
             table = sh_dim_table(gd)
             for (i, k), v in closure.entries.items():
                 assert v <= table.dim(i, k)
+
+
+class TestStandardWalk:
+    """The derivative-span walk in standard coordinates
+    (``harmonics._derivative_ranks``) against the x-side walk over whole
+    cells (``helpers.x_walk_closure``), and its normal-form tables."""
+
+    GROUPS = [key if key != (4, 1, 4) else pytest.param(key, marks=slow)
+              for key in GRID] + [(1, 1, 5)]
+
+    @pytest.mark.parametrize("key", GROUPS, ids=lambda key: "-".join(map(str, key)))
+    def test_closure_equals_the_x_walk(self, key):
+        gd = build_group(*key)
+        assert derivative_closure(gd, budget=10**13).entries == x_walk_closure(gd)
+
+    @pytest.mark.parametrize("key", [(1, 1, 3), (1, 1, 4), (2, 1, 3), (2, 2, 4), (3, 1, 3)])
+    def test_theta_degree_0_stops_at_dim_h(self, monkeypatch, key):
+        # by Steinberg every H_i is a derivative span of Delta, so each level
+        # of the theta-degree-0 walk reaches its dim H_i columns, and no row
+        # is pulled, or differentiated, after that
+        gd = build_group(*key)
+        spec, delta = gd.spec, gd.vandermondian
+        adds, derivatives = [], []
+        real_add, real_derivative = linalg.IntEliminator.add, harmonics._standard_derivative
+        monkeypatch.setattr(linalg.IntEliminator, "add",
+                            lambda el, row: adds.append(el.rank < el.ncols) or real_add(el, row))
+        monkeypatch.setattr(harmonics, "_standard_derivative",
+                            lambda *args: derivatives.append(1) or real_derivative(*args))
+        ranks = harmonics._derivative_ranks(gd.cell_presentation(), 0,
+                                            {spec.degree_of_vandermondian: [delta]})
+        chevalley = prod(map(q_integer, spec.degrees), start=QPoly.one())
+        assert ranks == {i: chevalley.coefficient(i) for i in ranks}
+        assert all(adds) and len(adds) == len(derivatives) + 1
+
+    def test_a_table_and_a_closure_build_each_normal_form_table_once(self, monkeypatch):
+        built = []
+        real = groebner._normal_forms
+        groebner._held.cache_clear()
+        monkeypatch.setattr(groebner, "_normal_forms",
+                            lambda basis, n, d: built.append((tuple(basis), n, d)) or
+                            real(basis, n, d))
+        for key in [(1, 1, 4), (2, 1, 3), (3, 3, 3)]:
+            gd = build_group(*key)
+            sh_dim_table(gd)
+            before = len(built)
+            derivative_closure(gd)
+            assert len(built) == before, key
+        assert len(built) == len(set(built))
+
+    def test_two_groups_never_share_a_table(self):
+        # equal bases share a table, and a basis built after another one was
+        # freed gets its own; in one process the closures keep the pinned
+        # columns of the p > 1 groups of rank 4 in any order
+        d = 4
+        first = groebner.closed_form_basis.__wrapped__(2, 2, 3, 3)
+        want = groebner._normal_forms(first, 3, d)
+        assert groebner.normal_forms(first, 3, d) == want
+        assert groebner.normal_forms(list(first), 3, d) is groebner.normal_forms(first, 3, d)
+        del first
+        second = groebner.closed_form_basis.__wrapped__(2, 1, 3, 3)
+        assert groebner.normal_forms(second, 3, d) == groebner._normal_forms(second, 3, d) != want
+        for key in [(2, 2, 4), (4, 2, 4), (4, 4, 4), (2, 2, 4), (4, 4, 4)]:
+            closure = derivative_closure(build_group(*key), budget=10**13)
+            assert closure.z_coefficients_at_q1() == golden_row(key)[1], key
+
+    def test_a_degree_past_the_field_raises_before_any_table(self, monkeypatch):
+        width = 1 << superpoly.CODE_BITS - 1
+        before = superpoly.x_codes.cache_info().currsize
+        basis = groebner.closed_form_basis(2, 1, 2, 2)
+        with pytest.raises(ValueError):
+            groebner.normal_forms(basis, 2, width)
+        levels = {}
+        with pytest.raises(ValueError):
+            harmonics._standard_level(build_group(2, 1, 2), levels, width)
+        assert levels == {} and width not in groebner._held(basis, 2)
+        assert superpoly.x_codes.cache_info().currsize == before
+
+    def test_a_standard_count_off_chevalley_is_refused(self, monkeypatch):
+        # the last variable appended to the basis removes every standard
+        # monomial that holds it, the one of the top x-degree 9 among them
+        real = groebner.closed_form_basis.__wrapped__
+
+        def extended(m, p, n, variables):
+            last = SuperPoly.monomial(variables, (0,) * (variables - 1) + (1,))
+            return (*real(m, p, n, variables), last)
+
+        gd = build_group(2, 1, 3)
+        det_isotypic_elements(gd)
+        monkeypatch.setattr(groebner, "closed_form_basis", extended)
+        with pytest.raises(IntegrityError, match=r"^B_3: x-degree 9 has 0 standard monomials, not 1 "):
+            derivative_closure(gd)
+
+    def test_gamma_must_be_harmonic(self, monkeypatch):
+        # Gamma seeds the walk in standard coordinates
+        real = checks.partial_operator
+
+        class Raised:
+            def __init__(self, f):
+                self.op = real(f)
+
+            def apply(self, f):
+                gamma = self.op.apply(f)
+                return gamma + SuperPoly.monomial(f.n, (gamma.bidegree()[0],) + (0,) * (f.n - 1))
+
+        monkeypatch.setattr(checks, "partial_operator", Raised)
+        with pytest.raises(IntegrityError, match="Gamma of G\\(4,1,2\\) is not harmonic"):
+            fitting_structures(build_group(4, 1, 2))
 
 
 class TestExactness:
@@ -991,8 +1106,7 @@ class TestFitting:
         n, degrees = gd.n, range(gd.spec.degree_of_vandermondian + 1)
         fit = fitting_structures(gd, budget=10**13)
         gdeg = fit.gamma.bidegree()[0]
-        row = harmonics._poly_row(fit.gamma, harmonics._cell_index(n, gdeg, 0))
-        spans = harmonics._derivative_ranks(n, 0, {gdeg: [row]})
+        spans = harmonics._derivative_ranks(gd, 0, {gdeg: [fit.gamma]})
         want = [reference_gamma_map_rank(fit.gamma, x_monomials(n, d), n, d) for d in degrees]
         assert [spans.get(gdeg - d, 0) for d in degrees] == want
         assert fit.ann_gamma_equals_iprime == (want == [fit.hprime_dims.get(d, 0) for d in degrees])
@@ -1263,10 +1377,6 @@ DOWN_SET_GROUPS = sorted(
      if m % p == 0 for n in range(1, 4)} | {GroupSpec.create(1, 1, 4)},
     key=lambda spec: (spec.m, spec.p, spec.n),
 )
-
-
-SLOW = os.environ.get("SUPERCOINV_SLOW") == "1"
-slow = pytest.mark.skipif(not SLOW, reason="set SUPERCOINV_SLOW=1")
 
 
 def _corrupted(gd, rng):

@@ -2,20 +2,24 @@
 """Recompute the two-column Hilbert series table and diff it against the
 published values.
 
-By default runs the desk-scale groups (under a second in total).  --stretch
-adds the rows of S_5, B_4 and D_4 (about 3 s in total on a 2-core machine,
-S_5 the slowest); --group m p n runs a single group; --all runs every
-row of ``verify.GOLDEN_TABLE``, S_6 and B_5 included (minutes), at the cell
-budget 10^13 unless one is given.  Each row ends with the
-seconds of its table and of its derivative closure, and the process's peak
-resident memory after the row (the getrusage high-water mark, in MB).  Exit
-status 0 iff every computed row matches its golden row.
+By default runs the desk-scale groups (about 1.5 s in total on a 2-core
+machine, most of it starting each row's process).  --stretch adds the rows
+of S_5, B_4 and D_4 (about 2.5 s in total, S_5 the slowest); --group m p n
+runs a single group; --all runs every row of ``verify.GOLDEN_TABLE``, S_6
+and B_5 included (minutes), at the cell budget 10^13 unless one is given.
+Each row is computed in a fresh child process and ends with the seconds of
+its table and of its derivative closure, and that process's peak resident
+memory (the getrusage high-water mark, in MB), so no row carries over the
+peak of an earlier one.  Exit status 0 iff every computed row matches its
+golden row.
 """
 
 import argparse
+import multiprocessing
 import resource
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -34,13 +38,15 @@ def z_string(coeffs):
 
 
 def run_group(key, budget):
-    """The table and the closure of a group, and the seconds each took."""
+    """The table and the closure of a group, the seconds each took, and the
+    peak resident memory of the process in MB."""
     gd = build_group(*key)
     t0 = time.time()
     table = harmonics.sh_dim_table(gd, budget=budget)
     t1 = time.time()
     closure = harmonics.derivative_closure(gd, budget=budget)
-    return table, closure, (t1 - t0, time.time() - t1)
+    seconds = t1 - t0, time.time() - t1
+    return table, closure, seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def main():
@@ -71,7 +77,9 @@ def main():
     rows = []
     all_ok = True
     for key in keys:
-        table, closure, (table_s, closure_s) = run_group(key, budget)
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+            table, closure, (table_s, closure_s), peak_mb = pool.submit(
+                run_group, key, budget).result()
         label = table.group.label()
         sh = table.z_coefficients_at_q1()
         cl = closure.z_coefficients_at_q1()
@@ -84,7 +92,6 @@ def main():
             all_ok = all_ok and ok
             status = "ok" if ok else "MISMATCH"
         closure_txt = "(same)" if cl == sh else z_string(cl)
-        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(f"{label:>10}  {z_string(sh):<55} {closure_txt:<45} "
               f"[{status}, {table_s:.2f}s + {closure_s:.2f}s, {peak_mb:.1f} MB]")
 

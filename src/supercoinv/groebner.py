@@ -15,15 +15,16 @@ when p > 1.  These are already reduced Groebner bases; the engine is used to
 confirm that, and their standard monomials reproduce the Artin bases.
 
 One normal-form table per degree (`normal_forms`) has two readers: the
-classical harmonics, read off it without elimination (`apolar_rows`) and
-certified by `harmonics` against the group's own operators, and the
-derivative closure of `harmonics`, which differentiates harmonic forms in
-the coordinates of the standard monomials.  It is built once per degree of
-the latest basis and keyed by packed monomial codes (`superpoly.x_codes`,
-sum_j a_j 2^(16 j) with a guard bit atop each field): a leading monomial
-divides x^a when no field of (code(a) | guard) - code(lm) borrows its
-guard bit, and a tail term e of the reducer shifts x^a by the signed code
-difference code(e) - code(lm).
+classical harmonics, read off it without elimination (`apolar_rows`) from
+a basis that `harmonics` certifies once on these tables (Buchberger's
+criterion, and every theta-free generator of the group reducing to 0),
+and the derivative closure of `harmonics`, which differentiates harmonic
+forms in the coordinates of the standard monomials.  It is built once per
+degree of the latest basis and keyed by packed monomial codes
+(`superpoly.x_codes`, sum_j a_j 2^(16 j) with a guard bit atop each field):
+a leading monomial divides x^a when no field of (code(a) | guard) - code(lm)
+borrows its guard bit, and a tail term e of the reducer shifts x^a by the
+signed code difference code(e) - code(lm).
 Buchberger and `normal_form` keep exponent tuples.
 """
 
@@ -308,11 +309,14 @@ def apolar_rows(basis, n: int, degree: int) -> list[list[tuple[int, int]]]:
     integer lex Groebner basis of an ideal I: the form
         h^(s) = sum_a NF(x^a)_s degree!/a! x^a,
     read off the degree's normal-form table (``normal_forms``).
-    x^a - NF(x^a) lies in I and <x^a, h> = a! h_a under the pairing
-    <x^a, x^b> = a! [a = b], so each h^(s) is orthogonal to I.  A standard
-    x^s has NF(x^s) = x^s and every normal form lies on the standard
-    columns, so each row's only standard column is its own: the rows are
-    unitriangular there, hence independent, by construction.
+    Under the pairing <x^a, x^b> = a! [a = b], <x^a, h^(s)> = degree!
+    NF(x^a)_s, so <g, h^(s)> = degree! NF(g)_s: each h^(s) is orthogonal to
+    I, on which the normal form of a Groebner basis vanishes
+    (``harmonics._certify`` certifies that the closed-form basis is one and
+    that its ideal contains the group's).  A standard x^s has NF(x^s) = x^s
+    and every normal form lies on the standard columns, so each row's only
+    standard column is its own: the rows are unitriangular there, hence
+    independent, by construction.
     """
     nf, standard = normal_forms(basis, n, degree)
     position, facts, top = x_codes(n, degree), x_factorials(n, degree), factorial(degree)

@@ -8,7 +8,8 @@ the 2n operators  d_{f_i}, d_{d f_i}  restricted to the (i, k) monomial cell.
 The (i, 0) cell holds the rows of the f_i alone; its kernel, the classical
 harmonics H_i, takes no elimination: it is read off the paper's closed-form
 Groebner basis, one form per standard monomial (``groebner.apolar_rows``),
-and certified (``_classical_harmonics``).  The f_i have no theta, so on an
+from a basis certified once (``_certify``) and with Chevalley's count
+(``_classical_harmonics``).  The f_i have no theta, so on an
 (i, k) cell their rows are those of the (i, 0) cell times the identity on
 the theta words, and the cell is solved on H_i (x) Lambda^k: only the d f_i
 rows are eliminated there, on dim H_i * C(n, k) columns, and bases are
@@ -35,17 +36,27 @@ is each piece of d_{d f_i} = sum_l (d f_i / d x_l)(d) d/dtheta_l split by
 theta-index (``_theta_pieces``, which refuses any other shape), so each is
 fixed by its row on its own (d, 0) cell, which must be the ideal product
 1 * g up to the diagonal scaling of the pairing.  They are certified once
-per presentation, then applied to H_i (``_x_images``, ``_theta_products``),
-and a cell (i, k >= 1) builds its rows from those products and the
-contractions d/dtheta_l theta_I = +-theta_J, whose signs are checked once
-per k against theta_J theta_l (``_contractions``).  Every cell's operator
-and ideal matrices then agree up to diagonal scaling, so they have the same
-rank and the harmonic count equals the quotient-side count.  This proves
-equal ranks, not that the one elimination is right (the reference-rank
-tests and the golden table rows cover that), but every H_i must have the
-count of Chevalley's prod_i [d_i]_q.  ``checks.exactness_check`` tests its
-images with the same certified operators.
-``coinvariant_cell_dimension`` keeps the full quotient-side route.
+per presentation; the d f_i pieces are applied to H_i (``_x_images``,
+``_theta_products``), and a cell (i, k >= 1) builds its rows from those
+products and the contractions d/dtheta_l theta_I = +-theta_J, whose signs
+are checked once per k against theta_J theta_l (``_contractions``).  Every
+cell's operator and ideal matrices then agree up to diagonal scaling, so
+they have the same rank and the harmonic count equals the quotient-side
+count.  This proves equal ranks, not that the one elimination is right (the
+reference-rank tests and the golden table rows cover that).
+``checks.exactness_check`` tests its images with the same certified
+operators.  ``coinvariant_cell_dimension`` keeps the full quotient-side
+route.
+
+H_i itself is certified without any operator.  The closed-form basis G is
+certified once per basis and presentation (``_certify``): its elements are
+monic, homogeneous and integral; by Buchberger's criterion, the S-polynomial
+of every pair whose leading monomials are not coprime reduces to 0 in the
+normal-form table of its degree; and every theta-free generator reduces to
+0.  Each degree's table is then the normal form modulo (G), which contains
+I, so every apolar row h^(s) pairs with g in I_i as i! NF(g)_s = 0 and is
+harmonic; the rows are independent, and as many as Chevalley's prod_i
+[d_i]_q counts, so they span H_i (and (G)_i = I_i).
 
 For S_n (n >= 2) the dimension cells are computed in the reduced presentation
 of ``GroupData.cell_presentation``: the ideal contains f_1 = x_1 + ... + x_n
@@ -89,9 +100,10 @@ u_s = s! v_s over the standard monomials x^s of the closed-form Groebner
 basis (for S_n the x_n-free ones), which fixes v, and d/dx_j is the
 transpose of multiplication by x_j on Q[x]/I, read off the normal forms
 that H_i is read off (``groebner.normal_forms``, one table per degree with
-two readers).  A row has dim H_i * C(n, k) columns, not those of the whole
-cell, and the tables are built once per x-degree for every theta-degree
-(``_standard_level``); each degree's standard count must be Chevalley's.
+two readers, of a basis certified once for both).  A row has dim H_i *
+C(n, k) columns, not those of the whole cell, and the tables are built once
+per x-degree for every theta-degree (``_standard_level``); each degree's
+standard count must be Chevalley's.
 
 The named checks (exactness, the Laplacian spectrum, the Fitting apparatus,
 support) live in ``checks`` and are importable from here too.
@@ -218,10 +230,9 @@ def _cell_index(n: int, i: int, k: int) -> dict[Monomial, int]:
 
 @lru_cache(maxsize=1)
 def _degree_tables(n: int, i: int) -> dict:
-    """The ``_derivative_sources`` tables of x-degree i, filled on first use.
-    The f_j check of H_i builds them and the d f_j pieces applied to H_i,
-    which come next, read them; only the latest x-degree is kept, which a
-    walk visits in one row, so it builds each degree's tables once."""
+    """The ``_derivative_sources`` tables of x-degree i, filled on first use
+    by the d f_j pieces applied to H_i; only the latest x-degree is kept,
+    which a walk visits in one row, so it builds each degree's tables once."""
     return {}
 
 
@@ -336,23 +347,76 @@ def _classical_harmonics(pres: GroupData | ReducedPresentation, i: int) -> list:
     per standard monomial of the paper's closed-form Groebner basis, in order
     (``groebner.apolar_rows``, whose rows are independent by construction).
 
-    Certified, or IntegrityError: the f_j operators are those of the f_j
-    (``_f_operators``), every one kills every row (``_x_images``), and the
-    rows are as many as the q^i coefficient of Chevalley's prod_j [d_j]_q,
-    dim H_i.
+    Certified, or IntegrityError: the basis is certified once
+    (``_certified_basis``), so the normal-form table of degree i vanishes on
+    I_i and every row, pairing with g in I_i as i! NF(g)_s = 0, is harmonic;
+    and the rows are as many as the q^i coefficient of Chevalley's
+    prod_j [d_j]_q (of the certified f_j, ``_f_operators``), dim H_i, so
+    they span H_i.
     """
     spec, n = pres.spec, pres.n
-    ops, chevalley = _f_operators(spec, tuple(pres.ideal_generators()),
-                                  tuple(pres.harmonic_generator_operators()))
-    rows = groebner.apolar_rows(groebner.closed_form_basis(spec.m, spec.p, spec.n, n), n, i)
-    if any(acc for _, _, acc in _x_images(n, i, rows, ops)):
-        raise IntegrityError(f"{spec.label()}: an f_j operator does not kill H_{i}")
+    _, chevalley = _f_operators(spec, tuple(pres.ideal_generators()),
+                                tuple(pres.harmonic_generator_operators()))
+    rows = groebner.apolar_rows(_certified_basis(pres), n, i)
     if len(rows) != chevalley.coefficient(i):
         raise IntegrityError(
             f"{spec.label()}: theta-degree 0 row has {len(rows)} at q^{i}, not "
             f"{chevalley.coefficient(i)} as prod [d]_q over the degrees {spec.degrees}"
         )
     return rows
+
+
+def _certified_basis(pres: GroupData | ReducedPresentation) -> tuple:
+    """``groebner.closed_form_basis`` of ``pres``, certified (``_certify``)."""
+    spec, n = pres.spec, pres.n
+    basis = tuple(groebner.closed_form_basis(spec.m, spec.p, spec.n, n))
+    _certify(spec, n, basis, tuple(pres.ideal_generators()))
+    return basis
+
+
+@lru_cache(maxsize=1)
+def _certify(spec: GroupSpec, n: int, basis: tuple, generators: tuple) -> None:
+    """Certifies once, for the latest basis and generators compared by value,
+    that each degree's table of ``groebner.normal_forms`` is the normal form
+    modulo the ideal (G) of ``basis`` and that (G) contains the ideal I of
+    the theta-free ``generators``; else IntegrityError.
+    (a) Every element is monic, homogeneous, theta-free and integral, so the
+        tables are built without rounding and x^a - NF(x^a) is a sum of
+        x^b g with x^b lm(g) <= x^a.
+    (b) Buchberger's criterion: the S-polynomial of every pair whose leading
+        monomials are not coprime (the product criterion spares the others;
+        for p = 1 that is every pair) reduces to 0 in the table of the
+        degree of their lcm; S - NF(S) is then a sum of x^b g with
+        x^b lm(g) < lcm, so G is a Groebner basis and NF is unique.
+    (c) Every theta-free generator reduces to 0 in its degree's table.
+    Then NF vanishes on (G)_i, which holds I_i, in every degree i."""
+    refuse, lms = f"{spec.label()}: the closed-form basis is not certified: ", []
+    for j, g in enumerate(basis):
+        lm = max(g.terms)  # (exponent, theta word)
+        if g.terms[lm] != 1 or any(sum(e) != sum(lm[0]) or t or c.denominator != 1
+                                   for (e, t), c in g.terms.items()):
+            raise IntegrityError(f"{refuse}element {j} is not monic, homogeneous and integral")
+        lms.append(lm[0])
+    for (a, la), (b, lb) in combinations(enumerate(lms), 2):
+        lcm = tuple(map(max, la, lb))
+        if lcm != tuple(map(add, la, lb)) and _nonzero_normal_form(
+                basis, n, sum(lcm), groebner.s_polynomial(basis[a], basis[b])):
+            raise IntegrityError(f"{refuse}the S-polynomial of elements {a} and {b} does "
+                                 "not reduce to 0")
+    for j, f in enumerate(generators):
+        d, k = f.bidegree()
+        if not k and _nonzero_normal_form(basis, n, d, f):
+            raise IntegrityError(f"{refuse}ideal generator {j} does not reduce to 0")
+
+
+def _nonzero_normal_form(basis: tuple, n: int, d: int, f: SuperPoly) -> bool:
+    """Whether f, theta-free of degree d, has a nonzero normal form in the
+    degree's table of ``groebner.normal_forms``."""
+    nf, out = groebner.normal_forms(basis, n, d)[0], Counter()
+    for (e, _), c in clear_denominators(f.terms)[1]:
+        for s, v in nf[monomial_code(e)]:
+            out[s] += c * v
+    return any(out.values())
 
 
 def _x_images(n: int, i: int, rows, operators):
@@ -414,7 +478,7 @@ def _f_operators(spec: GroupSpec, generators: tuple, operators: tuple):
     """The f_j operators (of the theta-free generators) as ``_x_images``
     reads them, [(0, terms (beta, c))], certified once for the latest
     generators and operators on their own (d_j, 0) cells (``_certified``),
-    then applied to every H_i; also Chevalley's prod_j [d_j]_q of the group."""
+    then applied by ``checks``; also Chevalley's prod_j [d_j]_q of the group."""
     ops = [[(0, _certified(spec, "an f_j operator", oi, g.bidegree()[0], g.terms, op.terms))]
            for oi, (g, op) in enumerate(zip(generators, operators)) if not g.bidegree()[1]]
     return ops, _chevalley(spec.degrees)
@@ -807,11 +871,12 @@ def _standard_level(pres: GroupData | ReducedPresentation, levels: dict, i: int)
     ``x_monomials`` order, and lowering[j][h] lists the (h', NF(x^(s' +
     e_j))_s) over the standard x^s' of degree i - 1, the transpose of
     multiplication by x_j on Q[x]/I.  The normal forms are those of
-    ``groebner.normal_forms``.  IntegrityError unless the standard monomials
-    are as many as the q^i coefficient of Chevalley's prod_j [d_j]_q."""
+    ``groebner.normal_forms``, of the certified basis (``_certified_basis``).
+    IntegrityError unless the standard monomials are as many as the q^i
+    coefficient of Chevalley's prod_j [d_j]_q."""
     if i not in levels:
         spec, n = pres.spec, pres.n
-        basis = groebner.closed_form_basis(spec.m, spec.p, spec.n, n)
+        basis = _certified_basis(pres)
         nf, standard = groebner.normal_forms(basis, n, i)
         want = _chevalley(spec.degrees).coefficient(i)
         if len(standard) != want:
@@ -847,6 +912,8 @@ def _derivative_ranks(pres: GroupData | ReducedPresentation, k: int, seeds,
     theta-degree k, in the n variables of the group.  A harmonic v of
     x-degree i is fixed by u_s = s! v_s over the standard monomials x^s of
     ``pres`` (for S_n the x_n-free ones): x^a - NF(x^a) lies in the ideal,
+    for the table is the normal form modulo (G) and I = (G) in the degrees
+    of Chevalley's count (``_certified_basis``, read by ``_standard_level``),
     so a! v_a = sum_s NF(x^a)_s u_s; slice by theta-word, this holds on
     H_i (x) Lambda^k too.  There d/dx_j is u'_s' = sum_s NF(x^(s' + e_j))_s
     u_s for j < ``pres.n`` (``_standard_level``); for S_n, d/dx_n = -sum_j

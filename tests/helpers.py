@@ -18,7 +18,8 @@ certified pieces applied to H_i directly are pinned to, the det-isotypic
 elements checked by all 2n generator operators each that the
 anticommutator certificate is pinned to, H_i as the
 nullspace of the (i, 0) cell that the closed-form Groebner route to H_i
-is pinned to, the x-derivative by
+is pinned to, the f_j sweep over every H_i row that the certificate of
+the closed-form basis replaced, the x-derivative by
 exponent subtraction that the derivative closure and its lowering tables
 are pinned to, the derivative-span walk over whole x-monomial cells (its
 d/dx_j tables and row lowering) that the walk in standard-monomial
@@ -551,6 +552,23 @@ def eliminated_harmonics(pres, i: int) -> list:
     Groebner basis."""
     rows = reduced_rows(cell_entries(pres, i, 0))
     return linalg.nullspace(rows, harmonics.cell_dimension(pres.n, i, 0))
+
+
+def reference_classical_harmonics(pres, i: int) -> list:
+    """H_i as the closed-form route certified it in every x-degree before
+    the basis was certified once (``harmonics._certify``): the apolar rows
+    of the closed-form basis, every one killed by every certified f_j
+    operator (``harmonics._x_images``) and as many as Chevalley's count,
+    else IntegrityError."""
+    spec, n = pres.spec, pres.n
+    ops, chevalley = harmonics._f_operators(spec, tuple(pres.ideal_generators()),
+                                            tuple(pres.harmonic_generator_operators()))
+    rows = groebner.apolar_rows(groebner.closed_form_basis(spec.m, spec.p, spec.n, n), n, i)
+    if any(acc for _, _, acc in harmonics._x_images(n, i, rows, ops)):
+        raise IntegrityError(f"{spec.label()}: an f_j operator does not kill H_{i}")
+    if len(rows) != chevalley.coefficient(i):
+        raise IntegrityError(f"{spec.label()}: theta-degree 0 row has {len(rows)} at q^{i}")
+    return rows
 
 
 def full_cell_dimension(gd: GroupData, i: int, k: int, budget: int) -> int:

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import pickle
 import random
+import re
 from fractions import Fraction
 from math import comb, prod
 from operator import sub
@@ -54,6 +55,7 @@ from helpers import (
     matrix_theta_products,
     poly_to_vector,
     reference_derivative_sources,
+    reference_classical_harmonics,
     reference_det_isotypic_elements,
     reference_gamma_map_rank,
     reference_reduced_images,
@@ -1664,8 +1666,7 @@ class TestClassicalHarmonics:
     @pytest.mark.parametrize("label", CERTIFIED)
     def test_wrong_coefficient_in_the_basis_is_caught(self, monkeypatch, label):
         # doubling a trailing coefficient of the first basis element changes
-        # the normal forms, and some H_i row is no longer killed by the f_j
-        # operators
+        # the normal forms, and the certificate of the basis refuses it
         real = groebner.closed_form_basis.__wrapped__
 
         def skewed(m, p, n, variables):
@@ -1678,7 +1679,8 @@ class TestClassicalHarmonics:
 
         monkeypatch.setattr(groebner, "closed_form_basis", skewed)
         key, _ = self.CERTIFIED[label]
-        with pytest.raises(IntegrityError, match=rf"^{label}: an f_j operator does not kill H_"):
+        message = rf"^{label}: the closed-form basis is not certified: "
+        with pytest.raises(IntegrityError, match=message):
             sh_dim_table(build_group(*key))
 
     @pytest.mark.parametrize("label", CERTIFIED)
@@ -1696,6 +1698,107 @@ class TestClassicalHarmonics:
         message = rf"^{label}: theta-degree 0 row has {count} at q\^1"
         with pytest.raises(IntegrityError, match=message):
             harmonics.harmonic_cell_dimension(build_group(*key), 1, 0)
+
+
+class TestBasisCertificate:
+    """The certificate of the closed-form Groebner basis
+    (``harmonics._certify``) against the f_j sweep over every H_i row that
+    it replaced (``helpers.reference_classical_harmonics``), and its
+    refusals."""
+
+    # GRID holds B_4, D_4 and G(4,1,4)
+    GROUPS = [key if key != (4, 1, 4) else pytest.param(key, marks=slow) for key in GRID] + [
+        (1, 1, 5), pytest.param((2, 2, 5), marks=slow)]
+
+    @pytest.mark.parametrize("key", GROUPS, ids=lambda key: "-".join(map(str, key)))
+    def test_rows_pass_the_f_j_sweep(self, key):
+        # every certified f_j operator kills every row, and the rows are the
+        # sweep's, in both presentations of S_n
+        gd = build_group(*key)
+        reduced = gd.cell_presentation()
+        for pres in [gd] if reduced is gd else [gd, reduced]:
+            for i in range(gd.spec.degree_of_vandermondian + 2):
+                rows = harmonics._classical_harmonics(pres, i)
+                assert rows == reference_classical_harmonics(pres, i), (pres.n, i)
+
+    def test_one_certificate_per_basis(self, monkeypatch):
+        # a table and the cell bases of B_3 certify its basis once, and H_i
+        # applies no operator
+        gd = build_group(2, 1, 3)
+        harmonics._certify.cache_clear()
+        sh_dim_table(gd)
+        harmonic_cells(gd)
+        assert harmonics._certify.cache_info().misses == 1
+        images = []
+        monkeypatch.setattr(harmonics, "_x_images", lambda *args: images.append(args) or [])
+        for i in range(gd.spec.degree_of_vandermondian + 1):
+            harmonics._classical_harmonics(gd, i)
+        assert images == []
+
+    @staticmethod
+    def _refused(monkeypatch, key, edit, message):
+        # edit(basis) replaces the closed-form basis; the H_0 row is refused
+        real = groebner.closed_form_basis.__wrapped__
+        monkeypatch.setattr(groebner, "closed_form_basis",
+                            lambda m, p, n, variables: edit(list(real(m, p, n, variables))))
+        harmonics._certify.cache_clear()
+        pres = build_group(*key).cell_presentation()
+        want = f"{pres.spec.label()}: the closed-form basis is not certified: {message}"
+        with pytest.raises(IntegrityError, match=f"^{re.escape(want)}$"):
+            harmonics._classical_harmonics(pres, 0)
+
+    @staticmethod
+    def _doubled(basis, j, mon):
+        terms = dict(basis[j].terms)
+        terms[mon] *= 2
+        basis[j] = SuperPoly(basis[j].n, terms)
+        return basis
+
+    @pytest.mark.parametrize("key", [(2, 1, 3), (1, 1, 3), (2, 2, 3)])
+    def test_a_non_monic_element_is_refused_before_any_table(self, monkeypatch, key):
+        built = []
+        monkeypatch.setattr(groebner, "_normal_forms", lambda *args: built.append(args))
+        self._refused(monkeypatch, key, lambda basis: self._doubled(basis, 0, max(basis[0].terms)),
+                      "element 0 is not monic, homogeneous and integral")
+        assert built == []
+
+    @pytest.mark.parametrize("key", [(2, 1, 3), (2, 2, 3)])
+    def test_a_non_integral_element_is_refused(self, monkeypatch, key):
+        # a coefficient 1/2 that the tables would truncate
+        def halved(basis):
+            terms = dict(basis[1].terms)
+            terms[min(terms)] = Fraction(1, 2)
+            basis[1] = SuperPoly(basis[1].n, terms)
+            return basis
+
+        self._refused(monkeypatch, key, halved, "element 1 is not monic, homogeneous and integral")
+
+    def test_an_inhomogeneous_element_is_refused(self, monkeypatch):
+        def raised(basis):
+            basis[0] = basis[0] + SuperPoly.monomial(3, (0, 0, 1))
+            return basis
+
+        self._refused(monkeypatch, (2, 1, 3), raised,
+                      "element 0 is not monic, homogeneous and integral")
+
+    @pytest.mark.parametrize("key", [(2, 2, 3), (3, 3, 3)])
+    def test_an_s_pair_that_does_not_reduce_to_0_is_refused(self, monkeypatch, key):
+        # S(g_0, g_2) = x_2 x_3 g_0 - x_1^(m-1) g_2 is the element g_3 =
+        # x_2^(m+1) x_3 + x_2 x_3^(m+1); with the tail of g_3 doubled it no
+        # longer reduces to 0
+        self._refused(monkeypatch, key, lambda basis: self._doubled(basis, 3, min(basis[3].terms)),
+                      "the S-polynomial of elements 0 and 2 does not reduce to 0")
+
+    @pytest.mark.parametrize("key", [(2, 1, 3), (1, 1, 3), (2, 2, 3)])
+    def test_a_generator_outside_the_ideal_is_refused(self, monkeypatch, key):
+        # g_0 cut to its leading monomial: still a Groebner basis with the
+        # same standard monomials, so every count is Chevalley's, but of an
+        # ideal that misses the first theta-free generator
+        def cut(basis):
+            basis[0] = SuperPoly(basis[0].n, {max(basis[0].terms): 1})
+            return basis
+
+        self._refused(monkeypatch, key, cut, "ideal generator 0 does not reduce to 0")
 
 
 class TestThetaCells:
